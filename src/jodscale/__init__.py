@@ -25,7 +25,6 @@ from .model import (
     ConditionId,
     DatasetCollection,
     DatasetMeta,
-    RatingRecord,
     RatingTable,
     connected_components,
     empirical_probability,
@@ -61,7 +60,6 @@ __all__ = [
     "ObserverModel",
     "ParseError",
     "PosteriorProblem",
-    "RatingRecord",
     "RatingTable",
     "SIGMA_JOD",
     "UndefinedCorrelationError",

@@ -26,12 +26,9 @@ from .errors import (
     ConvergenceError,
     DegenerateDataError,
     DesignError,
-    DisconnectedGraphError,
     IntegrityError,
     JodscaleError,
     ParseError,
-    UndefinedCorrelationError,
-    UndefinedPairError,
 )
 from .linkfit import fit_report
 from .metricmap import correlation_metrics, eval_logistic, fit_logistic, pairwise_accuracy
@@ -178,10 +175,10 @@ def _cmd_scale(args) -> int:
             args.bootstrap,
             seed=args.seed,
             alpha=args.alpha,
-            threads=args.threads,
             prior_enabled=args.prior,
             tol=args.tol,
             max_iter=args.max_iter,
+            per_component=args.per_component,
         )
     _write_scale_outputs(out, result, intervals)
     _write_run_config(out, args)
@@ -190,6 +187,7 @@ def _cmd_scale(args) -> int:
 
 
 def _write_collection_files(collection: DatasetCollection, out: Path) -> None:
+    keys = [cond.key for cond in collection.conditions]
     datasets = []
     for name in sorted(collection.manifest):
         meta = collection.manifest[name]
@@ -214,19 +212,24 @@ def _write_collection_files(collection: DatasetCollection, out: Path) -> None:
         if name in collection.ratings:
             rating_file = f"ratings_{name}.csv"
             entry["ratings"] = rating_file
+            table = collection.ratings[name]
             with open(out / rating_file, "w", newline="") as handle:
                 handle.write("condition,observer,score\n")
-                for record in collection.ratings[name].records:
-                    cond = collection.conditions[record.condition]
-                    handle.write(f"{cond.key},{record.observer},{record.score!r}\n")
+                handle.writelines(
+                    f"{keys[idx]},{observer},{score!r}\n"
+                    for idx, observer, score in zip(
+                        table.condition_indices.tolist(), table.observers.tolist(),
+                        table.scores.tolist(),
+                    )
+                )
         datasets.append(entry)
     with open(out / "comparisons.csv", "w", newline="") as handle:
         handle.write("cond_a,cond_b,count_a_over_b\n")
-        for (i, j) in sorted(collection.graph.entries):
-            count = collection.graph.entries[(i, j)]
-            handle.write(
-                f"{collection.conditions[i].key},{collection.conditions[j].key},{count}\n"
-            )
+        winners, losers, counts = collection.graph.observations()
+        handle.writelines(
+            f"{keys[i]},{keys[j]},{count}\n"
+            for i, j, count in zip(winners.tolist(), losers.tolist(), counts.tolist())
+        )
     _write_json(out / "manifest.json", {"datasets": datasets, "comparisons": "comparisons.csv"})
 
 
@@ -272,12 +275,9 @@ def _accuracy_curve(mapped: dict[str, float], manifest_path) -> list[list[float]
             continue
         scores[idx] = value
         known[idx] = True
-    entries = {
-        (i, j): c
-        for (i, j), c in collection.graph.entries.items()
-        if known[i] and known[j]
-    }
-    sub = ComparisonGraph(collection.n, entries)
+    winners, losers, counts = collection.graph.observations()
+    kept = known[winners] & known[losers]
+    sub = ComparisonGraph(collection.n, winners[kept], losers[kept], counts[kept])
     curve = []
     for threshold in _ACCURACY_THRESHOLDS:
         try:
@@ -436,16 +436,13 @@ def _cmd_linkfit(args) -> int:
     rows = []
     for name in sorted(collection.ratings):
         table = collection.ratings[name]
-        by_condition: dict[int, list[float]] = {}
-        for record in table.records:
-            by_condition.setdefault(record.condition, []).append(record.score)
         keys, mos, jod = [], [], []
-        for idx in sorted(by_condition):
+        for idx in np.unique(table.condition_indices).tolist():
             key = collection.conditions[idx].key
             if key not in jods:
                 continue
             keys.append(key)
-            mos.append(float(np.mean(by_condition[idx])))
+            mos.append(float(np.mean(table.scores[table.condition_indices == idx])))
             jod.append(jods[key])
         if len(keys) < 5:
             raise IntegrityError(f"dataset {name!r} has too few rated conditions to fit")
@@ -508,7 +505,6 @@ def build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--strict", action="store_true",
                        help="escalate clamping warnings and non-convergence to errors")
 
@@ -617,17 +613,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (
-        ParseError,
-        IntegrityError,
-        UndefinedPairError,
-        DisconnectedGraphError,
-        DegenerateDataError,
-        DesignError,
-        UndefinedCorrelationError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except JodscaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

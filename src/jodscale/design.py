@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DesignError, IntegrityError
-from .model import DatasetCollection
+from .model import ComparisonGraph, DatasetCollection
 from .scaling import UnifiedScale, scale
 
 
@@ -156,9 +156,10 @@ def iterate_selection(
     """Alternate scaling, cross-dataset pair selection and data collection.
 
     ``callback(batch, collection)`` must return one (count_ij, count_ji)
-    tuple per selected pair; the counts are merged and the collection is
-    rescaled before the next batch. A callback failure aborts the loop and
-    the partial results are returned with the error recorded.
+    tuple per selected pair; the counts are added to the collection's
+    observations and the collection is rescaled before the next batch. A
+    callback failure aborts the loop and the partial results are returned
+    with the error recorded.
     """
     current = collection
     result = scale(current, **scale_options)
@@ -174,13 +175,15 @@ def iterate_selection(
                 raise DesignError(
                     f"callback returned {len(counts)} results for {len(batch)} pairs"
                 )
-            updates = []
-            for (i, j), (cij, cji) in zip(batch.pairs, counts):
-                if cij:
-                    updates.append((i, j, int(cij)))
-                if cji:
-                    updates.append((j, i, int(cji)))
-            current = current.with_graph(current.graph.with_counts(updates))
+            pairs = np.asarray(batch.pairs).reshape(-1, 2)
+            new = np.asarray(counts).reshape(-1, 2)
+            winners, losers, old = current.graph.observations()
+            current = current.with_graph(ComparisonGraph(
+                current.n,
+                np.concatenate([winners, pairs[:, 0], pairs[:, 1]]),
+                np.concatenate([losers, pairs[:, 1], pairs[:, 0]]),
+                np.concatenate([old, new[:, 0], new[:, 1]]),
+            ))
             result = scale(current, **scale_options)
             audit.append({"batch": batch, "counts": counts})
         except Exception as exc:  # abort, keep partial results

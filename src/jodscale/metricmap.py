@@ -192,24 +192,18 @@ def pairwise_accuracy(
     if threshold_jod < 0:
         raise IntegrityError(f"threshold must be non-negative, got {threshold_jod}")
     scores = np.asarray(scale_scores, dtype=float)
-    considered = 0
-    correct = 0
-    for i, j, cij, cji in graph.measured_pairs():
-        if cij == cji:
-            continue
-        gap = scores[i] - scores[j]
-        if abs(gap) < threshold_jod:
-            continue
-        considered += 1
-        truth = 1 if cij > cji else -1
-        predicted = 1 if gap > 0 else (-1 if gap < 0 else 0)
-        if predicted == truth:
-            correct += 1
-    if considered == 0:
+    i, j, c_ij, c_ji = graph.pair_arrays()
+    gap = scores[i] - scores[j]
+    considered = (c_ij != c_ji) & (np.abs(gap) >= threshold_jod)
+    n_considered = int(considered.sum())
+    if n_considered == 0:
         raise DesignError(
             f"no pair clears the {threshold_jod} JOD threshold; threshold too high"
         )
-    return PairwiseAccuracy(accuracy=correct / considered, considered_pairs=considered)
+    correct = np.sign(gap[considered]) == np.sign(c_ij[considered] - c_ji[considered])
+    return PairwiseAccuracy(
+        accuracy=int(correct.sum()) / n_considered, considered_pairs=n_considered
+    )
 
 
 def kfold_split(pairs, k: int, seed: int = 0) -> list[list]:

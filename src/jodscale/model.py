@@ -1,9 +1,9 @@
 """Domain types and ingestion for comparison and rating datasets.
 
-A collection bundles the conditions of every source dataset together with a
-sparse win-count matrix of pairwise comparisons and per-dataset rating
-tables. Collections are immutable after construction and safe to share
-read-only across threads.
+A collection bundles the conditions of every source dataset together with
+the pairwise win counts and per-dataset rating tables, both held as
+columnar numpy arrays. Collections are immutable after construction and
+safe to share read-only across threads.
 
 File formats
 ------------
@@ -28,12 +28,13 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import islice, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
 from .errors import IntegrityError, ParseError, UndefinedPairError
 from .photometry import DisplayModel
@@ -92,115 +93,127 @@ class ConditionId:
         return cls(dataset, content, REFERENCE_DISTORTION, 0)
 
 
-class ComparisonGraph:
-    """Sparse count matrix of pairwise wins.
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype).reshape(-1)
+    array.flags.writeable = False
+    return array
 
-    ``entries[(i, j)]`` holds the number of times condition ``i`` was chosen
-    over condition ``j``; an absent entry means zero. Self comparisons are
-    forbidden and counts must be non-negative. The dense matrix is never
-    materialized.
+
+def _same_columns(a, b) -> bool:
+    """Equality of two column holders: same type, equal ``__slots__`` values."""
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in a.__slots__
+    )
+
+
+class ComparisonGraph:
+    """Pairwise win counts as canonical columnar arrays.
+
+    ``i`` and ``j`` hold the unordered measured pairs (``i < j``, unique,
+    sorted by ``(i, j)``); ``c_ij[k]`` counts how often ``i[k]`` was chosen
+    over ``j[k]`` and ``c_ji[k]`` the reverse. Pairs without any comparison
+    are not stored, and the dense matrix is never materialized.
+
+    The constructor takes ordered observations: condition ``winners[k]`` was
+    chosen over ``losers[k]`` ``counts[k]`` times. Repeated and mirrored
+    rows are summed. Self comparisons are forbidden and counts must be
+    non-negative integers.
     """
 
-    __slots__ = ("n", "_entries", "_arrays")
+    __slots__ = ("n", "i", "j", "c_ij", "c_ji")
 
-    def __init__(self, n: int, entries: Mapping[tuple[int, int], int] | None = None):
+    def __init__(self, n: int, winners=(), losers=(), counts=()):
         if n < 0:
             raise IntegrityError(f"graph size must be non-negative, got {n}")
         self.n = int(n)
-        self._entries: dict[tuple[int, int], int] = {}
-        self._arrays = None
-        for (i, j), count in (entries or {}).items():
-            self._accumulate(i, j, count)
-
-    def _accumulate(self, i: int, j: int, count: int) -> None:
-        i, j = int(i), int(j)
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IntegrityError(f"condition index out of range in pair ({i}, {j})")
-        if i == j:
-            raise IntegrityError(f"self-comparison is forbidden (condition {i})")
-        if int(count) != count or count < 0:
-            raise IntegrityError(f"count for pair ({i}, {j}) must be a non-negative integer")
-        if count == 0:
-            return
-        self._entries[(i, j)] = self._entries.get((i, j), 0) + int(count)
-
-    @property
-    def entries(self) -> Mapping[tuple[int, int], int]:
-        return MappingProxyType(self._entries)
+        winners = np.asarray(winners).reshape(-1)
+        losers = np.asarray(losers).reshape(-1)
+        counts = np.asarray(counts).reshape(-1)
+        if not winners.size == losers.size == counts.size:
+            raise IntegrityError("winners, losers and counts must have equal lengths")
+        for bad, problem in (
+            ((winners < 0) | (winners >= n) | (losers < 0) | (losers >= n),
+             "has a condition index out of range"),
+            (winners == losers, "is a self-comparison, which is forbidden"),
+            (~np.isfinite(counts) | (counts < 0) | (counts != np.floor(counts)),
+             "needs a non-negative integer count"),
+        ):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise IntegrityError(f"pair ({winners[k]}, {losers[k]}) {problem}")
+        winners, losers, counts = (col.astype(np.int64) for col in (winners, losers, counts))
+        stride = max(self.n, 1)
+        lo, hi = np.minimum(winners, losers), np.maximum(winners, losers)
+        keys, slot = np.unique(lo * stride + hi, return_inverse=True)
+        forward = winners < losers
+        c_ij = np.zeros(keys.size, dtype=np.int64)
+        c_ji = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(c_ij, slot[forward], counts[forward])
+        np.add.at(c_ji, slot[~forward], counts[~forward])
+        measured = (c_ij + c_ji) > 0
+        keys = keys[measured]
+        self.i = _frozen(keys // stride, np.int64)
+        self.j = _frozen(keys % stride, np.int64)
+        self.c_ij = _frozen(c_ij[measured], np.int64)
+        self.c_ji = _frozen(c_ji[measured], np.int64)
 
     def count(self, i: int, j: int) -> int:
-        return self._entries.get((int(i), int(j)), 0)
+        """Number of times condition i was chosen over condition j."""
+        i, j = int(i), int(j)
+        lo, hi = min(i, j), max(i, j)
+        start, stop = np.searchsorted(self.i, (lo, lo + 1))
+        k = start + int(np.searchsorted(self.j[start:stop], hi))
+        if k == stop or self.j[k] != hi or i == j:
+            return 0
+        return int(self.c_ij[k] if i < j else self.c_ji[k])
 
     def trials(self, i: int, j: int) -> int:
         return self.count(i, j) + self.count(j, i)
 
-    def measured_pairs(self) -> Iterator[tuple[int, int, int, int]]:
-        """Yield (i, j, c_ij, c_ji) for unordered pairs with any data, i < j,
-        in deterministic sorted order."""
-        seen = sorted({(min(i, j), max(i, j)) for i, j in self._entries})
-        for i, j in seen:
-            yield i, j, self.count(i, j), self.count(j, i)
-
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized view of measured pairs: (I, J, C_ij, C_ji)."""
-        if self._arrays is None:
-            pairs = list(self.measured_pairs())
-            if pairs:
-                i_arr, j_arr, cij, cji = (np.asarray(col) for col in zip(*pairs))
-            else:
-                i_arr = j_arr = np.zeros(0, dtype=int)
-                cij = cji = np.zeros(0, dtype=int)
-            self._arrays = (i_arr, j_arr, cij.astype(float), cji.astype(float))
-        return self._arrays
+        """The measured pairs as (I, J, C_ij, C_ji)."""
+        return self.i, self.j, self.c_ij, self.c_ji
 
-    def with_counts(self, updates: Iterable[tuple[int, int, int]]) -> "ComparisonGraph":
-        """Return a new graph with additional counts merged in."""
-        merged = ComparisonGraph(self.n, self._entries)
-        for i, j, count in updates:
-            merged._accumulate(i, j, count)
-        return merged
+    def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Non-zero directed counts as (winners, losers, counts), sorted by
+        (winner, loser): the constructor's input form."""
+        winners = np.concatenate([self.i, self.j])
+        losers = np.concatenate([self.j, self.i])
+        counts = np.concatenate([self.c_ij, self.c_ji])
+        order = np.lexsort((losers, winners))
+        order = order[counts[order] > 0]
+        return winners[order], losers[order], counts[order]
 
     def total_comparisons(self) -> int:
-        return sum(self._entries.values())
+        return int(self.c_ij.sum() + self.c_ji.sum())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComparisonGraph)
-            and self.n == other.n
-            and self._entries == other._entries
-        )
+    __eq__ = _same_columns
 
     def __repr__(self):
-        return f"ComparisonGraph(n={self.n}, measured_entries={len(self._entries)})"
+        return f"ComparisonGraph(n={self.n}, pairs={self.i.size})"
 
 
-@dataclass(frozen=True, slots=True)
-class RatingRecord:
-    condition: int
-    observer: str
-    score: float
-
-
-@dataclass(frozen=True)
 class RatingTable:
-    """Per-observer rating measurements for one dataset.
+    """Per-observer rating measurements for one dataset, one row per rating
+    in file order.
 
     Repeated (condition, observer) rows are kept as separate sessions; the
     implicit session label is the occurrence index.
     """
 
-    records: tuple[RatingRecord, ...]
+    __slots__ = ("condition_indices", "observers", "scores")
 
-    @cached_property
-    def condition_indices(self) -> np.ndarray:
-        return np.asarray([r.condition for r in self.records], dtype=int)
-
-    @cached_property
-    def scores(self) -> np.ndarray:
-        return np.asarray([r.score for r in self.records], dtype=float)
+    def __init__(self, condition_indices=(), observers=(), scores=()):
+        self.condition_indices = _frozen(condition_indices, np.int64)
+        self.observers = _frozen(observers, str)
+        self.scores = _frozen(scores, float)
+        if not self.condition_indices.size == self.observers.size == self.scores.size:
+            raise IntegrityError("rating columns must have equal lengths")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.scores.size
+
+    __eq__ = _same_columns
 
 
 @dataclass(frozen=True)
@@ -247,26 +260,32 @@ class DatasetCollection:
                 f"graph is sized for {self.graph.n} conditions, "
                 f"collection has {len(self.conditions)}"
             )
-        dataset_names = {cond.dataset for cond in self.conditions}
-        missing = dataset_names - set(self.manifest)
+        datasets = np.array([cond.dataset for cond in self.conditions], dtype=str)
+        missing = set(datasets.tolist()) - set(self.manifest)
         if missing:
             raise IntegrityError(f"manifest does not cover datasets: {sorted(missing)}")
+        anchored = {cond.dataset for cond in self.conditions if cond.is_reference}
         for name, table in self.ratings.items():
             if name not in self.manifest:
                 raise IntegrityError(f"ratings reference unknown dataset {name!r}")
-            for record in table.records:
-                if not 0 <= record.condition < len(self.conditions):
-                    raise IntegrityError(
-                        f"rating references condition index {record.condition} out of range"
-                    )
-                cond = self.conditions[record.condition]
-                if cond.dataset != name:
-                    raise IntegrityError(
-                        f"rating for dataset {name!r} references condition {cond.key}"
-                    )
-                if not np.isfinite(record.score):
-                    raise IntegrityError(f"non-finite rating score for {cond.key}")
-            if not any(c.is_reference and c.dataset == name for c in self.conditions):
+            idx = table.condition_indices
+            outside = (idx < 0) | (idx >= self.n)
+            if outside.any():
+                raise IntegrityError(
+                    f"rating references condition index {idx[outside][0]} out of range"
+                )
+            foreign = datasets[idx] != name
+            if foreign.any():
+                raise IntegrityError(
+                    f"rating for dataset {name!r} references condition "
+                    f"{self.conditions[idx[foreign][0]].key}"
+                )
+            nonfinite = ~np.isfinite(table.scores)
+            if nonfinite.any():
+                raise IntegrityError(
+                    f"non-finite rating score for {self.conditions[idx[nonfinite][0]].key}"
+                )
+            if name not in anchored:
                 raise IntegrityError(f"rating dataset {name!r} has no reference condition")
 
     @property
@@ -311,52 +330,84 @@ def connected_components(collection: DatasetCollection) -> list[list[int]]:
     parameters tie them together. Components are returned as sorted index
     lists, ordered by their smallest member.
     """
-    parent = list(range(collection.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for i, j in collection.graph.entries:
-        union(i, j)
+    n = collection.n
+    if n == 0:
+        return []
+    rows, cols = [collection.graph.i], [collection.graph.j]
     for table in collection.ratings.values():
-        rated = sorted(set(int(i) for i in table.condition_indices))
-        for idx in rated[1:]:
-            union(rated[0], idx)
+        rated = np.unique(table.condition_indices)
+        rows.append(rated[:-1])
+        cols.append(rated[1:])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    adjacency = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    _, labels = csgraph.connected_components(adjacency, directed=False)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    return sorted((members.tolist() for members in groups), key=lambda members: members[0])
 
-    groups: dict[int, list[int]] = {}
-    for idx in range(collection.n):
-        groups.setdefault(find(idx), []).append(idx)
-    return [sorted(members) for _, members in sorted(groups.items())]
+
+_CHUNK_ROWS = 1 << 16
 
 
-def _read_csv_rows(path: Path, required: list[str]) -> Iterator[dict[str, str]]:
+def _read_csv(path: Path, parsers: Mapping[str, Callable]) -> list:
+    """Read a CSV file in one pass; return each required column converted
+    by its parser (``parsers`` maps column name to parser). Rows are parsed
+    in chunks, so the text of a large file is never held at once."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
+    chunks = []
     with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [col for col in required if col not in header]
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [col for col in parsers if col not in header]
         if missing:
             raise ParseError(f"{path} is missing columns {missing} (header {header})")
-        for row in reader:
-            yield row
+        positions = {col: header.index(col) for col in parsers}
+        width = max(positions.values()) + 1
+        rows = filter(None, reader)
+        # rows as tuples: the garbage collector stops tracking tuples of strings
+        while chunk := list(map(tuple, islice(rows, _CHUNK_ROWS))):
+            if min(map(len, chunk)) < width:
+                short = next(row for row in chunk if len(row) < width)
+                raise ParseError(f"{path} has a row with fewer than {width} fields: {short}")
+            columns = list(zip(*chunk))
+            parsed = []
+            for col, parse in parsers.items():
+                try:
+                    parsed.append(parse(columns[positions[col]]))
+                except (ValueError, OverflowError) as exc:
+                    raise ParseError(f"{path}, column {col!r}: {exc}") from exc
+            chunks.append(parsed)
+    if not chunks:
+        return [parse(()) for parse in parsers.values()]
+    return [np.concatenate(parts) for parts in zip(*chunks)]
+
+
+def _cells(convert, dtype) -> Callable:
+    """A ``_read_csv`` parser that converts every cell of a column."""
+    return lambda texts: np.array(list(map(convert, texts)), dtype=dtype)
+
+
+def _indices(index: Mapping[str, int], what: str) -> Callable:
+    """A ``_read_csv`` parser mapping condition keys to indices; an unknown
+    key is an integrity error."""
+    def parse(keys):
+        out = np.fromiter(map(index.get, map(str.strip, keys), repeat(-1)), np.int64, len(keys))
+        if np.any(out < 0):
+            key = keys[int(np.argmax(out < 0))].strip()
+            raise IntegrityError(f"{what} references unknown condition {key!r}")
+        return out
+
+    return parse
 
 
 def _load_conditions(spec, base: Path, dataset: str) -> list[ConditionId]:
     if isinstance(spec, list):
         texts = [str(item) for item in spec]
     elif isinstance(spec, str):
-        texts = [row["condition"] for row in _read_csv_rows(base / spec, ["condition"])]
+        texts = _read_csv(base / spec, {"condition": _cells(str, str)})[0].tolist()
     else:
         raise ParseError(f"dataset {dataset!r}: 'conditions' must be a path or a list")
     out = []
@@ -432,45 +483,22 @@ def load_collection(manifest_path) -> DatasetCollection:
         if "ratings" in entry:
             rating_paths[name] = base / str(entry["ratings"])
 
-    index: dict[str, int] = {}
-    for idx, cond in enumerate(conditions):
-        if cond.key in index:
-            raise IntegrityError(f"duplicate condition {cond.key}")
-        index[cond.key] = idx
-
-    entries: dict[tuple[int, int], int] = {}
-    if "comparisons" in raw and raw["comparisons"] is not None:
-        for row in _read_csv_rows(base / str(raw["comparisons"]),
-                                  ["cond_a", "cond_b", "count_a_over_b"]):
-            key_a, key_b = row["cond_a"].strip(), row["cond_b"].strip()
-            for key in (key_a, key_b):
-                if key not in index:
-                    raise IntegrityError(f"comparison references unknown condition {key!r}")
-            try:
-                count = int(row["count_a_over_b"])
-            except ValueError as exc:
-                raise ParseError(f"non-integer count {row['count_a_over_b']!r}") from exc
-            if count < 0:
-                raise IntegrityError(f"negative count for pair ({key_a}, {key_b})")
-            i, j = index[key_a], index[key_b]
-            if i == j:
-                raise IntegrityError(f"self-comparison for condition {key_a!r}")
-            if count:
-                entries[(i, j)] = entries.get((i, j), 0) + count
+    index = {cond.key: idx for idx, cond in enumerate(conditions)}
+    winners = losers = counts = ()
+    if raw.get("comparisons") is not None:
+        condition = _indices(index, "comparison")
+        winners, losers, counts = _read_csv(
+            base / str(raw["comparisons"]),
+            {"cond_a": condition, "cond_b": condition, "count_a_over_b": _cells(int, np.int64)},
+        )
 
     ratings: dict[str, RatingTable] = {}
     for name, path in sorted(rating_paths.items()):
-        records = []
-        for row in _read_csv_rows(path, ["condition", "observer", "score"]):
-            key = row["condition"].strip()
-            if key not in index:
-                raise IntegrityError(f"rating references unknown condition {key!r}")
-            try:
-                score = float(row["score"])
-            except ValueError as exc:
-                raise ParseError(f"non-numeric score {row['score']!r} in {path}") from exc
-            records.append(RatingRecord(index[key], row["observer"].strip(), score))
-        ratings[name] = RatingTable(tuple(records))
+        ratings[name] = RatingTable(*_read_csv(path, {
+            "condition": _indices(index, "rating"),
+            "observer": _cells(str.strip, str),
+            "score": _cells(float, float),
+        }))
 
-    graph = ComparisonGraph(len(conditions), entries)
+    graph = ComparisonGraph(len(conditions), winners, losers, counts)
     return DatasetCollection(conditions, graph, ratings, metas)

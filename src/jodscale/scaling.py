@@ -37,7 +37,6 @@ from .model import (
     ComparisonGraph,
     ConditionId,
     DatasetCollection,
-    RatingRecord,
     RatingTable,
     connected_components,
 )
@@ -516,26 +515,25 @@ def scale(
 
 
 def _subcollection(collection: DatasetCollection, members: list[int]) -> DatasetCollection:
-    remap = {old: new for new, old in enumerate(members)}
-    member_set = set(members)
+    members = np.asarray(members, dtype=np.int64)
+    remap = np.full(collection.n, -1, dtype=np.int64)
+    remap[members] = np.arange(members.size)
+    inside = remap >= 0
     conditions = [collection.conditions[i] for i in members]
-    entries = {
-        (remap[i], remap[j]): count
-        for (i, j), count in collection.graph.entries.items()
-        if i in member_set and j in member_set
-    }
+    winners, losers, counts = collection.graph.observations()
+    kept = inside[winners] & inside[losers]
+    graph = ComparisonGraph(
+        members.size, remap[winners[kept]], remap[losers[kept]], counts[kept]
+    )
     ratings = {}
     for name, table in collection.ratings.items():
-        records = tuple(
-            RatingRecord(remap[r.condition], r.observer, r.score)
-            for r in table.records
-            if r.condition in member_set
-        )
-        if records:
-            ratings[name] = RatingTable(records)
+        rows = inside[table.condition_indices]
+        if rows.any():
+            ratings[name] = RatingTable(
+                remap[table.condition_indices[rows]], table.observers[rows], table.scores[rows]
+            )
     names = {c.dataset for c in conditions}
     manifest = {name: meta for name, meta in collection.manifest.items() if name in names}
-    graph = ComparisonGraph(len(conditions), entries)
     return DatasetCollection(conditions, graph, ratings, manifest)
 
 
@@ -573,23 +571,22 @@ def _scale_per_component(collection, components, prior_enabled, tol, max_iter, m
 def _resample_collection(
     collection: DatasetCollection, rng: np.random.Generator
 ) -> DatasetCollection:
-    entries: dict[tuple[int, int], int] = {}
-    for i, j, cij, cji in collection.graph.measured_pairs():
-        total = cij + cji
-        new_cij = int(rng.binomial(total, cij / total))
-        if new_cij:
-            entries[(i, j)] = new_cij
-        if total - new_cij:
-            entries[(j, i)] = total - new_cij
+    i, j, c_ij, c_ji = collection.graph.pair_arrays()
+    total = c_ij + c_ji
+    new_c_ij = rng.binomial(total, c_ij / total)
+    graph = ComparisonGraph(
+        collection.n,
+        np.concatenate([i, j]),
+        np.concatenate([j, i]),
+        np.concatenate([new_c_ij, total - new_c_ij]),
+    )
     ratings = {}
     for name in sorted(collection.ratings):
         table = collection.ratings[name]
-        if len(table) == 0:
-            ratings[name] = table
-            continue
         picks = rng.integers(0, len(table), size=len(table))
-        ratings[name] = RatingTable(tuple(table.records[int(k)] for k in picks))
-    graph = ComparisonGraph(collection.n, entries)
+        ratings[name] = RatingTable(
+            table.condition_indices[picks], table.observers[picks], table.scores[picks]
+        )
     return DatasetCollection(collection.conditions, graph, ratings, collection.manifest)
 
 
@@ -599,42 +596,34 @@ def bootstrap_ci(
     seed: int = 0,
     *,
     alpha: float = 0.05,
-    threads: int = 1,
     **scale_options,
 ) -> np.ndarray:
     """Percentile bootstrap intervals for the JOD score of every condition.
 
     Comparisons are resampled per pair (binomial with the empirical
-    probability) and rating records are resampled with replacement; each
-    replicate is rescaled. Replicates that fail to scale are skipped and
-    counted; more than 50% failures is an error. Deterministic for a given
-    seed regardless of thread count. Returns an (n, 2) array of
+    probability) and rating rows are resampled with replacement; each
+    replicate is rescaled with ``scale_options``. Replicates that fail to
+    scale or do not converge are skipped and counted; more than 50% failures
+    is an error. Deterministic for a given seed. Returns an (n, 2) array of
     (low, high) bounds.
     """
     if n_boot < 1:
         raise IntegrityError(f"n_boot must be at least 1, got {n_boot}")
 
-    def one_replicate(index: int):
+    samples = []
+    for index in range(n_boot):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007, index)))
         replicate = _resample_collection(collection, rng)
         try:
-            return scale(replicate, **scale_options).q
+            result = scale(replicate, **scale_options)
         except (DisconnectedGraphError, DegenerateDataError, ConvergenceError):
-            return None
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_replicate, range(n_boot)))
-    else:
-        results = [one_replicate(r) for r in range(n_boot)]
-
-    samples = [q for q in results if q is not None]
+            continue
+        if result.converged:
+            samples.append(result.q)
     failures = n_boot - len(samples)
     if failures > n_boot / 2:
         raise DegenerateDataError(
-            f"{failures} of {n_boot} bootstrap replicates failed to scale"
+            f"{failures} of {n_boot} bootstrap replicates failed to scale or converge"
         )
     stacked = np.vstack(samples)
     low = np.percentile(stacked, 100.0 * (alpha / 2.0), axis=0)

@@ -25,7 +25,6 @@ from .model import (
     ConditionId,
     DatasetCollection,
     DatasetMeta,
-    RatingRecord,
     RatingTable,
 )
 from .photometry import DisplayModel
@@ -95,16 +94,17 @@ def simulate_ratings(truth: GroundTruth, dataset: str, n_observers: int) -> Rati
         raise IntegrityError(f"n_observers must be non-negative, got {n_observers}")
     link = truth.links_true[dataset]
     sigma = truth.model.sigma
-    records = []
-    for idx, cond in enumerate(truth.conditions):
-        if cond.dataset != dataset:
-            continue
-        rng = _rng(truth.seed, _STREAM_RATING, idx)
-        mean = (truth.q_true[idx] - link.b) / link.a
-        scores = mean + rng.normal(0.0, link.c * sigma, size=n_observers)
-        for k in range(n_observers):
-            records.append(RatingRecord(idx, f"o{k:03d}", float(scores[k])))
-    return RatingTable(tuple(records))
+    members = [idx for idx, cond in enumerate(truth.conditions) if cond.dataset == dataset]
+    scores = [
+        (truth.q_true[idx] - link.b) / link.a
+        + _rng(truth.seed, _STREAM_RATING, idx).normal(0.0, link.c * sigma, size=n_observers)
+        for idx in members
+    ]
+    return RatingTable(
+        np.repeat(members, n_observers),
+        [f"o{k:03d}" for k in range(n_observers)] * len(members),
+        np.concatenate(scores) if scores else (),
+    )
 
 
 def comparison_callback(truth: GroundTruth, n_trials: int):
@@ -225,13 +225,11 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
         measured.add(key)
         added += 1
 
-    entries: dict[tuple[int, int], int] = {}
-    for i, j in sorted(measured):
-        c_ij, c_ji = simulate_comparison(truth, i, j, config.trials_per_pair)
-        if c_ij:
-            entries[(i, j)] = c_ij
-        if c_ji:
-            entries[(j, i)] = c_ji
+    pairs = np.array(sorted(measured), dtype=np.int64).reshape(-1, 2)
+    counts = np.array(
+        [simulate_comparison(truth, i, j, config.trials_per_pair) for i, j in pairs.tolist()],
+        dtype=np.int64,
+    ).reshape(-1, 2)
 
     ratings: dict[str, RatingTable] = {}
     if config.observers > 0:
@@ -246,7 +244,7 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
         )
         for d, name in enumerate(dataset_names)
     }
-    graph = ComparisonGraph(n, entries)
+    graph = ComparisonGraph(n, pairs.ravel(), pairs[:, ::-1].ravel(), counts.ravel())
     collection = DatasetCollection(conditions, graph, ratings, manifest)
     return truth, collection
 

@@ -8,7 +8,22 @@ from jodscale.model import (
     ConditionId,
     DatasetCollection,
     DatasetMeta,
+    RatingTable,
 )
+
+
+def graph_of(n, counts=None):
+    """A ComparisonGraph from a {(winner, loser): count} mapping."""
+    items = list((counts or {}).items())
+    return ComparisonGraph(
+        n, [w for (w, _), _ in items], [l for (_, l), _ in items], [c for _, c in items]
+    )
+
+
+def ratings_of(rows):
+    """A RatingTable from (condition, observer, score) rows."""
+    rows = list(rows)
+    return RatingTable([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
 
 
 @pytest.fixture
@@ -17,7 +32,7 @@ def two_condition_collection():
     q_test = sqrt(2) * 1.048 * Phi^-1(0.25) ~ -1.0."""
     ref = ConditionId.reference("demo")
     test = ConditionId("demo", "c0", "dist", 1)
-    graph = ComparisonGraph(2, {(1, 0): 25, (0, 1): 75})
+    graph = graph_of(2, {(1, 0): 25, (0, 1): 75})
     return DatasetCollection(
         [ref, test], graph, {}, {"demo": DatasetMeta("demo", "pwc")}
     )

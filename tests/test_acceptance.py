@@ -125,9 +125,8 @@ def test_criterion_04_pairwise_accuracy_on_heldout_pairs():
     accuracies = []
     for seed in range(10):
         truth, collection, result = _criterion3_instance(seed)
-        measured = {
-            (min(i, j), max(i, j)) for i, j, _, _ in collection.graph.measured_pairs()
-        }
+        i_arr, j_arr, _, _ = collection.graph.pair_arrays()
+        measured = set(zip(i_arr.tolist(), j_arr.tolist()))
         rng = np.random.default_rng((seed, 0xCAFE))
         n = collection.n
         heldout = {}
@@ -137,13 +136,9 @@ def test_criterion_04_pairwise_accuracy_on_heldout_pairs():
             if i == j or key in measured or key in heldout:
                 continue
             heldout[key] = simulate_comparison(truth, key[0], key[1], 1000, stream=99)
-        entries = {}
-        for (i, j), (cij, cji) in heldout.items():
-            if cij:
-                entries[(i, j)] = cij
-            if cji:
-                entries[(j, i)] = cji
-        graph = ComparisonGraph(n, entries)
+        pairs = np.array(list(heldout), dtype=np.int64)
+        counts = np.array(list(heldout.values()), dtype=np.int64)
+        graph = ComparisonGraph(n, pairs.ravel(), pairs[:, ::-1].ravel(), counts.ravel())
         accuracies.append(pairwise_accuracy(result.q, graph, 0.75).accuracy)
     elapsed = time.perf_counter() - start
     median_accuracy = float(np.median(accuracies))

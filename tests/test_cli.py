@@ -62,6 +62,34 @@ class TestScaleCommand:
         cells = lines[2].split(",")
         assert float(cells[2]) <= float(cells[1]) <= float(cells[3])
 
+    def test_per_component_bootstrap(self, tmp_path, monkeypatch):
+        # two pairwise datasets without a cross pair: two components
+        root = tmp_path / "two"
+        root.mkdir()
+        datasets = []
+        rows = ["cond_a,cond_b,count_a_over_b"]
+        for name in ("a", "b"):
+            keys = [f"{name}/ref/reference/0", f"{name}/c0/dist/1", f"{name}/c1/dist/1"]
+            (root / f"{name}.csv").write_text("condition\n" + "\n".join(keys) + "\n")
+            datasets.append({"name": name, "experiment": "pwc", "conditions": f"{name}.csv"})
+            for (x, y), wins in {(0, 1): 7, (1, 0): 3, (1, 2): 6, (2, 1): 4}.items():
+                rows.append(f"{keys[x]},{keys[y]},{wins}")
+        (root / "comparisons.csv").write_text("\n".join(rows) + "\n")
+        (root / "manifest.json").write_text(
+            json.dumps({"datasets": datasets, "comparisons": "comparisons.csv"}))
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "scale", "--manifest", "two/manifest.json", "--out", "out",
+            "--per-component", "--bootstrap", "10", "--seed", "1",
+        ])
+        assert code == 0
+        lines = (tmp_path / "out" / "scale.csv").read_text().strip().splitlines()[1:]
+        assert len(lines) == 6
+        for line in lines:
+            jod, low, high = (float(cell) for cell in line.split(",")[1:])
+            assert np.isfinite([jod, low, high]).all()
+            assert low <= high
+
     def test_integrity_error_exit_code(self, tmp_path, monkeypatch):
         write_two_condition_fixture(tmp_path / "fx")
         (tmp_path / "fx" / "comparisons.csv").write_text(

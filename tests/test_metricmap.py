@@ -16,10 +16,11 @@ from jodscale.metricmap import (
     pairwise_accuracy,
     probability_consistency,
 )
-from jodscale.model import ComparisonGraph
 from jodscale.scaling import ObserverModel
 from jodscale.simulate import GroundTruth, simulate_comparison
 from jodscale.model import ConditionId
+
+from conftest import graph_of
 
 
 class TestEvalLogistic:
@@ -165,7 +166,7 @@ class TestProbabilityConsistency:
             entries[(i, j)] = cij
             entries[(j, i)] = cji
             pairs.append((i, j))
-        graph = ComparisonGraph(20, {k: v for k, v in entries.items() if v})
+        graph = graph_of(20, {k: v for k, v in entries.items() if v})
         rho = probability_consistency(truth.q_true, graph, pairs)
         assert rho > 0.99
 
@@ -182,7 +183,7 @@ class TestProbabilityConsistency:
             entries[(i, j)] = cij
             entries[(j, i)] = cji
             pairs.append((i, j))
-        graph = ComparisonGraph(30, {k: v for k, v in entries.items() if v})
+        graph = graph_of(30, {k: v for k, v in entries.items() if v})
         hits = 0
         for draw in range(50):
             random_scores = np.random.default_rng(1000 + draw).normal(0, 1, 30)
@@ -191,7 +192,7 @@ class TestProbabilityConsistency:
         assert hits >= 45
 
     def test_single_pair_rejected(self):
-        graph = ComparisonGraph(2, {(0, 1): 1})
+        graph = graph_of(2, {(0, 1): 1})
         with pytest.raises(IntegrityError):
             probability_consistency([0.0, 1.0], graph, [(0, 1)])
 
@@ -199,7 +200,7 @@ class TestProbabilityConsistency:
 class TestPairwiseAccuracy:
     def test_perfectly_consistent_majority(self):
         scores = np.array([0.0, -1.0, -2.0])
-        graph = ComparisonGraph(
+        graph = graph_of(
             3, {(0, 1): 8, (1, 0): 2, (1, 2): 7, (2, 1): 3, (0, 2): 9, (2, 0): 1}
         )
         result = pairwise_accuracy(scores, graph, 0.0)
@@ -208,19 +209,19 @@ class TestPairwiseAccuracy:
 
     def test_threshold_filters_pairs(self):
         scores = np.array([0.0, -0.5, -3.0])
-        graph = ComparisonGraph(3, {(0, 1): 6, (1, 0): 4, (0, 2): 10})
+        graph = graph_of(3, {(0, 1): 6, (1, 0): 4, (0, 2): 10})
         result = pairwise_accuracy(scores, graph, 1.0)
         assert result.considered_pairs == 1
 
     def test_threshold_too_high(self):
         scores = np.array([0.0, -0.5])
-        graph = ComparisonGraph(2, {(0, 1): 6, (1, 0) : 4})
+        graph = graph_of(2, {(0, 1): 6, (1, 0) : 4})
         with pytest.raises(DesignError):
             pairwise_accuracy(scores, graph, 10.0)
 
     def test_ties_excluded(self):
         scores = np.array([0.0, -1.0])
-        graph = ComparisonGraph(2, {(0, 1): 5, (1, 0): 5})
+        graph = graph_of(2, {(0, 1): 5, (1, 0): 5})
         with pytest.raises(DesignError):
             pairwise_accuracy(scores, graph, 0.0)
 
@@ -233,11 +234,30 @@ class TestPairwiseAccuracy:
                 wins = int(rng.integers(0, 9))
                 entries[(i, j)] = wins
                 entries[(j, i)] = 8 - wins
-        graph = ComparisonGraph(12, {k: v for k, v in entries.items() if v})
+        graph = graph_of(12, {k: v for k, v in entries.items() if v})
         base = pairwise_accuracy(scores, graph, 0.0)
         warped = pairwise_accuracy(np.tanh(scores) * 3 + 1, graph, 0.0)
         assert warped.accuracy == pytest.approx(base.accuracy)
         assert warped.considered_pairs == base.considered_pairs
+
+    def test_matches_per_pair_loop(self):
+        rng = np.random.default_rng(8)
+        scores = np.round(rng.normal(0, 1.5, 15), 1)  # rounding makes exact ties
+        graph = graph_of(15, {
+            (int(i), int(j)): int(c)
+            for i, j, c in rng.integers(0, [15, 15, 6], size=(60, 3)) if i != j
+        })
+        for threshold in (0.0, 0.5, 1.0):
+            considered = correct = 0
+            for i, j, c_ij, c_ji in zip(*(col.tolist() for col in graph.pair_arrays())):
+                gap = scores[i] - scores[j]
+                if c_ij == c_ji or abs(gap) < threshold:
+                    continue
+                considered += 1
+                correct += (1 if gap > 0 else -1 if gap < 0 else 0) == (1 if c_ij > c_ji else -1)
+            result = pairwise_accuracy(scores, graph, threshold)
+            assert result.considered_pairs == considered
+            assert result.accuracy == correct / considered
 
 
 class TestKfoldSplit:

@@ -9,14 +9,12 @@ from jodscale.model import (
     ConditionId,
     DatasetCollection,
     DatasetMeta,
-    RatingRecord,
-    RatingTable,
     connected_components,
     empirical_probability,
     load_collection,
 )
 
-from conftest import write_two_condition_fixture
+from conftest import graph_of, ratings_of, write_two_condition_fixture
 
 
 def _write(path, text):
@@ -48,47 +46,69 @@ class TestConditionId:
 
 class TestComparisonGraph:
     def test_counts_and_trials(self):
-        graph = ComparisonGraph(3, {(0, 1): 3, (1, 0): 1})
+        graph = ComparisonGraph(3, [0, 1], [1, 0], [3, 1])
         assert graph.count(0, 1) == 3
         assert graph.count(1, 0) == 1
         assert graph.count(0, 2) == 0
+        assert graph.count(2, 2) == 0
         assert graph.trials(0, 1) == 4
 
     def test_rejects_self_and_negative(self):
-        with pytest.raises(IntegrityError):
-            ComparisonGraph(2, {(0, 0): 1})
-        with pytest.raises(IntegrityError):
-            ComparisonGraph(2, {(0, 1): -1})
-        with pytest.raises(IntegrityError):
-            ComparisonGraph(2, {(0, 5): 1})
+        with pytest.raises(IntegrityError, match="self-comparison"):
+            ComparisonGraph(2, [0], [0], [1])
+        with pytest.raises(IntegrityError, match="non-negative integer"):
+            ComparisonGraph(2, [0], [1], [-1])
+        with pytest.raises(IntegrityError, match="non-negative integer"):
+            ComparisonGraph(2, [0], [1], [1.5])
+        with pytest.raises(IntegrityError, match="out of range"):
+            ComparisonGraph(2, [0], [5], [1])
+        with pytest.raises(IntegrityError, match="out of range"):
+            ComparisonGraph(2, [-1], [1], [1])
+        with pytest.raises(IntegrityError, match="equal lengths"):
+            ComparisonGraph(2, [0, 1], [1], [1])
 
-    def test_measured_pairs_orderless(self):
-        graph = ComparisonGraph(4, {(2, 1): 5, (0, 3): 2})
-        assert list(graph.measured_pairs()) == [(0, 3, 2, 0), (1, 2, 0, 5)]
+    def test_pair_arrays_canonical(self):
+        graph = ComparisonGraph(4, [2, 0, 1], [1, 3, 3], [5, 2, 0])
+        i, j, c_ij, c_ji = graph.pair_arrays()
+        assert i.tolist() == [0, 1]
+        assert j.tolist() == [3, 2]
+        assert c_ij.tolist() == [2, 0]
+        assert c_ji.tolist() == [0, 5]
+        assert c_ij.dtype == np.int64 and c_ji.dtype == np.int64
+        assert not c_ij.flags.writeable
 
-    def test_with_counts_merges(self):
-        graph = ComparisonGraph(2, {(0, 1): 1})
-        merged = graph.with_counts([(0, 1, 2), (1, 0, 4)])
-        assert merged.count(0, 1) == 3
-        assert merged.count(1, 0) == 4
-        assert graph.count(0, 1) == 1  # original untouched
+    def test_constructor_sums_repeated_and_mirrored_rows(self):
+        graph = ComparisonGraph(3, [0, 1, 0, 1, 2], [1, 0, 1, 0, 0], [1, 4, 2, 0, 0])
+        assert graph.count(0, 1) == 3
+        assert graph.count(1, 0) == 4
+        assert graph.count(0, 2) == 0
+        assert graph.pair_arrays()[0].tolist() == [0]  # the all-zero pair is dropped
+        assert graph == ComparisonGraph(3, [1, 0], [0, 1], [4, 3])
+
+    def test_observations_round_trip(self):
+        graph = ComparisonGraph(4, [3, 0, 2, 1], [0, 3, 1, 2], [2, 1, 5, 0])
+        winners, losers, counts = graph.observations()
+        assert list(zip(winners.tolist(), losers.tolist(), counts.tolist())) == [
+            (0, 3, 1), (2, 1, 5), (3, 0, 2)
+        ]
+        assert ComparisonGraph(4, winners, losers, counts) == graph
 
 
 class TestEmpiricalProbability:
     def test_direct_ratio(self):
-        graph = ComparisonGraph(2, {(0, 1): 3, (1, 0): 1})
+        graph = graph_of(2, {(0, 1): 3, (1, 0): 1})
         assert empirical_probability(graph, 0, 1) == pytest.approx(0.75)
 
     def test_zero_numerator(self):
-        graph = ComparisonGraph(2, {(1, 0): 5})
+        graph = graph_of(2, {(1, 0): 5})
         assert empirical_probability(graph, 0, 1) == 0.0
 
     def test_tie(self):
-        graph = ComparisonGraph(2, {(0, 1): 7, (1, 0): 7})
+        graph = graph_of(2, {(0, 1): 7, (1, 0): 7})
         assert empirical_probability(graph, 0, 1) == pytest.approx(0.5)
 
     def test_undefined_pair(self):
-        graph = ComparisonGraph(2)
+        graph = graph_of(2)
         with pytest.raises(UndefinedPairError):
             empirical_probability(graph, 0, 1)
 
@@ -98,7 +118,7 @@ class TestEmpiricalProbability:
             cij, cji = (int(v) for v in rng.integers(0, 40, size=2))
             if cij + cji == 0:
                 continue
-            graph = ComparisonGraph(2, {(0, 1): cij, (1, 0): cji})
+            graph = graph_of(2, {(0, 1): cij, (1, 0): cji})
             total = empirical_probability(graph, 0, 1) + empirical_probability(graph, 1, 0)
             assert total == pytest.approx(1.0)
 
@@ -109,7 +129,7 @@ def _collection(conditions, entries, ratings=None, experiments=None):
         name: DatasetMeta(name, (experiments or {}).get(name, "pwc"))
         for name in names
     }
-    graph = ComparisonGraph(len(conditions), entries)
+    graph = graph_of(len(conditions), entries)
     return DatasetCollection(conditions, graph, ratings or {}, manifest)
 
 
@@ -145,11 +165,11 @@ class TestConnectedComponents:
             ConditionId("a", "c0", "d", 1),
             ConditionId("a", "c1", "d", 1),
         ]
-        table = RatingTable(
+        table = ratings_of(
             (
-                RatingRecord(0, "o1", 3.0),
-                RatingRecord(1, "o1", 2.0),
-                RatingRecord(2, "o1", 1.0),
+                (0, "o1", 3.0),
+                (1, "o1", 2.0),
+                (2, "o1", 1.0),
             )
         )
         coll = _collection(conds, {}, ratings={"a": table},
@@ -258,6 +278,38 @@ class TestLoadCollection:
         )
         with pytest.raises(IntegrityError):
             load_collection(path)
+
+    @pytest.mark.parametrize("text, error", [
+        ("cond_a,cond_b,count_a_over_b\ndemo/c0/dist/1,demo/ref/reference/0,2.5\n",
+         ParseError),
+        ("cond_a,cond_b,count_a_over_b\ndemo/c0/dist/1,demo/ref/reference/0\n", ParseError),
+        ("cond_a,count_a_over_b\ndemo/c0/dist/1,2\n", ParseError),
+        ("cond_a,cond_b,count_a_over_b\ndemo/c0/dist/1,demo/ghost/dist/1,2\n",
+         IntegrityError),
+    ])
+    def test_malformed_comparison_rows(self, tmp_path, text, error):
+        path = write_two_condition_fixture(tmp_path / "rows")
+        (path.parent / "comparisons.csv").write_text(text)
+        with pytest.raises(error):
+            load_collection(path)
+
+    @pytest.mark.parametrize("rows, error", [
+        ("rd/ref/reference/0,o1,4.8\nrd/c0/dist/1,o1,high\n", ParseError),
+        ("rd/ref/reference/0,o1,4.8\nrd/c0/dist/1,o1\n", ParseError),
+        ("rd/ref/reference/0,o1,4.8\nrd/ghost/dist/1,o1,3.0\n", IntegrityError),
+        ("rd/ref/reference/0,o1,4.8\nrd/c0/dist/1,o1,nan\n", IntegrityError),
+    ])
+    def test_malformed_rating_rows(self, tmp_path, rows, error):
+        root = tmp_path / "ratings"
+        root.mkdir()
+        (root / "conditions.csv").write_text("condition\nrd/ref/reference/0\nrd/c0/dist/1\n")
+        (root / "ratings.csv").write_text("condition,observer,score\n" + rows)
+        (root / "manifest.json").write_text(json.dumps({"datasets": [{
+            "name": "rd", "experiment": "rating",
+            "conditions": "conditions.csv", "ratings": "ratings.csv",
+        }]}))
+        with pytest.raises(error):
+            load_collection(root / "manifest.json")
 
     def test_unknown_fields_warn_not_error(self, tmp_path):
         path = write_two_condition_fixture(tmp_path / "warn")

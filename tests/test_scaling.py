@@ -12,18 +12,16 @@ from jodscale.errors import (
     IntegrityError,
 )
 from jodscale.model import (
-    ComparisonGraph,
     ConditionId,
     DatasetCollection,
     DatasetMeta,
-    RatingRecord,
-    RatingTable,
 )
 from jodscale.scaling import (
     SIGMA_JOD,
     LinkParams,
     ObserverModel,
     PosteriorProblem,
+    _resample_collection,
     bootstrap_ci,
     log_posterior,
     preference_probability,
@@ -31,6 +29,9 @@ from jodscale.scaling import (
     rating_log_likelihood,
     scale,
 )
+from jodscale.simulate import RecoveryConfig, synthesize_collection
+
+from conftest import graph_of, ratings_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -59,31 +60,31 @@ class TestPreferenceProbability:
 
 class TestPwcLogLikelihood:
     def test_single_tied_pair(self):
-        graph = ComparisonGraph(2, {(0, 1): 1, (1, 0): 1})
+        graph = graph_of(2, {(0, 1): 1, (1, 0): 1})
         value = pwc_log_likelihood(graph, [0.0, 0.0])
         assert value == pytest.approx(math.log(0.5))
 
     def test_unanimous_limit(self):
-        graph = ComparisonGraph(2, {(0, 1): 1})
+        graph = graph_of(2, {(0, 1): 1})
         value = pwc_log_likelihood(graph, [50.0, 0.0])
         assert value == pytest.approx(0.0, abs=1e-10)
 
     def test_binomial_pmf_oracle(self):
         # gap chosen so the model probability is exactly 0.75
         gap = SQRT2 * SIGMA_JOD * norm.ppf(0.75)
-        graph = ComparisonGraph(2, {(0, 1): 3, (1, 0): 1})
+        graph = graph_of(2, {(0, 1): 3, (1, 0): 1})
         value = pwc_log_likelihood(graph, [gap, 0.0])
         assert value == pytest.approx(float(binom.logpmf(3, 4, 0.75)), abs=1e-9)
 
     def test_rejects_non_finite(self):
-        graph = ComparisonGraph(2, {(0, 1): 1})
+        graph = graph_of(2, {(0, 1): 1})
         with pytest.raises(IntegrityError):
             pwc_log_likelihood(graph, [np.nan, 0.0])
 
 
 class TestRatingLogLikelihood:
     def test_peak_density(self):
-        table = RatingTable((RatingRecord(0, "o1", 1.7),))
+        table = ratings_of(((0, "o1", 1.7),))
         link = LinkParams(a=1.0, b=0.0, c=1.0)
         value = rating_log_likelihood(table, [1.7], link)
         assert value == pytest.approx(-math.log(SIGMA_JOD * math.sqrt(2 * math.pi)))
@@ -93,26 +94,26 @@ class TestRatingLogLikelihood:
         link = LinkParams(a=1.6, b=-0.4, c=0.8)
         q = np.array([0.0, -1.2, -2.5])
         records = (
-            RatingRecord(0, "o1", 0.31),
-            RatingRecord(1, "o2", -0.55),
-            RatingRecord(2, "o1", -1.9),
+            (0, "o1", 0.31),
+            (1, "o2", -0.55),
+            (2, "o1", -1.9),
         )
-        table = RatingTable(records)
+        table = ratings_of(records)
         expected = sum(
             float(
                 norm.logpdf(
-                    r.score,
-                    loc=(q[r.condition] - link.b) / link.a,
+                    score,
+                    loc=(q[condition] - link.b) / link.a,
                     scale=link.c * SIGMA_JOD,
                 )
             )
-            for r in records
+            for condition, _, score in records
         )
         value = rating_log_likelihood(table, q, link)
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_non_finite(self):
-        table = RatingTable((RatingRecord(0, "o1", float("inf")),))
+        table = ratings_of(((0, "o1", float("inf")),))
         with pytest.raises(IntegrityError):
             rating_log_likelihood(table, [0.0], LinkParams(1.0, 0.0, 1.0))
 
@@ -126,10 +127,10 @@ class TestRatingLogLikelihood:
         rescaled = LinkParams(a=link.a / kappa, b=link.b, c=link.c * kappa)
         for m in (0.7, -2.0, 1.9):
             base = rating_log_likelihood(
-                RatingTable((RatingRecord(0, "o1", m),)), q, link
+                ratings_of(((0, "o1", m),)), q, link
             )
             moved = rating_log_likelihood(
-                RatingTable((RatingRecord(0, "o1", m * kappa),)), q, rescaled
+                ratings_of(((0, "o1", m * kappa),)), q, rescaled
             ) + math.log(kappa)  # Jacobian of the unit change
             assert moved == pytest.approx(base, rel=1e-12)
 
@@ -141,7 +142,7 @@ def _demo_collection(entries, ratings=None, n=2, experiments=None):
     manifest = {
         name: DatasetMeta(name, (experiments or {}).get(name, "pwc")) for name in names
     }
-    return DatasetCollection(conds, ComparisonGraph(n, entries), ratings or {}, manifest)
+    return DatasetCollection(conds, graph_of(n, entries), ratings or {}, manifest)
 
 
 class TestLogPosterior:
@@ -156,7 +157,7 @@ class TestLogPosterior:
         assert value == pytest.approx(expected)
 
     def test_additivity(self):
-        table = RatingTable((RatingRecord(1, "o1", -0.8),))
+        table = ratings_of(((1, "o1", -0.8),))
         coll = _demo_collection(
             {(0, 1): 2, (1, 0): 1},
             ratings={"demo": table},
@@ -204,9 +205,9 @@ class TestScale:
         for idx in range(n):
             for k in range(8):
                 records.append(
-                    RatingRecord(idx, f"o{k}", float(mos_means[idx] + rng.normal(0, 0.3)))
+                    (idx, f"o{k}", float(mos_means[idx] + rng.normal(0, 0.3)))
                 )
-        table = RatingTable(tuple(records))
+        table = ratings_of(tuple(records))
         coll = _demo_collection({}, ratings={"demo": table}, n=n,
                                 experiments={"demo": "rating"})
         result = scale(coll, prior_enabled=False)
@@ -274,7 +275,7 @@ class TestScale:
         assert abs(unbounded.q[1]) > abs(result.q[1])
 
     def test_degenerate_ratings_rejected_by_name(self):
-        table = RatingTable(tuple(RatingRecord(i, "o1", 3.0) for i in range(2)))
+        table = ratings_of(tuple((i, "o1", 3.0) for i in range(2)))
         coll = _demo_collection({(0, 1): 1, (1, 0): 1}, ratings={"demo": table},
                                 experiments={"demo": "rating"})
         with pytest.raises(DegenerateDataError, match="demo"):
@@ -284,7 +285,7 @@ class TestScale:
         conds = [ConditionId("x", "c0", "d", 1), ConditionId("x", "c1", "d", 1)]
         coll = DatasetCollection(
             conds,
-            ComparisonGraph(2, {(0, 1): 3, (1, 0): 5}),
+            graph_of(2, {(0, 1): 3, (1, 0): 5}),
             {},
             {"x": DatasetMeta("x", "pwc")},
         )
@@ -301,7 +302,7 @@ class TestScale:
         manifest = {"a": DatasetMeta("a", "pwc"), "b": DatasetMeta("b", "pwc")}
         coll = DatasetCollection(
             conds,
-            ComparisonGraph(4, {(0, 1): 5, (1, 0): 5, (2, 3): 2, (3, 2): 8}),
+            graph_of(4, {(0, 1): 5, (1, 0): 5, (2, 3): 2, (3, 2): 8}),
             {},
             manifest,
         )
@@ -314,8 +315,8 @@ class TestScale:
         assert result.q[3] == pytest.approx(expected, abs=1e-4)
 
     def test_gradient_matches_finite_differences(self):
-        table = RatingTable(
-            tuple(RatingRecord(i, f"o{k}", 2.0 - 0.7 * i + 0.1 * k)
+        table = ratings_of(
+            tuple((i, f"o{k}", 2.0 - 0.7 * i + 0.1 * k)
                   for i in range(3) for k in range(3))
         )
         coll = _demo_collection(
@@ -340,8 +341,8 @@ class TestScale:
                 assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_hessian_vector_product_matches_gradient_differences(self):
-        table = RatingTable(
-            tuple(RatingRecord(i, f"o{k}", 1.5 - 0.5 * i + 0.2 * k)
+        table = ratings_of(
+            tuple((i, f"o{k}", 1.5 - 0.5 * i + 0.2 * k)
                   for i in range(4) for k in range(3))
         )
         coll = _demo_collection(
@@ -378,19 +379,38 @@ class TestBootstrap:
         second = bootstrap_ci(two_condition_collection, 25, seed=7, prior_enabled=False)
         np.testing.assert_array_equal(first, second)
 
-    def test_thread_pool_matches_serial(self, two_condition_collection):
-        serial = bootstrap_ci(two_condition_collection, 12, seed=5, prior_enabled=False)
-        threaded = bootstrap_ci(
-            two_condition_collection, 12, seed=5, threads=4, prior_enabled=False
-        )
-        np.testing.assert_array_equal(serial, threaded)
-
     def test_interval_covers_analytic_score(self, two_condition_collection):
         intervals = bootstrap_ci(
             two_condition_collection, 200, seed=11, prior_enabled=False
         )
         low, high = intervals[1]
         assert low < -1.0 < high
+
+    def test_unconverged_replicates_count_as_failed(self):
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
+        assert not scale(coll, max_iter=1).converged
+        with pytest.raises(DegenerateDataError, match="4 of 4"):
+            bootstrap_ci(coll, 4, seed=0, max_iter=1)
+
+    def test_resample_matches_per_pair_draws(self):
+        # reference: one scalar binomial per measured pair in (i, j) order,
+        # then one integer draw per rating dataset in sorted name order
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=30, n_datasets=3, seed=2))
+        replicate = _resample_collection(coll, np.random.default_rng(41))
+        rng = np.random.default_rng(41)
+        i_arr, j_arr, c_ij, c_ji = (col.tolist() for col in coll.graph.pair_arrays())
+        for i, j, cij, cji in zip(i_arr, j_arr, c_ij, c_ji):
+            new_cij = int(rng.binomial(cij + cji, cij / (cij + cji)))
+            assert replicate.graph.count(i, j) == new_cij
+            assert replicate.graph.count(j, i) == cij + cji - new_cij
+        assert sorted(coll.ratings) == ["ds1", "ds2"]
+        for name in sorted(coll.ratings):
+            table = coll.ratings[name]
+            picks = rng.integers(0, len(table), size=len(table))
+            np.testing.assert_array_equal(
+                replicate.ratings[name].scores, table.scores[picks])
+            np.testing.assert_array_equal(
+                replicate.ratings[name].condition_indices, table.condition_indices[picks])
 
     def test_n_boot_validation(self, two_condition_collection):
         with pytest.raises(IntegrityError):

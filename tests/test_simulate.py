@@ -81,9 +81,8 @@ class TestSimulateRatings:
         link = LinkParams(a=1.6, b=-0.7, c=1e-9)
         truth = _truth(seed=2, links={"rd": link})
         table = simulate_ratings(truth, "rd", 3)
-        for record in table.records:
-            expected = (truth.q_true[record.condition] - link.b) / link.a
-            assert record.score == pytest.approx(expected, abs=1e-6)
+        expected = (truth.q_true[table.condition_indices] - link.b) / link.a
+        np.testing.assert_allclose(table.scores, expected, atol=1e-6)
 
     def test_sample_mean_clt_bound(self):
         link = LinkParams(a=1.0, b=0.5, c=0.8)
@@ -116,7 +115,8 @@ class TestSimulateRatings:
         truth = _truth(seed=8, links={"rd": link})
         first = simulate_ratings(truth, "rd", 7)
         second = simulate_ratings(truth, "rd", 7)
-        assert first.records == second.records
+        assert first == second
+        assert len(first) == 7 * 6
 
     def test_unknown_dataset_rejected(self):
         truth = _truth()
@@ -133,7 +133,7 @@ class TestSynthesizeCollection:
         assert coll_a.conditions == coll_b.conditions
         assert coll_a.graph == coll_b.graph
         for name in coll_a.ratings:
-            assert coll_a.ratings[name].records == coll_b.ratings[name].records
+            assert coll_a.ratings[name] == coll_b.ratings[name]
 
     def test_structure(self):
         config = RecoveryConfig(n_conditions=21, n_datasets=3, seed=1)
