@@ -513,8 +513,11 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--prior", action=argparse.BooleanOptionalAction, default=True,
                    help="Gaussian score prior (default on; disable for oracle checks)")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="converged when the largest absolute gradient entry of the log "
+                        "posterior over the free parameters is below this (default 1e-6)")
+    p.add_argument("--max-iter", type=int, default=2000,
+                   help="maximum number of Newton iterations (default 2000)")
     p.add_argument("--per-component", action="store_true")
     p.add_argument("--bootstrap", type=int, default=0, metavar="N",
                    help="bootstrap replicates for confidence intervals")

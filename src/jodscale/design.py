@@ -178,12 +178,15 @@ def iterate_selection(
             pairs = np.asarray(batch.pairs).reshape(-1, 2)
             new = np.asarray(counts).reshape(-1, 2)
             winners, losers, old = current.graph.observations()
-            current = current.with_graph(ComparisonGraph(
+            graph = ComparisonGraph(
                 current.n,
                 np.concatenate([winners, pairs[:, 0], pairs[:, 1]]),
                 np.concatenate([losers, pairs[:, 1], pairs[:, 0]]),
                 np.concatenate([old, new[:, 0], new[:, 1]]),
-            ))
+            )
+            current = DatasetCollection(
+                current.conditions, graph, current.ratings, current.manifest
+            )
             result = scale(current, **scale_options)
             audit.append({"batch": batch, "counts": counts})
         except Exception as exc:  # abort, keep partial results

@@ -167,9 +167,6 @@ class ComparisonGraph:
             return 0
         return int(self.c_ij[k] if i < j else self.c_ji[k])
 
-    def trials(self, i: int, j: int) -> int:
-        return self.count(i, j) + self.count(j, i)
-
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The measured pairs as (I, J, C_ij, C_ji)."""
         return self.i, self.j, self.c_ij, self.c_ji
@@ -306,9 +303,6 @@ class DatasetCollection:
 
     def dataset_names(self) -> list[str]:
         return sorted({c.dataset for c in self.conditions})
-
-    def with_graph(self, graph: ComparisonGraph) -> "DatasetCollection":
-        return DatasetCollection(self.conditions, graph, self.ratings, self.manifest)
 
 
 def empirical_probability(graph: ComparisonGraph, i: int, j: int) -> float:

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 from scipy.special import gammaln, log_ndtr, ndtr
 
 from .errors import (
@@ -100,6 +99,82 @@ def preference_probability(q_i, q_j, model: ObserverModel = ObserverModel()):
     return ndtr(z)
 
 
+def _log_binomial(pairs) -> float:
+    """Sum of the log binomial coefficients; constant in q."""
+    _, _, cij, cji = pairs
+    return float(np.sum(gammaln(cij + cji + 1.0) - gammaln(cij + 1.0) - gammaln(cji + 1.0)))
+
+
+def _pair_term(pairs, q: np.ndarray, sigma: float):
+    """Binomial comparison terms, without their binomial coefficients.
+
+    Returns the value, the per-pair slope d/dq_i (d/dq_j is its negative)
+    and the per-pair curvature weight -d^2/dq_i^2, which is non-negative
+    because log Phi is concave.
+    """
+    i, j, cij, cji = pairs
+    scale = 1.0 / (math.sqrt(2.0) * sigma)
+    z = (q[i] - q[j]) * scale
+    log_win, log_loss = log_ndtr(z), log_ndtr(-z)
+    value = float(np.sum(cij * log_win + cji * log_loss))
+    # Phi'(z)/Phi(z), evaluated stably in both tails.
+    log_pdf = -0.5 * z**2 - math.log(_SQRT_2PI)
+    h_win = np.exp(log_pdf - log_win)
+    h_loss = np.exp(log_pdf - log_loss)
+    slope = (cij * h_win - cji * h_loss) * scale
+    # d^2/dz^2 of log Phi(z) is -h(z) (z + h(z))
+    weight = (cij * h_win * (z + h_win) + cji * h_loss * (h_loss - z)) * scale**2
+    return value, slope, weight
+
+
+def _rating_term(table: RatingTable, q: np.ndarray, log_a, b, log_c, sigma: float):
+    """One rating dataset's Gaussian term in (q, log a, b, log c).
+
+    Each record contributes log N(m; (q_i - b)/a, c*sigma), written in the
+    quality domain with residual r = a m + b - q_i and variance (a c sigma)^2.
+    Returns the value, the per-record gradient with respect to its q_i, the
+    gradient and 3x3 Hessian in (log a, b, log c), and the per-record
+    Hessian entries between q_i and (log a, b, log c).
+    """
+    scores = table.scores
+    am = np.exp(log_a) * scores
+    r = am + b - q[table.condition_indices]
+    var = np.exp(2.0 * (log_a + log_c)) * sigma**2
+    r_over_v = r / var
+    shift = r - am  # b - q_i
+    value = float(
+        -scores.size * (log_c + math.log(sigma * _SQRT_2PI)) - 0.5 * np.sum(r * r_over_v)
+    )
+    g_a, g_b, g_c = np.sum(r_over_v * shift), -np.sum(r_over_v), np.sum(r * r_over_v) - scores.size
+    h_ab = np.sum(shift + r) / var
+    # log c enters only through var, so its derivatives are -2 times the gradient's
+    hess = np.array([
+        [np.sum(shift * (am - 2.0 * r)) / var, h_ab, -2.0 * g_a],
+        [h_ab, -scores.size / var, -2.0 * g_b],
+        [-2.0 * g_a, -2.0 * g_b, -2.0 * (g_c + scores.size)],
+    ])
+    coupling = np.column_stack([
+        (am - 2.0 * r) / var, np.full(scores.size, 1.0 / var), -2.0 * r_over_v
+    ])
+    return value, r_over_v, np.array([g_a, g_b, g_c]), hess, coupling
+
+
+def _prior_term(q: np.ndarray, sigma: float):
+    """Gaussian prior of each q_i around the mean score: value and gradient."""
+    centered = q - q.mean()
+    value = float(
+        -q.size * math.log(sigma * _SQRT_2PI) - np.sum(centered**2) / (2.0 * sigma**2)
+    )
+    return value, -centered / sigma**2
+
+
+def _finite_q(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise IntegrityError("q contains non-finite values")
+    return q
+
+
 def pwc_log_likelihood(
     graph: ComparisonGraph, q, model: ObserverModel = ObserverModel()
 ) -> float:
@@ -108,18 +183,11 @@ def pwc_log_likelihood(
     The binomial coefficient is included; it is constant in q, so reported
     values are comparable across parameter settings.
     """
-    q = np.asarray(q, dtype=float)
+    q = _finite_q(q)
     if q.shape != (graph.n,):
         raise IntegrityError(f"q must have one entry per condition ({graph.n})")
-    if not np.all(np.isfinite(q)):
-        raise IntegrityError("q contains non-finite values")
-    i_arr, j_arr, cij, cji = graph.pair_arrays()
-    if i_arr.size == 0:
-        return 0.0
-    z = (q[i_arr] - q[j_arr]) / (math.sqrt(2.0) * model.sigma)
-    total = cij + cji
-    log_coef = gammaln(total + 1.0) - gammaln(cij + 1.0) - gammaln(cji + 1.0)
-    return float(np.sum(log_coef + cij * log_ndtr(z) + cji * log_ndtr(-z)))
+    pairs = graph.pair_arrays()
+    return _log_binomial(pairs) + _pair_term(pairs, q, model.sigma)[0]
 
 
 def rating_log_likelihood(
@@ -131,25 +199,12 @@ def rating_log_likelihood(
     quality domain as -log(c sigma sqrt(2 pi)) - ((a m + b) - q_i)^2 /
     (2 a^2 c^2 sigma^2).
     """
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise IntegrityError("q contains non-finite values")
-    scores = ratings.scores
-    if scores.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(scores)):
+    q = _finite_q(q)
+    if not np.all(np.isfinite(ratings.scores)):
         raise IntegrityError("ratings contain non-finite scores")
-    residual = link.a * scores + link.b - q[ratings.condition_indices]
-    var = (link.a * link.c * model.sigma) ** 2
-    norm = -math.log(link.c * model.sigma * _SQRT_2PI)
-    return float(scores.size * norm - np.sum(residual**2) / (2.0 * var))
-
-
-def _log_prior(q: np.ndarray, sigma: float) -> float:
-    centered = q - q.mean()
-    return float(
-        -q.size * math.log(sigma * _SQRT_2PI) - np.sum(centered**2) / (2.0 * sigma**2)
-    )
+    return _rating_term(
+        ratings, q, math.log(link.a), link.b, math.log(link.c), model.sigma
+    )[0]
 
 
 def log_posterior(
@@ -173,8 +228,24 @@ def log_posterior(
             raise IntegrityError(f"missing link parameters for dataset {name!r}")
         total += rating_log_likelihood(collection.ratings[name], q, links[name], model)
     if prior_enabled:
-        total += _log_prior(q, model.sigma)
+        total += _prior_term(q, model.sigma)[0]
     return total
+
+
+@dataclass(frozen=True)
+class Curvature:
+    """Second derivatives of the log-posterior at one point.
+
+    ``weights`` holds the per-pair curvature of the comparison terms,
+    ``rating_diag`` the per-condition d^2/dq_i^2 of the rating terms,
+    ``coupling`` (n x 3 per rating dataset) the d^2/dq_i d(link) entries and
+    ``link_hessian`` the block-diagonal Hessian of the link parameters.
+    """
+
+    weights: np.ndarray
+    rating_diag: np.ndarray
+    coupling: np.ndarray
+    link_hessian: np.ndarray
 
 
 class PosteriorProblem:
@@ -182,8 +253,9 @@ class PosteriorProblem:
 
     The parameter vector is [q at non-reference conditions, then per rating
     dataset (log a, b, log c) in sorted dataset order]. Reference conditions
-    stay pinned at q = 0. ``value_and_grad`` returns the log-posterior and
-    its analytic gradient with respect to that vector.
+    stay pinned at q = 0. ``value_and_grad`` is the likelihood kernel: it
+    returns the log-posterior, its analytic gradient with respect to that
+    vector and the curvature that ``hess_vec`` and ``hess_diag`` reuse.
     """
 
     def __init__(
@@ -196,51 +268,27 @@ class PosteriorProblem:
         self.model = model
         self.prior_enabled = prior_enabled
         self.n = collection.n
-        refs = set(collection.reference_indices())
-        self.free_idx = np.asarray(
-            [i for i in range(self.n) if i not in refs], dtype=int
-        )
+        self.free_idx = np.setdiff1d(np.arange(self.n), collection.reference_indices())
         self.rating_names = sorted(collection.ratings)
         self.n_free = self.free_idx.size
         self.n_params = self.n_free + 3 * len(self.rating_names)
         self._pairs = collection.graph.pair_arrays()
-        self._log_coef = 0.0
-        if self._pairs[0].size:
-            _, _, cij, cji = self._pairs
-            total = cij + cji
-            self._log_coef = float(
-                np.sum(gammaln(total + 1.0) - gammaln(cij + 1.0) - gammaln(cji + 1.0))
-            )
+        self._log_coef = _log_binomial(self._pairs)
 
     def initial_point(self) -> np.ndarray:
         """q = 0 everywhere; per-dataset a = 1/std(scores), b = -a*mean, c = 1."""
         x = np.zeros(self.n_params)
-        offset = self.n_free
-        for name in self.rating_names:
+        for d, name in enumerate(self.rating_names):
             scores = self.collection.ratings[name].scores
             spread = float(scores.std()) if scores.size else 0.0
             a0 = 1.0 / spread if spread > 0 else 1.0
             b0 = -a0 * float(scores.mean()) if scores.size else 0.0
-            x[offset] = math.log(a0)
-            x[offset + 1] = b0
-            x[offset + 2] = 0.0
-            offset += 3
-        return x
-
-    def pack(self, q, links: dict[str, LinkParams]) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        x = np.empty(self.n_params)
-        x[: self.n_free] = q[self.free_idx]
-        offset = self.n_free
-        for name in self.rating_names:
-            link = links[name]
-            x[offset : offset + 3] = (math.log(link.a), link.b, math.log(link.c))
-            offset += 3
+            at = self.n_free + 3 * d
+            x[at : at + 2] = math.log(a0), b0
         return x
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, dict[str, LinkParams]]:
-        q = np.zeros(self.n)
-        q[self.free_idx] = x[: self.n_free]
+        q = self._full_q(x)
         links = {}
         offset = self.n_free
         for name in self.rating_names:
@@ -249,133 +297,80 @@ class PosteriorProblem:
             offset += 3
         return q, links
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        sigma = self.model.sigma
+    def _full_q(self, x: np.ndarray) -> np.ndarray:
         q = np.zeros(self.n)
         q[self.free_idx] = x[: self.n_free]
-        grad_q = np.zeros(self.n)
-        grad = np.zeros(self.n_params)
-        value = self._log_coef
+        return q
 
-        i_arr, j_arr, cij, cji = self._pairs
-        if i_arr.size:
-            scale = 1.0 / (math.sqrt(2.0) * sigma)
-            z = (q[i_arr] - q[j_arr]) * scale
-            value += float(np.sum(cij * log_ndtr(z) + cji * log_ndtr(-z)))
-            # Phi'(z)/Phi(z), evaluated stably in both tails.
-            log_pdf = -0.5 * z**2 - math.log(_SQRT_2PI)
-            hazard_pos = np.exp(log_pdf - log_ndtr(z))
-            hazard_neg = np.exp(log_pdf - log_ndtr(-z))
-            dz = (cij * hazard_pos - cji * hazard_neg) * scale
-            np.add.at(grad_q, i_arr, dz)
-            np.add.at(grad_q, j_arr, -dz)
+    def _net(self, flow: np.ndarray) -> np.ndarray:
+        """Per condition, the sum of per-pair ``flow`` where it is i minus where it is j."""
+        i_arr, j_arr = self._pairs[:2]
+        return np.subtract(
+            np.bincount(i_arr, flow, self.n), np.bincount(j_arr, flow, self.n), dtype=float
+        )
 
-        offset = self.n_free
-        for name in self.rating_names:
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray, Curvature]:
+        n, sigma = self.n, self.model.sigma
+        q = self._full_q(x)
+        value, slope, weights = _pair_term(self._pairs, q, sigma)
+        value += self._log_coef
+        grad_q = self._net(slope)
+
+        grad = np.empty(self.n_params)
+        n_links = 3 * len(self.rating_names)
+        rating_diag = np.zeros(n)
+        coupling = np.zeros((n, n_links))
+        link_hessian = np.zeros((n_links, n_links))
+        for d, name in enumerate(self.rating_names):
             table = self.collection.ratings[name]
-            alpha, b, gamma = x[offset : offset + 3]
-            a, c = math.exp(alpha), math.exp(gamma)
-            scores = table.scores
-            idx = table.condition_indices
-            residual = a * scores + b - q[idx]
-            var = (a * c * sigma) ** 2
-            value += float(
-                -scores.size * math.log(c * sigma * _SQRT_2PI)
-                - np.sum(residual**2) / (2.0 * var)
+            k, at = 3 * d, self.n_free + 3 * d
+            term_value, r_over_v, term_grad, term_hess, record_coupling = _rating_term(
+                table, q, *x[at : at + 3], sigma
             )
-            r_over_v = residual / var
-            np.add.at(grad_q, idx, r_over_v)
-            grad[offset] = float(np.sum(r_over_v * (residual - a * scores)))
-            grad[offset + 1] = float(-np.sum(r_over_v))
-            grad[offset + 2] = float(np.sum(residual * r_over_v) - scores.size)
-            offset += 3
+            value += term_value
+            grad[at : at + 3] = term_grad
+            link_hessian[k : k + 3, k : k + 3] = term_hess
+            idx = table.condition_indices
+            grad_q += np.bincount(idx, r_over_v, n)
+            for col in range(3):
+                coupling[:, k + col] = np.bincount(idx, record_coupling[:, col], n)
+            rating_diag -= coupling[:, k + 1]  # d^2/dq_i^2 = -d^2/dq_i db
 
         if self.prior_enabled:
-            centered = q - q.mean()
-            value += float(
-                -self.n * math.log(sigma * _SQRT_2PI)
-                - np.sum(centered**2) / (2.0 * sigma**2)
-            )
-            grad_q += -centered / sigma**2
+            prior_value, prior_grad = _prior_term(q, sigma)
+            value += prior_value
+            grad_q += prior_grad
 
         grad[: self.n_free] = grad_q[self.free_idx]
-        return value, grad
+        return value, grad, Curvature(weights, rating_diag, coupling, link_hessian)
 
-    def hess_vec(self, x: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    def hess_vec(self, curvature: Curvature, vec: np.ndarray) -> np.ndarray:
         """Product of the log-posterior Hessian with a vector.
 
-        Assembled analytically from the per-pair curvature of the binomial
-        terms, the per-record rating blocks and the rank-one prior, so the
-        cost is one vectorized pass over the data (no matrix is formed).
+        Uses the curvature cached by ``value_and_grad``: one gather and two
+        bincounts over the pairs, no special functions.
         """
-        sigma = self.model.sigma
-        q = np.zeros(self.n)
-        q[self.free_idx] = x[: self.n_free]
-        v_q = np.zeros(self.n)
-        v_q[self.free_idx] = vec[: self.n_free]
-        out_q = np.zeros(self.n)
-        out = np.zeros(self.n_params)
-
-        i_arr, j_arr, cij, cji = self._pairs
-        if i_arr.size:
-            s = 1.0 / (math.sqrt(2.0) * sigma)
-            z = (q[i_arr] - q[j_arr]) * s
-            log_pdf = -0.5 * z**2 - math.log(_SQRT_2PI)
-            h_pos = np.exp(log_pdf - log_ndtr(z))
-            h_neg = np.exp(log_pdf - log_ndtr(-z))
-            # d^2/dz^2 of log Phi(z) is -z h(z) - h(z)^2
-            curvature = (
-                cij * (-z * h_pos - h_pos**2) + cji * (z * h_neg - h_neg**2)
-            ) * s**2
-            delta = curvature * (v_q[i_arr] - v_q[j_arr])
-            np.add.at(out_q, i_arr, delta)
-            np.add.at(out_q, j_arr, -delta)
-
-        offset = self.n_free
-        for name in self.rating_names:
-            table = self.collection.ratings[name]
-            alpha, b, gamma = x[offset : offset + 3]
-            a, c = math.exp(alpha), math.exp(gamma)
-            scores = table.scores
-            idx = table.condition_indices
-            r = a * scores + b - q[idx]
-            var = (a * c * sigma) ** 2
-            am = a * scores
-            bq = b - q[idx]
-            va, vb, vg = vec[offset], vec[offset + 1], vec[offset + 2]
-            vq_here = v_q[idx]
-            h_qa = (am - 2.0 * r) / var
-            h_qg = -2.0 * r / var
-            np.add.at(
-                out_q,
-                idx,
-                (-vq_here + vb) / var + h_qa * va + h_qg * vg,
-            )
-            out[offset] = float(
-                np.sum(h_qa * vq_here)
-                + np.sum(bq * (am - 2.0 * r)) / var * va
-                + np.sum((bq + r)) / var * vb
-                + np.sum(-2.0 * r * bq) / var * vg
-            )
-            out[offset + 1] = float(
-                np.sum(vq_here) / var
-                + np.sum(bq + r) / var * va
-                - scores.size / var * vb
-                + np.sum(2.0 * r) / var * vg
-            )
-            out[offset + 2] = float(
-                np.sum(h_qg * vq_here)
-                + np.sum(-2.0 * r * bq) / var * va
-                + np.sum(2.0 * r) / var * vb
-                + np.sum(-2.0 * r**2) / var * vg
-            )
-            offset += 3
-
+        v_q = self._full_q(vec)
+        v_links = vec[self.n_free :]
+        i_arr, j_arr = self._pairs[:2]
+        out_q = self._net(curvature.weights * (v_q[j_arr] - v_q[i_arr]))
+        out_q += curvature.rating_diag * v_q + curvature.coupling @ v_links
         if self.prior_enabled:
-            out_q[self.free_idx] += -(v_q[self.free_idx] - v_q.sum() / self.n) / sigma**2
+            out_q -= (v_q - v_q.mean()) / self.model.sigma**2
+        return np.concatenate([
+            out_q[self.free_idx],
+            curvature.coupling.T @ v_q + curvature.link_hessian @ v_links,
+        ])
 
-        out[: self.n_free] += out_q[self.free_idx]
-        return out
+    def hess_diag(self, curvature: Curvature) -> np.ndarray:
+        """Diagonal of the log-posterior Hessian, for Jacobi preconditioning."""
+        i_arr, j_arr = self._pairs[:2]
+        weights = curvature.weights
+        degree = np.bincount(i_arr, weights, self.n) + np.bincount(j_arr, weights, self.n)
+        diag_q = curvature.rating_diag - degree
+        if self.prior_enabled:
+            diag_q -= (1.0 - 1.0 / self.n) / self.model.sigma**2
+        return np.concatenate([diag_q[self.free_idx], np.diag(curvature.link_hessian)])
 
 
 def _check_rating_variance(collection: DatasetCollection) -> None:
@@ -387,79 +382,83 @@ def _check_rating_variance(collection: DatasetCollection) -> None:
             )
 
 
-def _newton_polish(objective, hessp, x, tol, rounds=10):
-    """Newton steps on the stationarity condition, solved matrix-free.
+# Armijo sufficient-increase constant and the backtracking limit.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 30
+# Relative change of the log-posterior below which it counts as unchanged in
+# floating point; a step is then judged by max|grad| instead.
+_FLAT = 64 * np.finfo(float).eps
 
-    Function-value-based line searches stall once improvements drop below
-    float resolution of the objective, so steps are accepted on gradient
-    norm decrease instead. Near the optimum a round or two reaches machine
-    stationarity.
+
+def _newton_direction(problem: PosteriorProblem, curvature: Curvature, grad: np.ndarray):
+    """Truncated Jacobi-preconditioned CG on the Newton system -H p = grad.
+
+    The forcing term min(0.5, sqrt(|grad|)) |grad| makes the steps
+    superlinear near the optimum; on negative curvature the iterate so far
+    is returned (Steihaug), or the preconditioned gradient on the first
+    iteration.
     """
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    n = x.size
-    steps = 0
-    for _ in range(rounds):
-        _, grad = objective(x)
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < tol:
+    diag = -problem.hess_diag(curvature)
+    precond = np.ones_like(diag)
+    np.divide(1.0, diag, out=precond, where=diag > 0)
+    grad_norm = float(np.linalg.norm(grad))
+    stop = min(0.5, math.sqrt(grad_norm)) * grad_norm
+    step = np.zeros_like(grad)
+    residual = grad.copy()
+    z = precond * residual
+    direction = z.copy()
+    rz = float(residual @ z)
+    for k in range(grad.size):
+        h_dir = -problem.hess_vec(curvature, direction)
+        curv = float(direction @ h_dir)
+        if not curv > 0.0:
+            return direction if k == 0 else step
+        alpha = rz / curv
+        step += alpha * direction
+        residual -= alpha * h_dir
+        if float(np.linalg.norm(residual)) <= stop:
             break
-
-        def matvec(p, point=x):
-            return hessp(point, p)
-
-        operator = LinearOperator((n, n), matvec=matvec)
-        direction, _ = cg(operator, -grad, rtol=1e-10, atol=0.0, maxiter=max(200, n))
-        if not np.all(np.isfinite(direction)):
-            direction = -grad
-        damping = 1.0
-        moved = False
-        for _ in range(25):
-            _, cand_grad = objective(x + damping * direction)
-            if float(np.max(np.abs(cand_grad))) < grad_norm:
-                x = x + damping * direction
-                moved = True
-                break
-            damping *= 0.5
-        steps += 1
-        if not moved:
-            break
-    return x, steps
+        z = precond * residual
+        rz, rz_old = float(residual @ z), rz
+        direction = z + (rz / rz_old) * direction
+    return step
 
 
 def _solve(problem: PosteriorProblem, tol: float, max_iter: int):
-    """Quasi-Newton pass, then a matrix-free exact-Newton polish.
+    """Line-search Newton-CG maximization of the log-posterior.
 
-    L-BFGS-B stops on relative function change, which at typical likelihood
-    magnitudes leaves the gradient around 1e-5; the polish uses analytic
-    Hessian-vector products to reach the gradient tolerance.
+    Each iteration solves the Newton system on the curvature cached by the
+    last kernel evaluation, then backtracks from the full step until the
+    Armijo condition holds. Where the log-posterior no longer changes in
+    floating point, a step that lowers max|grad| is accepted instead, so the
+    absolute gradient tolerance stays reachable at large |f|. Converged means
+    max|grad| < tol; returns (x, value, converged, iterations).
     """
-
-    def objective(x):
-        value, grad = problem.value_and_grad(x)
-        return -value, -grad
-
-    def neg_hessp(x, vec):
-        return -problem.hess_vec(x, vec)
-
     x = problem.initial_point()
-    if problem.n_params == 0:
-        return x, True, 0
-    result = optimize.minimize(
-        objective,
-        x,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "maxcor": 25, "ftol": 1e-15, "gtol": tol},
-    )
-    iterations = int(result.nit)
-    x = result.x
-    grad_norm = float(np.max(np.abs(result.jac)))
-    if grad_norm >= tol and iterations < max_iter:
-        x, steps = _newton_polish(objective, neg_hessp, x, tol)
-        iterations += steps
-        grad_norm = float(np.max(np.abs(objective(x)[1])))
-    return x, bool(grad_norm < tol), iterations
+    value, grad, curvature = problem.value_and_grad(x)
+    iterations = 0
+    while True:
+        grad_norm = float(np.max(np.abs(grad), initial=0.0))
+        if grad_norm < tol or iterations >= max_iter:
+            return x, value, grad_norm < tol, iterations
+        iterations += 1
+        step = _newton_direction(problem, curvature, grad)
+        gain = float(grad @ step)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                trial = problem.value_and_grad(x + t * step)
+            change = trial[0] - value
+            if change >= _ARMIJO * t * gain or (
+                abs(change) <= _FLAT * abs(value)
+                and float(np.max(np.abs(trial[1]))) < grad_norm
+            ):
+                break
+            t *= 0.5
+        else:
+            return x, value, False, iterations
+        x = x + t * step
+        value, grad, curvature = trial
 
 
 def scale(
@@ -501,9 +500,8 @@ def scale(
         )
 
     problem = PosteriorProblem(collection, model, prior_enabled)
-    x, converged, iterations = _solve(problem, tol, max_iter)
+    x, value, converged, iterations = _solve(problem, tol, max_iter)
     q, links = problem.unpack(x)
-    value, _ = problem.value_and_grad(x)
     return UnifiedScale(
         q=q,
         links=links,

@@ -160,7 +160,7 @@ def test_criterion_05_gradient_matches_finite_differences():
     worst = 0.0
     for _ in range(10):
         x = rng.normal(0.0, 1.0, problem.n_params)
-        _, grad = problem.value_and_grad(x)
+        _, grad, _ = problem.value_and_grad(x)
         step = 1e-6
         for k in range(problem.n_params):
             xp, xm = x.copy(), x.copy()

@@ -51,7 +51,7 @@ class TestComparisonGraph:
         assert graph.count(1, 0) == 1
         assert graph.count(0, 2) == 0
         assert graph.count(2, 2) == 0
-        assert graph.trials(0, 1) == 4
+        assert graph.count(0, 1) + graph.count(1, 0) == 4
 
     def test_rejects_self_and_negative(self):
         with pytest.raises(IntegrityError, match="self-comparison"):

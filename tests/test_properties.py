@@ -1,8 +1,10 @@
 """Property tests on random small collections.
 
 The comparison graph stores each measured pair once, in canonical order, so
-the row layout of ``comparisons.csv`` must not reach the scale; and the
-joint-scaling components must match a plain breadth-first search.
+the row layout of ``comparisons.csv`` must not reach the scale; the
+joint-scaling components must match a plain breadth-first search; and the
+likelihood kernel's gradient, cached curvature and Jacobi diagonal must
+match central differences.
 """
 
 import json
@@ -11,6 +13,7 @@ from collections import deque
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 from scipy.special import ndtr
 
 from jodscale.cli import main
@@ -22,7 +25,7 @@ from jodscale.model import (
     RatingTable,
     connected_components,
 )
-from jodscale.scaling import SIGMA_JOD
+from jodscale.scaling import SIGMA_JOD, PosteriorProblem
 
 _HEADER = "cond_a,cond_b,count_a_over_b"
 
@@ -144,3 +147,48 @@ def _collections(draw):
 def test_connected_components_match_bfs(case):
     collection, edges = case
     assert connected_components(collection) == _bfs_components(collection.n, edges)
+
+
+def _rated_collection(seed):
+    """A pairwise and a rating dataset with random counts along a chain,
+    random extra pairs and one cross pair; 2-4 ratings per rated condition."""
+    rng = np.random.default_rng(seed)
+    n_p, n_r = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    conditions = [ConditionId.reference("p")]
+    conditions += [ConditionId("p", f"c{k}", "d", 1) for k in range(n_p - 1)]
+    conditions += [ConditionId.reference("r")]
+    conditions += [ConditionId("r", f"c{k}", "d", 1) for k in range(n_r - 1)]
+    pairs = [(k, k + 1) for k in range(n_p - 1)]
+    pairs += [(int(rng.integers(n_p)), int(rng.integers(n_p, n_p + n_r)))]
+    pairs += [tuple(rng.choice(n_p + n_r, size=2, replace=False)) for _ in range(3)]
+    wins = rng.integers(0, 11, size=(len(pairs), 2))
+    winners = [i for i, _ in pairs] + [j for _, j in pairs]
+    losers = [j for _, j in pairs] + [i for i, _ in pairs]
+    graph = ComparisonGraph(n_p + n_r, winners, losers, np.concatenate([wins[:, 0], wins[:, 1]]))
+    rated = np.repeat(np.arange(n_p, n_p + n_r), rng.integers(2, 5, size=n_r))
+    table = RatingTable(rated, [f"o{k}" for k in range(rated.size)],
+                        rng.normal(0.0, 1.5, rated.size))
+    manifest = {"p": DatasetMeta("p", "pwc"), "r": DatasetMeta("r", "rating")}
+    return DatasetCollection(conditions, graph, {"r": table}, manifest), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), prior=st.booleans())
+def test_kernel_matches_central_differences(seed, prior):
+    collection, rng = _rated_collection(seed)
+    problem = PosteriorProblem(collection, prior_enabled=prior)
+    x = rng.normal(0.0, 0.7, problem.n_params)
+    _, grad, curvature = problem.value_and_grad(x)
+    step = 1e-6
+    unit = np.eye(problem.n_params)
+    fd = [(problem.value_and_grad(x + step * e)[0] - problem.value_and_grad(x - step * e)[0])
+          / (2 * step) for e in unit]
+    np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
+
+    vec = rng.normal(0.0, 1.0, problem.n_params)
+    fd_hv = (problem.value_and_grad(x + step * vec)[1]
+             - problem.value_and_grad(x - step * vec)[1]) / (2 * step)
+    np.testing.assert_allclose(problem.hess_vec(curvature, vec), fd_hv, rtol=1e-6, atol=1e-6)
+
+    columns = [problem.hess_vec(curvature, e) @ e for e in unit]
+    assert problem.hess_diag(curvature) == pytest.approx(columns, rel=1e-12, abs=1e-12)

@@ -1,11 +1,15 @@
+import importlib.util
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 from scipy.stats import binom, norm
 
+from jodscale.cli import main
 from jodscale.errors import (
     DegenerateDataError,
     DisconnectedGraphError,
@@ -15,6 +19,7 @@ from jodscale.model import (
     ConditionId,
     DatasetCollection,
     DatasetMeta,
+    load_collection,
 )
 from jodscale.scaling import (
     SIGMA_JOD,
@@ -329,7 +334,7 @@ class TestScale:
         rng = np.random.default_rng(9)
         for _ in range(5):
             x = rng.normal(0, 0.8, problem.n_params)
-            _, grad = problem.value_and_grad(x)
+            _, grad, _ = problem.value_and_grad(x)
             step = 1e-6
             for k in range(problem.n_params):
                 xp, xm = x.copy(), x.copy()
@@ -357,13 +362,40 @@ class TestScale:
             for _ in range(6):
                 x = rng.normal(0, 0.7, problem.n_params)
                 vec = rng.normal(0, 1, problem.n_params)
-                hv = problem.hess_vec(x, vec)
+                hv = problem.hess_vec(problem.value_and_grad(x)[2], vec)
                 step = 1e-6
                 fd = (
                     problem.value_and_grad(x + step * vec)[1]
                     - problem.value_and_grad(x - step * vec)[1]
                 ) / (2 * step)
                 np.testing.assert_allclose(hv, fd, rtol=1e-6, atol=1e-6)
+
+    def test_newton_work_stays_small(self):
+        # the line-search Newton-CG solver converges here in 19 iterations
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=300, seed=7))
+        assert scale(coll).iterations <= 40
+
+
+def _bench_generator():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_dense_300_condition_study_converges_under_strict(tmp_path):
+    # dense pairs within each dataset, 30 trials, 15 observers: a well-posed
+    # study whose maximum a solver can miss by drifting in ds2's link
+    gen = _bench_generator()
+    study = gen.make_study(np.random.default_rng([3, 300]), 300, 3, 30, 15, 0.5)
+    manifest = gen.write_study(study, tmp_path / "in")
+    result = scale(load_collection(manifest))
+    assert result.converged
+    assert result.log_posterior == pytest.approx(-31241.25, abs=0.01)
+    assert main(["scale", "--strict", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 class TestBootstrap:
