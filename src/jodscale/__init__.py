@@ -33,7 +33,6 @@ from .model import (
 from .scaling import (
     SIGMA_JOD,
     LinkParams,
-    ObserverModel,
     PosteriorProblem,
     UnifiedScale,
     bootstrap_ci,
@@ -57,7 +56,6 @@ __all__ = [
     "IntegrityError",
     "JodscaleError",
     "LinkParams",
-    "ObserverModel",
     "ParseError",
     "PosteriorProblem",
     "RatingTable",

@@ -7,7 +7,11 @@ are plain CSV or JSON and are byte-identical across runs with the same
 inputs and seed.
 
 Exit codes: 0 success, 1 usage error, 2 data integrity error, 3 numerical
-failure (non-convergence under --strict).
+failure (non-convergence under --strict). Usage errors include an unknown
+flag (each subcommand takes only the flags it reads: --seed belongs to
+scale, simulate and recover, --strict to scale and pu-encode), a negative
+``scale --bootstrap`` and a ``stats --bins`` below 1. An ``--alpha`` outside
+(0, 1) with ``scale --bootstrap`` is a data integrity error.
 """
 
 from __future__ import annotations
@@ -155,6 +159,8 @@ def _write_scale_outputs(out: Path, result: UnifiedScale, intervals) -> None:
 
 
 def _cmd_scale(args) -> int:
+    if args.bootstrap < 0:
+        raise UsageError(f"--bootstrap must be non-negative, got {args.bootstrap}")
     out = _out_dir(args)
     collection = load_collection(args.manifest)
     result = scale(
@@ -201,7 +207,6 @@ def _write_collection_files(collection: DatasetCollection, out: Path) -> None:
             "name": name,
             "experiment": meta.experiment,
             "conditions": cond_file,
-            "dynamic_range": meta.dynamic_range,
         }
         if meta.display is not None:
             entry["display"] = {
@@ -366,16 +371,6 @@ def _cmd_pu_encode(args) -> int:
     return 0
 
 
-def _scale_from_csv(path) -> UnifiedScale:
-    jods = _read_keyed_csv(path, "jod")
-    conditions = tuple(ConditionId.parse(key) for key in jods)
-    q = np.array([jods[c.key] for c in conditions])
-    return UnifiedScale(
-        q=q, links={}, log_posterior=0.0, converged=True, iterations=0,
-        conditions=conditions,
-    )
-
-
 def _write_pair_batch(out: Path, batch: PairBatch, conditions, mode: str, window: float):
     with open(out / "pairs.csv", "w", newline="") as handle:
         handle.write("cond_a,cond_b,count_a_over_b\n")
@@ -403,9 +398,11 @@ def _cmd_select_pairs(args) -> int:
     if args.mode == "cross-dataset":
         if not args.scale:
             raise UsageError("--scale is required for cross-dataset selection")
-        scale_result = _scale_from_csv(args.scale)
-        batch = select_cross_dataset_pairs(scale_result, args.k, args.window, args.bins)
-        conditions = scale_result.conditions
+        jods = _read_keyed_csv(args.scale, "jod")
+        conditions = tuple(ConditionId.parse(key) for key in jods)
+        batch = select_cross_dataset_pairs(
+            list(jods.values()), conditions, args.k, args.window, args.bins
+        )
     else:
         if not (args.metric_test and args.metric_bench):
             raise UsageError("--metric-test and --metric-bench are required for gmad")
@@ -468,6 +465,8 @@ def _cmd_linkfit(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.bins < 1:
+        raise UsageError(f"--bins must be at least 1, got {args.bins}")
     out = _out_dir(args)
     values = _read_values_csv(args.input)
     positive = values[values > 0]
@@ -504,12 +503,20 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
+
+    def add_study(p):
+        p.add_argument("--conditions", type=int, default=50)
+        p.add_argument("--datasets", type=int, default=3)
+        p.add_argument("--trials", type=int, default=30)
+        p.add_argument("--observers", type=int, default=15)
+        p.add_argument("--density", type=float, default=0.5)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--strict", action="store_true",
-                       help="escalate clamping warnings and non-convergence to errors")
 
     p = sub.add_parser("scale", help="scale a collection onto the unified JOD scale")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="bootstrap resampling seed")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 3 when the solver does not converge")
     p.add_argument("--manifest", required=True)
     p.add_argument("--prior", action=argparse.BooleanOptionalAction, default=True,
                    help="Gaussian score prior (default on; disable for oracle checks)")
@@ -526,20 +533,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="emit a synthetic collection as manifest + CSVs")
     add_common(p)
-    p.add_argument("--conditions", type=int, default=50)
-    p.add_argument("--datasets", type=int, default=3)
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--observers", type=int, default=15)
-    p.add_argument("--density", type=float, default=0.5)
+    add_study(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("recover", help="run a full synthetic recovery experiment")
     add_common(p)
-    p.add_argument("--conditions", type=int, default=50)
-    p.add_argument("--datasets", type=int, default=3)
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--observers", type=int, default=15)
-    p.add_argument("--density", type=float, default=0.5)
+    add_study(p)
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("validate", help="validate metric scores against a scale")
@@ -557,6 +556,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pu-encode", help="encode luminance (or display values) to PU units")
     add_common(p)
+    p.add_argument("--strict", action="store_true",
+                   help="reject out-of-range values instead of clamping them with a warning")
     p.add_argument("--input", required=True, help="single-column CSV of values")
     p.add_argument("--l-peak", type=float, default=None,
                    help="treat input as normalized display values with this peak")

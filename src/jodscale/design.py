@@ -14,12 +14,12 @@ objective with ties broken by condition identity.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DesignError, IntegrityError
-from .model import ComparisonGraph, DatasetCollection
+from .model import ComparisonGraph, ConditionId, DatasetCollection
 from .scaling import UnifiedScale, scale
 
 
@@ -48,14 +48,9 @@ class PairBatch:
         return len(self.pairs)
 
 
-def _condition_sort_key(scale_result: UnifiedScale, idx: int):
-    if scale_result.conditions:
-        return scale_result.conditions[idx].key
-    return idx
-
-
 def select_cross_dataset_pairs(
-    scale_result: UnifiedScale,
+    q,
+    conditions: tuple[ConditionId, ...],
     k: int,
     window_jod: float = 1.0,
     coverage_bins: int = 10,
@@ -65,19 +60,20 @@ def select_cross_dataset_pairs(
     Candidates must cross datasets and have a score gap no larger than
     ``window_jod``. The quality range is cut into ``coverage_bins``
     equal-width bins by pair midpoint; selection round-robins over the bins
-    so the whole scale is covered as evenly as feasible.
+    so the whole scale is covered as evenly as feasible. ``q[i]`` is the
+    score of ``conditions[i]``; ties are broken by condition identity.
     """
-    if not scale_result.conditions:
-        raise IntegrityError("scale carries no condition identities")
+    q = np.asarray(q, dtype=float)
+    if q.shape != (len(conditions),):
+        raise IntegrityError("q must have one entry per condition")
     if window_jod < 0:
         raise IntegrityError(f"window must be non-negative, got {window_jod}")
     if k < 1 or coverage_bins < 1:
         raise IntegrityError("k and coverage_bins must be positive")
-    datasets = [c.dataset for c in scale_result.conditions]
+    datasets = [c.dataset for c in conditions]
     if len(set(datasets)) < 2:
         raise DesignError("cross-dataset selection needs at least two datasets")
 
-    q = np.asarray(scale_result.q, dtype=float)
     n = q.size
     candidates = []  # (bin, gap, key_i, key_j, i, j)
     lo, hi = float(q.min()), float(q.max())
@@ -91,10 +87,7 @@ def select_cross_dataset_pairs(
                 continue
             mid = 0.5 * float(q[i] + q[j])
             bin_idx = min(int((mid - lo) / width), coverage_bins - 1) if hi > lo else 0
-            candidates.append(
-                (bin_idx, gap, _condition_sort_key(scale_result, i),
-                 _condition_sort_key(scale_result, j), i, j)
-            )
+            candidates.append((bin_idx, gap, conditions[i].key, conditions[j].key, i, j))
     if not candidates:
         raise DesignError(
             f"no cross-dataset pair within {window_jod} JOD; widen the window "
@@ -169,7 +162,9 @@ def iterate_selection(
             audit.append({"batch": PairBatch(pairs=()), "counts": []})
             continue
         try:
-            batch = select_cross_dataset_pairs(result, batch_size, window_jod, coverage_bins)
+            batch = select_cross_dataset_pairs(
+                result.q, result.conditions, batch_size, window_jod, coverage_bins
+            )
             counts = list(callback(batch, current))
             if len(counts) != len(batch):
                 raise DesignError(

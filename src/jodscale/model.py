@@ -42,7 +42,7 @@ from .photometry import DisplayModel
 REFERENCE_DISTORTION = "reference"
 
 _KNOWN_MANIFEST_KEYS = {"datasets", "comparisons"}
-_KNOWN_DATASET_KEYS = {"name", "experiment", "display", "conditions", "ratings", "dynamic_range"}
+_KNOWN_DATASET_KEYS = {"name", "experiment", "display", "conditions", "ratings"}
 _KNOWN_DISPLAY_KEYS = {"L_peak", "L_black", "gamma"}
 
 EXPERIMENT_PWC = "pwc"
@@ -220,7 +220,6 @@ class DatasetMeta:
     name: str
     experiment: str
     display: DisplayModel | None = None
-    dynamic_range: str = "sdr"
 
     def __post_init__(self):
         if self.experiment not in (EXPERIMENT_PWC, EXPERIMENT_RATING):
@@ -463,12 +462,7 @@ def load_collection(manifest_path) -> DatasetCollection:
             except KeyError as exc:
                 raise ParseError(f"dataset {name!r}: display needs L_peak and L_black") from exc
         experiment = str(entry.get("experiment", EXPERIMENT_PWC))
-        metas[name] = DatasetMeta(
-            name=name,
-            experiment=experiment,
-            display=display,
-            dynamic_range=str(entry.get("dynamic_range", "sdr")),
-        )
+        metas[name] = DatasetMeta(name=name, experiment=experiment, display=display)
         if "conditions" not in entry:
             raise ParseError(f"dataset {name!r} has no 'conditions'")
         conditions.extend(_load_conditions(entry["conditions"], base, name))

@@ -14,7 +14,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np

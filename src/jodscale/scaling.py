@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr
@@ -44,17 +44,6 @@ from .model import (
 SIGMA_JOD = 1.048
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class ObserverModel:
-    """Equal-variance Gaussian observer; sigma is in JOD units."""
-
-    sigma: float = SIGMA_JOD
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise IntegrityError(f"sigma must be positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -88,13 +77,13 @@ class UnifiedScale:
     log_posterior: float
     converged: bool
     iterations: int
-    conditions: tuple[ConditionId, ...] = ()
+    conditions: tuple[ConditionId, ...]
 
 
-def preference_probability(q_i, q_j, model: ObserverModel = ObserverModel()):
+def preference_probability(q_i, q_j):
     """Probability that a condition scored q_i is preferred over one scored q_j."""
     z = (np.asarray(q_i, dtype=float) - np.asarray(q_j, dtype=float)) / (
-        math.sqrt(2.0) * model.sigma
+        math.sqrt(2.0) * SIGMA_JOD
     )
     return ndtr(z)
 
@@ -105,7 +94,7 @@ def _log_binomial(pairs) -> float:
     return float(np.sum(gammaln(cij + cji + 1.0) - gammaln(cij + 1.0) - gammaln(cji + 1.0)))
 
 
-def _pair_term(pairs, q: np.ndarray, sigma: float):
+def _pair_term(pairs, q: np.ndarray):
     """Binomial comparison terms, without their binomial coefficients.
 
     Returns the value, the per-pair slope d/dq_i (d/dq_j is its negative)
@@ -113,7 +102,7 @@ def _pair_term(pairs, q: np.ndarray, sigma: float):
     because log Phi is concave.
     """
     i, j, cij, cji = pairs
-    scale = 1.0 / (math.sqrt(2.0) * sigma)
+    scale = 1.0 / (math.sqrt(2.0) * SIGMA_JOD)
     z = (q[i] - q[j]) * scale
     log_win, log_loss = log_ndtr(z), log_ndtr(-z)
     value = float(np.sum(cij * log_win + cji * log_loss))
@@ -127,7 +116,7 @@ def _pair_term(pairs, q: np.ndarray, sigma: float):
     return value, slope, weight
 
 
-def _rating_term(table: RatingTable, q: np.ndarray, log_a, b, log_c, sigma: float):
+def _rating_term(table: RatingTable, q: np.ndarray, log_a, b, log_c):
     """One rating dataset's Gaussian term in (q, log a, b, log c).
 
     Each record contributes log N(m; (q_i - b)/a, c*sigma), written in the
@@ -139,11 +128,11 @@ def _rating_term(table: RatingTable, q: np.ndarray, log_a, b, log_c, sigma: floa
     scores = table.scores
     am = np.exp(log_a) * scores
     r = am + b - q[table.condition_indices]
-    var = np.exp(2.0 * (log_a + log_c)) * sigma**2
+    var = np.exp(2.0 * (log_a + log_c)) * SIGMA_JOD**2
     r_over_v = r / var
     shift = r - am  # b - q_i
     value = float(
-        -scores.size * (log_c + math.log(sigma * _SQRT_2PI)) - 0.5 * np.sum(r * r_over_v)
+        -scores.size * (log_c + math.log(SIGMA_JOD * _SQRT_2PI)) - 0.5 * np.sum(r * r_over_v)
     )
     g_a, g_b, g_c = np.sum(r_over_v * shift), -np.sum(r_over_v), np.sum(r * r_over_v) - scores.size
     h_ab = np.sum(shift + r) / var
@@ -159,13 +148,13 @@ def _rating_term(table: RatingTable, q: np.ndarray, log_a, b, log_c, sigma: floa
     return value, r_over_v, np.array([g_a, g_b, g_c]), hess, coupling
 
 
-def _prior_term(q: np.ndarray, sigma: float):
+def _prior_term(q: np.ndarray):
     """Gaussian prior of each q_i around the mean score: value and gradient."""
     centered = q - q.mean()
     value = float(
-        -q.size * math.log(sigma * _SQRT_2PI) - np.sum(centered**2) / (2.0 * sigma**2)
+        -q.size * math.log(SIGMA_JOD * _SQRT_2PI) - np.sum(centered**2) / (2.0 * SIGMA_JOD**2)
     )
-    return value, -centered / sigma**2
+    return value, -centered / SIGMA_JOD**2
 
 
 def _finite_q(q) -> np.ndarray:
@@ -175,9 +164,7 @@ def _finite_q(q) -> np.ndarray:
     return q
 
 
-def pwc_log_likelihood(
-    graph: ComparisonGraph, q, model: ObserverModel = ObserverModel()
-) -> float:
+def pwc_log_likelihood(graph: ComparisonGraph, q) -> float:
     """Binomial log-likelihood of the observed win counts given scores q.
 
     The binomial coefficient is included; it is constant in q, so reported
@@ -187,12 +174,10 @@ def pwc_log_likelihood(
     if q.shape != (graph.n,):
         raise IntegrityError(f"q must have one entry per condition ({graph.n})")
     pairs = graph.pair_arrays()
-    return _log_binomial(pairs) + _pair_term(pairs, q, model.sigma)[0]
+    return _log_binomial(pairs) + _pair_term(pairs, q)[0]
 
 
-def rating_log_likelihood(
-    ratings: RatingTable, q, link: LinkParams, model: ObserverModel = ObserverModel()
-) -> float:
+def rating_log_likelihood(ratings: RatingTable, q, link: LinkParams) -> float:
     """Gaussian log-likelihood of rating measurements under the affine link.
 
     Each record contributes log N(m; (q_i - b)/a, c*sigma), written in the
@@ -202,16 +187,13 @@ def rating_log_likelihood(
     q = _finite_q(q)
     if not np.all(np.isfinite(ratings.scores)):
         raise IntegrityError("ratings contain non-finite scores")
-    return _rating_term(
-        ratings, q, math.log(link.a), link.b, math.log(link.c), model.sigma
-    )[0]
+    return _rating_term(ratings, q, math.log(link.a), link.b, math.log(link.c))[0]
 
 
 def log_posterior(
     collection: DatasetCollection,
     q,
     links: dict[str, LinkParams] | None = None,
-    model: ObserverModel = ObserverModel(),
     prior_enabled: bool = True,
 ) -> float:
     """Joint log-posterior: comparisons + ratings + optional score prior.
@@ -221,14 +203,14 @@ def log_posterior(
     unanimous.
     """
     q = np.asarray(q, dtype=float)
-    total = pwc_log_likelihood(collection.graph, q, model)
+    total = pwc_log_likelihood(collection.graph, q)
     links = links or {}
     for name in sorted(collection.ratings):
         if name not in links:
             raise IntegrityError(f"missing link parameters for dataset {name!r}")
-        total += rating_log_likelihood(collection.ratings[name], q, links[name], model)
+        total += rating_log_likelihood(collection.ratings[name], q, links[name])
     if prior_enabled:
-        total += _prior_term(q, model.sigma)[0]
+        total += _prior_term(q)[0]
     return total
 
 
@@ -258,14 +240,8 @@ class PosteriorProblem:
     vector and the curvature that ``hess_vec`` and ``hess_diag`` reuse.
     """
 
-    def __init__(
-        self,
-        collection: DatasetCollection,
-        model: ObserverModel = ObserverModel(),
-        prior_enabled: bool = True,
-    ):
+    def __init__(self, collection: DatasetCollection, prior_enabled: bool = True):
         self.collection = collection
-        self.model = model
         self.prior_enabled = prior_enabled
         self.n = collection.n
         self.free_idx = np.setdiff1d(np.arange(self.n), collection.reference_indices())
@@ -310,9 +286,9 @@ class PosteriorProblem:
         )
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray, Curvature]:
-        n, sigma = self.n, self.model.sigma
+        n = self.n
         q = self._full_q(x)
-        value, slope, weights = _pair_term(self._pairs, q, sigma)
+        value, slope, weights = _pair_term(self._pairs, q)
         value += self._log_coef
         grad_q = self._net(slope)
 
@@ -325,7 +301,7 @@ class PosteriorProblem:
             table = self.collection.ratings[name]
             k, at = 3 * d, self.n_free + 3 * d
             term_value, r_over_v, term_grad, term_hess, record_coupling = _rating_term(
-                table, q, *x[at : at + 3], sigma
+                table, q, *x[at : at + 3]
             )
             value += term_value
             grad[at : at + 3] = term_grad
@@ -337,7 +313,7 @@ class PosteriorProblem:
             rating_diag -= coupling[:, k + 1]  # d^2/dq_i^2 = -d^2/dq_i db
 
         if self.prior_enabled:
-            prior_value, prior_grad = _prior_term(q, sigma)
+            prior_value, prior_grad = _prior_term(q)
             value += prior_value
             grad_q += prior_grad
 
@@ -356,7 +332,7 @@ class PosteriorProblem:
         out_q = self._net(curvature.weights * (v_q[j_arr] - v_q[i_arr]))
         out_q += curvature.rating_diag * v_q + curvature.coupling @ v_links
         if self.prior_enabled:
-            out_q -= (v_q - v_q.mean()) / self.model.sigma**2
+            out_q -= (v_q - v_q.mean()) / SIGMA_JOD**2
         return np.concatenate([
             out_q[self.free_idx],
             curvature.coupling.T @ v_q + curvature.link_hessian @ v_links,
@@ -369,7 +345,7 @@ class PosteriorProblem:
         degree = np.bincount(i_arr, weights, self.n) + np.bincount(j_arr, weights, self.n)
         diag_q = curvature.rating_diag - degree
         if self.prior_enabled:
-            diag_q -= (1.0 - 1.0 / self.n) / self.model.sigma**2
+            diag_q -= (1.0 - 1.0 / self.n) / SIGMA_JOD**2
         return np.concatenate([diag_q[self.free_idx], np.diag(curvature.link_hessian)])
 
 
@@ -468,7 +444,6 @@ def scale(
     tol: float = 1e-6,
     max_iter: int = 2000,
     per_component: bool = False,
-    model: ObserverModel = ObserverModel(),
 ) -> UnifiedScale:
     """Recover JOD scores and link parameters by maximum likelihood.
 
@@ -495,11 +470,9 @@ def scale(
             "scores are NOT comparable across components",
             stacklevel=2,
         )
-        return _scale_per_component(
-            collection, components, prior_enabled, tol, max_iter, model
-        )
+        return _scale_per_component(collection, components, prior_enabled, tol, max_iter)
 
-    problem = PosteriorProblem(collection, model, prior_enabled)
+    problem = PosteriorProblem(collection, prior_enabled)
     x, value, converged, iterations = _solve(problem, tol, max_iter)
     q, links = problem.unpack(x)
     return UnifiedScale(
@@ -535,7 +508,7 @@ def _subcollection(collection: DatasetCollection, members: list[int]) -> Dataset
     return DatasetCollection(conditions, graph, ratings, manifest)
 
 
-def _scale_per_component(collection, components, prior_enabled, tol, max_iter, model):
+def _scale_per_component(collection, components, prior_enabled, tol, max_iter):
     q = np.zeros(collection.n)
     links: dict[str, LinkParams] = {}
     total_lp = 0.0
@@ -543,14 +516,7 @@ def _scale_per_component(collection, components, prior_enabled, tol, max_iter, m
     iterations = 0
     for members in components:
         sub = _subcollection(collection, members)
-        result = scale(
-            sub,
-            prior_enabled=prior_enabled,
-            tol=tol,
-            max_iter=max_iter,
-            per_component=False,
-            model=model,
-        )
+        result = scale(sub, prior_enabled=prior_enabled, tol=tol, max_iter=max_iter)
         q[np.asarray(members, dtype=int)] = result.q
         links.update(result.links)
         total_lp += result.log_posterior
@@ -603,10 +569,13 @@ def bootstrap_ci(
     replicate is rescaled with ``scale_options``. Replicates that fail to
     scale or do not converge are skipped and counted; more than 50% failures
     is an error. Deterministic for a given seed. Returns an (n, 2) array of
-    (low, high) bounds.
+    (low, high) bounds at the 100*alpha/2 and 100*(1 - alpha/2) percentiles,
+    where 0 < alpha < 1.
     """
     if n_boot < 1:
         raise IntegrityError(f"n_boot must be at least 1, got {n_boot}")
+    if not 0.0 < alpha < 1.0:
+        raise IntegrityError(f"alpha must lie in (0, 1), got {alpha}")
 
     samples = []
     for index in range(n_boot):

@@ -14,7 +14,7 @@ replaying a configuration is byte-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +28,16 @@ from .model import (
     RatingTable,
 )
 from .photometry import DisplayModel
-from .scaling import LinkParams, ObserverModel, UnifiedScale, preference_probability, scale
+from .scaling import SIGMA_JOD, LinkParams, UnifiedScale, preference_probability, scale
 
 _STREAM_TRUTH = 0
 _STREAM_LINKS = 1
 _STREAM_COMPARISON = 2
 _STREAM_RATING = 3
 _STREAM_DESIGN = 4
+
+# True scores of test conditions are uniform on this range; references sit at 0.
+_Q_LOW, _Q_HIGH = -5.0, 0.0
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -48,7 +51,6 @@ class GroundTruth:
     conditions: tuple[ConditionId, ...]
     q_true: np.ndarray
     links_true: dict[str, LinkParams]
-    model: ObserverModel = ObserverModel()
     seed: int = 0
 
     def __post_init__(self):
@@ -75,7 +77,7 @@ def simulate_comparison(
         raise IntegrityError(f"n_trials must be non-negative, got {n_trials}")
     if n_trials == 0:
         return 0, 0
-    p = float(preference_probability(truth.q_true[i], truth.q_true[j], truth.model))
+    p = float(preference_probability(truth.q_true[i], truth.q_true[j]))
     rng = _rng(truth.seed, _STREAM_COMPARISON, i, j, stream)
     c_ij = int(rng.binomial(n_trials, p))
     return c_ij, n_trials - c_ij
@@ -93,11 +95,10 @@ def simulate_ratings(truth: GroundTruth, dataset: str, n_observers: int) -> Rati
     if n_observers < 0:
         raise IntegrityError(f"n_observers must be non-negative, got {n_observers}")
     link = truth.links_true[dataset]
-    sigma = truth.model.sigma
     members = [idx for idx, cond in enumerate(truth.conditions) if cond.dataset == dataset]
     scores = [
         (truth.q_true[idx] - link.b) / link.a
-        + _rng(truth.seed, _STREAM_RATING, idx).normal(0.0, link.c * sigma, size=n_observers)
+        + _rng(truth.seed, _STREAM_RATING, idx).normal(0.0, link.c * SIGMA_JOD, size=n_observers)
         for idx in members
     ]
     return RatingTable(
@@ -134,11 +135,6 @@ class RecoveryConfig:
     observers: int = 15
     graph_density: float = 0.5
     seed: int = 0
-    q_low: float = -5.0
-    q_high: float = 0.0
-    prior_enabled: bool = False
-    tol: float = 1e-6
-    max_iter: int = 2000
 
     def __post_init__(self):
         if self.n_datasets < 1 or self.n_conditions < 2 * self.n_datasets:
@@ -182,7 +178,7 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
     q_true = np.zeros(n)
     for idx, cond in enumerate(conditions):
         if not cond.is_reference:
-            q_true[idx] = rng_truth.uniform(config.q_low, config.q_high)
+            q_true[idx] = rng_truth.uniform(_Q_LOW, _Q_HIGH)
 
     rng_links = _rng(config.seed, _STREAM_LINKS)
     links_true: dict[str, LinkParams] = {}
@@ -193,13 +189,7 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
             c=float(rng_links.uniform(0.5, 1.2)),
         )
 
-    truth = GroundTruth(
-        conditions=tuple(conditions),
-        q_true=q_true,
-        links_true=links_true,
-        model=ObserverModel(),
-        seed=config.seed,
-    )
+    truth = GroundTruth(tuple(conditions), q_true, links_true, seed=config.seed)
 
     measured: set[tuple[int, int]] = set()
     for members in dataset_members:
@@ -259,12 +249,8 @@ def recovery_experiment(config: RecoveryConfig) -> dict:
     """
     truth, collection = synthesize_collection(config)
     start = time.perf_counter()
-    result = scale(
-        collection,
-        prior_enabled=config.prior_enabled,
-        tol=config.tol,
-        max_iter=config.max_iter,
-    )
+    # without the score prior, so the target is the plain maximum-likelihood estimate
+    result = scale(collection, prior_enabled=False)
     runtime = time.perf_counter() - start
     return build_recovery_report(truth, result, runtime)
 

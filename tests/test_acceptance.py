@@ -323,7 +323,7 @@ _DETERMINISM_COMMANDS = [
     ["pu-encode", "--input", "aux/values.csv", "--out", "out", "--knots", "512",
      "--save-lut", "lut.csv"],
     ["select-pairs", "--mode", "cross-dataset", "--scale", "aux/scale.csv",
-     "--k", "4", "--out", "out", "--seed", "3"],
+     "--k", "4", "--out", "out"],
     ["linkfit", "--manifest", "sim/manifest.json", "--scale", "aux/simscale.csv",
      "--out", "out"],
     ["stats", "--input", "aux/values.csv", "--out", "out"],

@@ -108,6 +108,27 @@ class TestScaleCommand:
         ])
         assert code == 3
 
+    def test_alpha_outside_unit_interval_is_data_error(self, tmp_path, monkeypatch):
+        write_two_condition_fixture(tmp_path / "fx")
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "scale", "--manifest", "fx/manifest.json", "--out", "out", "--no-prior",
+            "--bootstrap", "3", "--alpha", "1.5",
+        ])
+        assert code == 2
+        assert not (tmp_path / "out" / "scale.csv").exists()
+
+    def test_negative_bootstrap_is_usage_error(self, tmp_path, monkeypatch):
+        write_two_condition_fixture(tmp_path / "fx")
+        monkeypatch.chdir(tmp_path)
+        argv = ["scale", "--manifest", "fx/manifest.json", "--no-prior", "--bootstrap"]
+        assert main([*argv, "-1", "--out", "neg"]) == 1
+        assert not (tmp_path / "neg").exists()
+        # zero replicates still means "no intervals"
+        assert main([*argv, "0", "--out", "zero"]) == 0
+        rows = (tmp_path / "zero" / "scale.csv").read_text().strip().splitlines()[1:]
+        assert all(row.endswith(",,") for row in rows)
+
     def test_disconnected_error_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--out", "sim", "--conditions", "12",
@@ -149,6 +170,21 @@ class TestUsageErrors:
     def test_missing_required(self):
         assert main(["scale"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["select-pairs", "--mode", "cross-dataset", "--scale", "missing.csv", "--seed", "3"],
+        ["validate", "--scores", "missing.csv", "--scale", "missing.csv", "--strict"],
+        ["fit-logistic", "--scores", "missing.csv", "--scale", "missing.csv", "--seed", "3"],
+        ["pu-encode", "--input", "missing.csv", "--seed", "3"],
+        ["linkfit", "--manifest", "missing.json", "--scale", "missing.csv", "--strict"],
+        ["stats", "--input", "missing.csv", "--seed", "3"],
+        ["simulate", "--conditions", "6", "--datasets", "2", "--strict"],
+        ["recover", "--conditions", "6", "--datasets", "2", "--strict"],
+    ])
+    def test_flag_the_subcommand_does_not_read(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "out"]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_gmad_requires_metric_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["select-pairs", "--mode", "gmad", "--out", "out"]) == 1
@@ -172,6 +208,8 @@ class TestSimulateCommand:
         coll = load_collection(tmp_path / "sim" / "manifest.json")
         assert coll.n == 18
         assert set(coll.ratings) == {"ds1", "ds2"}
+        manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+        assert not any("dynamic_range" in entry for entry in manifest["datasets"])
 
     def test_identical_trees_for_same_seed(self, tmp_path, monkeypatch):
         for run in ("a", "b"):
@@ -347,6 +385,13 @@ class TestStatsCommand:
         assert report["n"] == 500
         assert sum(report["histogram"]["counts"]) == 500
         assert report["excluded_nonpositive"] == 0
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_below_one_is_usage_error(self, tmp_path, monkeypatch, bins):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lum.csv").write_text("value\n1.0\n10.0\n")
+        assert main(["stats", "--input", "lum.csv", "--out", "st", "--bins", bins]) == 1
+        assert not (tmp_path / "st").exists()
 
 
 class TestDeterminism:

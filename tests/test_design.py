@@ -11,8 +11,7 @@ from jodscale.design import (
 )
 from jodscale.errors import DesignError, IntegrityError
 from jodscale.metricmap import correlation_metrics
-from jodscale.model import ComparisonGraph, ConditionId, DatasetCollection, DatasetMeta
-from jodscale.scaling import UnifiedScale
+from jodscale.model import ConditionId
 from jodscale.simulate import (
     RecoveryConfig,
     comparison_callback,
@@ -22,19 +21,13 @@ from jodscale.scaling import scale
 
 
 def _scale_of(names_scores):
+    """Scores and condition identities, the two inputs of cross-dataset selection."""
     conditions = []
     q = []
     for dataset, content, score in names_scores:
         conditions.append(ConditionId(dataset, content, "d", 1))
         q.append(score)
-    return UnifiedScale(
-        q=np.asarray(q, dtype=float),
-        links={},
-        log_posterior=0.0,
-        converged=True,
-        iterations=0,
-        conditions=tuple(conditions),
-    )
+    return np.asarray(q, dtype=float), tuple(conditions)
 
 
 class TestPairBatch:
@@ -53,9 +46,9 @@ class TestSelectCrossDatasetPairs:
             ("a", "c2", -2.0), ("b", "c2", -1.9),
             ("a", "c3", -2.2), ("b", "c3", -2.1),
         ]
-        batch = select_cross_dataset_pairs(_scale_of(rows), 4, 1.0, 2)
+        batch = select_cross_dataset_pairs(*_scale_of(rows), 4, 1.0, 2)
         assert len(batch) == 4
-        q = _scale_of(rows).q
+        q, _ = _scale_of(rows)
         mids = [(q[i] + q[j]) / 2 for i, j in batch.pairs]
         assert sum(1 for m in mids if m > -1.1) == 2
         assert sum(1 for m in mids if m <= -1.1) == 2
@@ -66,34 +59,34 @@ class TestSelectCrossDatasetPairs:
         for d in range(3):
             for c in range(17):
                 rows.append((f"ds{d}", f"c{c}", float(rng.uniform(-5, 0))))
-        result = _scale_of(rows)
-        batch = select_cross_dataset_pairs(result, 25, 0.8, 5)
-        datasets = [c.dataset for c in result.conditions]
+        q, conditions = _scale_of(rows)
+        batch = select_cross_dataset_pairs(q, conditions, 25, 0.8, 5)
+        datasets = [c.dataset for c in conditions]
         for (i, j), gap in zip(batch.pairs, batch.rationale):
             assert datasets[i] != datasets[j]
-            assert abs(result.q[i] - result.q[j]) <= 0.8 + 1e-12
-            assert gap == pytest.approx(abs(result.q[i] - result.q[j]))
+            assert abs(q[i] - q[j]) <= 0.8 + 1e-12
+            assert gap == pytest.approx(abs(q[i] - q[j]))
 
     def test_zero_window_without_exact_ties(self):
         rows = [("a", "c0", 0.0), ("b", "c0", 0.5)]
         with pytest.raises(DesignError):
-            select_cross_dataset_pairs(_scale_of(rows), 1, 0.0, 2)
+            select_cross_dataset_pairs(*_scale_of(rows), 1, 0.0, 2)
 
     def test_zero_window_with_exact_tie(self):
         rows = [("a", "c0", -1.0), ("b", "c0", -1.0)]
-        batch = select_cross_dataset_pairs(_scale_of(rows), 1, 0.0, 2)
+        batch = select_cross_dataset_pairs(*_scale_of(rows), 1, 0.0, 2)
         assert batch.pairs == ((0, 1),)
 
     def test_fewer_than_k_warns(self):
         rows = [("a", "c0", 0.0), ("b", "c0", 0.1)]
         with pytest.warns(UserWarning, match="1 of 5"):
-            batch = select_cross_dataset_pairs(_scale_of(rows), 5, 1.0, 2)
+            batch = select_cross_dataset_pairs(*_scale_of(rows), 5, 1.0, 2)
         assert len(batch) == 1
 
     def test_single_dataset_rejected(self):
         rows = [("a", "c0", 0.0), ("a", "c1", -1.0)]
         with pytest.raises(DesignError):
-            select_cross_dataset_pairs(_scale_of(rows), 1, 1.0, 2)
+            select_cross_dataset_pairs(*_scale_of(rows), 1, 1.0, 2)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -102,8 +95,8 @@ class TestSelectCrossDatasetPairs:
             for d in range(2)
             for c in range(20)
         ]
-        first = select_cross_dataset_pairs(_scale_of(rows), 10, 1.0, 4)
-        second = select_cross_dataset_pairs(_scale_of(rows), 10, 1.0, 4)
+        first = select_cross_dataset_pairs(*_scale_of(rows), 10, 1.0, 4)
+        second = select_cross_dataset_pairs(*_scale_of(rows), 10, 1.0, 4)
         assert first.pairs == second.pairs
 
 

@@ -16,7 +16,6 @@ from jodscale.metricmap import (
     pairwise_accuracy,
     probability_consistency,
 )
-from jodscale.scaling import ObserverModel
 from jodscale.simulate import GroundTruth, simulate_comparison
 from jodscale.model import ConditionId
 
@@ -149,7 +148,7 @@ def _simulated_truth(n, seed):
     conds += [ConditionId("x", f"c{i}", "d", 1) for i in range(n - 1)]
     rng = np.random.default_rng(seed)
     q = np.concatenate([[0.0], rng.uniform(-4, 0, n - 1)])
-    return GroundTruth(tuple(conds), q, {}, ObserverModel(), seed)
+    return GroundTruth(tuple(conds), q, {}, seed=seed)
 
 
 class TestProbabilityConsistency:

@@ -1,7 +1,6 @@
 import importlib.util
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ from jodscale.model import (
 from jodscale.scaling import (
     SIGMA_JOD,
     LinkParams,
-    ObserverModel,
     PosteriorProblem,
     _resample_collection,
     bootstrap_ci,
@@ -417,6 +415,11 @@ class TestBootstrap:
         )
         low, high = intervals[1]
         assert low < -1.0 < high
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, two_condition_collection, alpha):
+        with pytest.raises(IntegrityError, match="alpha"):
+            bootstrap_ci(two_condition_collection, 3, seed=0, alpha=alpha, prior_enabled=False)
 
     def test_unconverged_replicates_count_as_failed(self):
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))

@@ -3,7 +3,7 @@ import pytest
 
 from jodscale.errors import DisconnectedGraphError, IntegrityError
 from jodscale.model import ConditionId
-from jodscale.scaling import LinkParams, ObserverModel, preference_probability
+from jodscale.scaling import SIGMA_JOD, LinkParams, preference_probability
 from jodscale.simulate import (
     GroundTruth,
     RecoveryConfig,
@@ -19,7 +19,7 @@ def _truth(n=6, seed=0, links=None):
     conds += [ConditionId("rd", f"c{i}", "d", 1) for i in range(n - 1)]
     rng = np.random.default_rng(123)
     q = np.concatenate([[0.0], rng.uniform(-4, 0, n - 1)])
-    return GroundTruth(tuple(conds), q, links or {}, ObserverModel(), seed)
+    return GroundTruth(tuple(conds), q, links or {}, seed=seed)
 
 
 class TestGroundTruth:
@@ -44,7 +44,7 @@ class TestSimulateComparison:
 
     def test_one_unit_gap_near_75(self):
         conds = (ConditionId.reference("x"), ConditionId("x", "c0", "d", 1))
-        truth = GroundTruth(conds, np.array([0.0, -1.0]), {}, ObserverModel(), 5)
+        truth = GroundTruth(conds, np.array([0.0, -1.0]), {}, seed=5)
         c_ref, c_test = simulate_comparison(truth, 0, 1, 10_000)
         assert abs(c_ref / 10_000 - 0.75) < 0.015
 
@@ -88,7 +88,7 @@ class TestSimulateRatings:
         link = LinkParams(a=1.0, b=0.5, c=0.8)
         truth = _truth(seed=3, links={"rd": link})
         table = simulate_ratings(truth, "rd", 10_000)
-        sigma = truth.model.sigma
+        sigma = SIGMA_JOD
         for idx in range(6):
             scores = table.scores[table.condition_indices == idx]
             expected = (truth.q_true[idx] - link.b) / link.a
@@ -102,7 +102,7 @@ class TestSimulateRatings:
         link = LinkParams(a=1.7, b=-0.3, c=0.9)
         truth = _truth(seed=4, links={"rd": link})
         table = simulate_ratings(truth, "rd", 20_000)
-        sigma = truth.model.sigma
+        sigma = SIGMA_JOD
         one_condition = table.scores[table.condition_indices == 2]
         assert float(one_condition.std()) == pytest.approx(link.c * sigma, rel=0.05)
         mapped = link.a * table.scores + link.b
