@@ -9,9 +9,12 @@ inputs and seed.
 Exit codes: 0 success, 1 usage error, 2 data integrity error, 3 numerical
 failure (non-convergence under --strict). Usage errors include an unknown
 flag (each subcommand takes only the flags it reads: --seed belongs to
-scale, simulate and recover, --strict to scale and pu-encode), a negative
-``scale --bootstrap`` and a ``stats --bins`` below 1. An ``--alpha`` outside
-(0, 1) with ``scale --bootstrap`` is a data integrity error.
+scale, simulate and recover, --strict to scale and pu-encode) and a value
+out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0,
+``stats``/``select-pairs --bins`` or ``select-pairs --k`` below 1,
+``pu-encode --knots`` below 64. An ``--alpha`` outside (0, 1) with
+``scale --bootstrap`` and a non-finite ``select-pairs`` score are data
+integrity errors.
 """
 
 from __future__ import annotations
@@ -346,6 +349,8 @@ def _cmd_fit_logistic(args) -> int:
 
 
 def _cmd_pu_encode(args) -> int:
+    if args.knots < 64:
+        raise UsageError(f"--knots must be at least 64, got {args.knots}")
     out = _out_dir(args)
     values = _read_values_csv(args.input)
     if args.lut:
@@ -394,6 +399,9 @@ def _write_pair_batch(out: Path, batch: PairBatch, conditions, mode: str, window
 
 
 def _cmd_select_pairs(args) -> int:
+    if args.k < 1 or args.bins < 1 or not args.window >= 0:
+        raise UsageError("--k and --bins must be at least 1 and --window non-negative, "
+                         f"got {args.k}, {args.bins} and {args.window}")
     out = _out_dir(args)
     if args.mode == "cross-dataset":
         if not args.scale:

@@ -48,6 +48,23 @@ class PairBatch:
         return len(self.pairs)
 
 
+def _window_pairs(scores: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, that may have |scores[i] - scores[j]| <= window.
+
+    A superset of those pairs, found by sweeping the window over the sorted
+    scores; callers apply the exact test to the gaps. All n(n-1)/2 pairs
+    are never formed.
+    """
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    # widened by a few ulps, so rounding in s + window cannot drop a pair
+    upper = s + window + 4.0 * np.finfo(float).eps * (np.abs(s) + abs(window))
+    count = np.maximum(np.searchsorted(s, upper, side="right") - np.arange(s.size) - 1, 0)
+    a = np.repeat(np.arange(s.size), count)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+    return np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+
+
 def select_cross_dataset_pairs(
     q,
     conditions: tuple[ConditionId, ...],
@@ -66,62 +83,44 @@ def select_cross_dataset_pairs(
     q = np.asarray(q, dtype=float)
     if q.shape != (len(conditions),):
         raise IntegrityError("q must have one entry per condition")
-    if window_jod < 0:
+    if not np.all(np.isfinite(q)):
+        raise IntegrityError("scores must be finite")
+    if not window_jod >= 0:
         raise IntegrityError(f"window must be non-negative, got {window_jod}")
     if k < 1 or coverage_bins < 1:
         raise IntegrityError("k and coverage_bins must be positive")
-    datasets = [c.dataset for c in conditions]
-    if len(set(datasets)) < 2:
+    dataset = np.unique([c.dataset for c in conditions], return_inverse=True)[1]
+    if q.size == 0 or dataset.max() < 1:
         raise DesignError("cross-dataset selection needs at least two datasets")
 
-    n = q.size
-    candidates = []  # (bin, gap, key_i, key_j, i, j)
+    i, j = _window_pairs(q, window_jod)
+    gap = np.abs(q[i] - q[j])
+    keep = (dataset[i] != dataset[j]) & (gap <= window_jod)
+    i, j, gap = i[keep], j[keep], gap[keep]
     lo, hi = float(q.min()), float(q.max())
-    width = (hi - lo) / coverage_bins if hi > lo else 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if datasets[i] == datasets[j]:
-                continue
-            gap = abs(float(q[i] - q[j]))
-            if gap > window_jod:
-                continue
-            mid = 0.5 * float(q[i] + q[j])
-            bin_idx = min(int((mid - lo) / width), coverage_bins - 1) if hi > lo else 0
-            candidates.append((bin_idx, gap, conditions[i].key, conditions[j].key, i, j))
-    if not candidates:
+    if i.size == 0:
         raise DesignError(
             f"no cross-dataset pair within {window_jod} JOD; widen the window "
             f"(scale spans [{lo:.3f}, {hi:.3f}])"
         )
+    width = (hi - lo) / coverage_bins if hi > lo else 1.0
+    cell = np.minimum(((0.5 * (q[i] + q[j]) - lo) / width).astype(np.int64), coverage_bins - 1)
 
-    by_bin: dict[int, list] = {}
-    for cand in sorted(candidates):
-        by_bin.setdefault(cand[0], []).append(cand)
-
-    chosen = []
-    bins = sorted(by_bin)
-    cursor = {b: 0 for b in bins}
-    while len(chosen) < k:
-        progressed = False
-        for b in bins:
-            if len(chosen) >= k:
-                break
-            pool = by_bin[b]
-            if cursor[b] < len(pool):
-                cand = pool[cursor[b]]
-                cursor[b] += 1
-                chosen.append(cand)
-                progressed = True
-        if not progressed:
-            break
-    if len(chosen) < k:
+    # rank within the bin by (gap, identity), then round-robin over the bins:
+    # the n-th pick of every bin comes before any bin's (n+1)-th
+    rank = np.unique([c.key for c in conditions], return_inverse=True)[1]
+    order = np.lexsort((j, i, rank[j], rank[i], gap, cell))
+    sorted_cell = cell[order]
+    in_bin = np.arange(order.size) - np.searchsorted(sorted_cell, sorted_cell)
+    chosen = order[np.lexsort((sorted_cell, in_bin))[:k]]
+    if chosen.size < k:
         warnings.warn(
-            f"only {len(chosen)} of {k} requested cross-dataset pairs are feasible",
+            f"only {chosen.size} of {k} requested cross-dataset pairs are feasible",
             stacklevel=2,
         )
     return PairBatch(
-        pairs=tuple((cand[4], cand[5]) for cand in chosen),
-        rationale=tuple(cand[1] for cand in chosen),
+        pairs=tuple(zip(i[chosen].tolist(), j[chosen].tolist())),
+        rationale=tuple(gap[chosen].tolist()),
     )
 
 
@@ -222,37 +221,37 @@ def select_gmad_pairs(
     bench = np.asarray(m_bench, dtype=float)
     if test.shape != bench.shape or test.ndim != 1:
         raise IntegrityError("metric score vectors must be 1-D and cover the same conditions")
+    if not np.all(np.isfinite(test) & np.isfinite(bench)):
+        raise IntegrityError("metric scores must be finite")
+    if not bench_window_jod >= 0:
+        raise IntegrityError(f"window must be non-negative, got {bench_window_jod}")
     if k < 1:
         raise IntegrityError(f"k must be at least 1, got {k}")
 
-    n = test.size
-    candidates = []  # (-objective, i, j)
-    for i in range(n):
-        for j in range(i + 1, n):
-            bench_gap = abs(float(bench[i] - bench[j]))
-            if bench_gap >= bench_window_jod:
-                continue
-            objective = abs(float(test[i] - test[j])) - bench_gap
-            candidates.append((-objective, i, j))
-    candidates.sort()
+    i, j = _window_pairs(bench, bench_window_jod)
+    bench_gap = np.abs(bench[i] - bench[j])
+    keep = bench_gap < bench_window_jod
+    i, j, bench_gap = i[keep], j[keep], bench_gap[keep]
+    objective = np.abs(test[i] - test[j]) - bench_gap
 
     chosen = []
     used: set[int] = set()
-    for neg_obj, i, j in candidates:
+    for c in np.lexsort((j, i, -objective)):
         if len(chosen) >= k:
             break
-        if not allow_reuse and (i in used or j in used):
+        a, b = int(i[c]), int(j[c])
+        if not allow_reuse and (a in used or b in used):
             continue
-        chosen.append((i, j, -neg_obj))
-        used.update((i, j))
+        chosen.append(c)
+        used.update((a, b))
     if len(chosen) < k:
         warnings.warn(
             f"only {len(chosen)} of {k} requested adversarial pairs are feasible",
             stacklevel=2,
         )
     return PairBatch(
-        pairs=tuple((i, j) for i, j, _ in chosen),
-        rationale=tuple(obj for _, _, obj in chosen),
+        pairs=tuple(zip(i[chosen].tolist(), j[chosen].tolist())),
+        rationale=tuple(objective[chosen].tolist()),
     )
 
 

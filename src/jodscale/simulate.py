@@ -6,13 +6,17 @@ the preference probability of the Gaussian observer, and ratings are
 Gaussian with mean (q_i - b) / a and standard deviation c * sigma in rating
 units.
 
-Random streams are derived per pair or per condition from the master seed
-with a counter-based scheme, so generation is order-independent and
-replaying a configuration is byte-identical.
+Each random stream is keyed by the master seed and a purpose. One call of
+``simulate_comparison`` draws the counts of all its pairs from one stream,
+in the order the pairs are given; ``synthesize_collection`` passes them in
+canonical order (i < j, lexsorted), so the counts do not depend on how the
+pairs were gathered. Ratings draw one stream per condition. Replaying a
+configuration is byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -65,22 +69,20 @@ class GroundTruth:
                 raise IntegrityError(f"reference {cond.key} must have q_true = 0")
 
 
-def simulate_comparison(
-    truth: GroundTruth, i: int, j: int, n_trials: int, stream: int = 0
-) -> tuple[int, int]:
-    """Simulate n_trials forced-choice trials between conditions i and j.
+def simulate_comparison(truth: GroundTruth, i, j, n_trials: int, stream: int = 0) -> np.ndarray:
+    """Simulate n_trials forced-choice trials for each pair (i[k], j[k]).
 
-    Returns (c_ij, c_ji). Deterministic given the truth seed, the pair and
-    the stream index (bump ``stream`` to redraw the same pair independently).
+    Returns an int64 array of shape (len(i), 2) holding (c_ij, c_ji) per
+    pair. All counts come from one stream keyed by the truth seed and
+    ``stream``, drawn in the order the pairs are given; call again with
+    another ``stream`` to redraw the same pairs independently.
     """
     if n_trials < 0:
         raise IntegrityError(f"n_trials must be non-negative, got {n_trials}")
-    if n_trials == 0:
-        return 0, 0
-    p = float(preference_probability(truth.q_true[i], truth.q_true[j]))
-    rng = _rng(truth.seed, _STREAM_COMPARISON, i, j, stream)
-    c_ij = int(rng.binomial(n_trials, p))
-    return c_ij, n_trials - c_ij
+    p = preference_probability(truth.q_true[np.asarray(i)], truth.q_true[np.asarray(j)])
+    c_ij = np.asarray(_rng(truth.seed, _STREAM_COMPARISON, stream).binomial(n_trials, p),
+                      dtype=np.int64)
+    return np.stack([c_ij, n_trials - c_ij], axis=-1)
 
 
 def simulate_ratings(truth: GroundTruth, dataset: str, n_observers: int) -> RatingTable:
@@ -109,18 +111,18 @@ def simulate_ratings(truth: GroundTruth, dataset: str, n_observers: int) -> Rati
 
 
 def comparison_callback(truth: GroundTruth, n_trials: int):
-    """Observer callback for iterative selection; redraws repeated pairs."""
-    calls: dict[tuple[int, int], int] = {}
+    """Observer callback for iterative selection.
+
+    Batch b (counting from 1) is drawn from stream b, so a pair selected
+    again in a later batch gets fresh outcomes, and replaying the same
+    batches through a new callback reproduces the counts.
+    """
+    batches = itertools.count(1)
 
     def run_batch(batch, collection):
         del collection
-        counts = []
-        for i, j in batch.pairs:
-            key = (min(i, j), max(i, j))
-            stream = calls.get(key, 0)
-            calls[key] = stream + 1
-            counts.append(simulate_comparison(truth, i, j, n_trials, stream=stream))
-        return counts
+        pairs = np.asarray(batch.pairs, dtype=np.int64).reshape(-1, 2)
+        return simulate_comparison(truth, pairs[:, 0], pairs[:, 1], n_trials, next(batches))
 
     return run_batch
 
@@ -154,24 +156,19 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
     of cross-dataset pairs plus ``graph_density * n_conditions`` random
     extras.
     """
-    counts = [
+    sizes = [
         config.n_conditions // config.n_datasets
         + (1 if d < config.n_conditions % config.n_datasets else 0)
         for d in range(config.n_datasets)
     ]
+    # dataset d holds the contiguous index range starts[d]:starts[d + 1], reference first
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    dataset_names = [f"ds{d}" for d in range(config.n_datasets)]
     conditions: list[ConditionId] = []
-    dataset_names: list[str] = []
-    dataset_members: list[list[int]] = []
-    for d, size in enumerate(counts):
-        name = f"ds{d}"
-        dataset_names.append(name)
-        members = []
-        members.append(len(conditions))
+    for name, size in zip(dataset_names, sizes):
         conditions.append(ConditionId.reference(name))
-        for t in range(size - 1):
-            members.append(len(conditions))
-            conditions.append(ConditionId(name, f"c{t:03d}", "dist", 1))
-        dataset_members.append(members)
+        conditions += [ConditionId(name, f"c{t:03d}", "dist", 1) for t in range(size - 1)]
+    dataset_of = np.repeat(np.arange(config.n_datasets), sizes)
 
     n = len(conditions)
     rng_truth = _rng(config.seed, _STREAM_TRUTH)
@@ -191,35 +188,30 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
 
     truth = GroundTruth(tuple(conditions), q_true, links_true, seed=config.seed)
 
-    measured: set[tuple[int, int]] = set()
-    for members in dataset_members:
-        for a_pos in range(len(members)):
-            for b_pos in range(a_pos + 1, len(members)):
-                measured.add((members[a_pos], members[b_pos]))
+    within = [np.stack(np.triu_indices(size, 1), axis=1) + start
+              for start, size in zip(starts[:-1].tolist(), sizes)]
+    # only cross-dataset pairs can be drawn twice: the chain, then random extras
+    cross: set[tuple[int, int]] = set()
     rng_design = _rng(config.seed, _STREAM_DESIGN)
     for d in range(1, config.n_datasets):
-        i = int(rng_design.choice(dataset_members[d - 1]))
-        j = int(rng_design.choice(dataset_members[d]))
-        measured.add((min(i, j), max(i, j)))
+        i = int(rng_design.choice(np.arange(starts[d - 1], starts[d])))
+        j = int(rng_design.choice(np.arange(starts[d], starts[d + 1])))
+        cross.add((min(i, j), max(i, j)))
     n_extra = int(round(config.graph_density * config.n_conditions))
     attempts = 0
     added = 0
     while added < n_extra and attempts < 50 * max(n_extra, 1):
         attempts += 1
         i, j = (int(v) for v in rng_design.integers(0, n, size=2))
-        if i == j or conditions[i].dataset == conditions[j].dataset:
-            continue
         key = (min(i, j), max(i, j))
-        if key in measured:
+        if dataset_of[i] == dataset_of[j] or key in cross:
             continue
-        measured.add(key)
+        cross.add(key)
         added += 1
 
-    pairs = np.array(sorted(measured), dtype=np.int64).reshape(-1, 2)
-    counts = np.array(
-        [simulate_comparison(truth, i, j, config.trials_per_pair) for i, j in pairs.tolist()],
-        dtype=np.int64,
-    ).reshape(-1, 2)
+    pairs = np.concatenate(within + [np.array(list(cross), dtype=np.int64).reshape(-1, 2)])
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    counts = simulate_comparison(truth, pairs[:, 0], pairs[:, 1], config.trials_per_pair)
 
     ratings: dict[str, RatingTable] = {}
     if config.observers > 0:

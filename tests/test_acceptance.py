@@ -129,15 +129,15 @@ def test_criterion_04_pairwise_accuracy_on_heldout_pairs():
         measured = set(zip(i_arr.tolist(), j_arr.tolist()))
         rng = np.random.default_rng((seed, 0xCAFE))
         n = collection.n
-        heldout = {}
+        heldout = []
         while len(heldout) < 200:
             i, j = (int(v) for v in rng.integers(0, n, size=2))
             key = (min(i, j), max(i, j))
             if i == j or key in measured or key in heldout:
                 continue
-            heldout[key] = simulate_comparison(truth, key[0], key[1], 1000, stream=99)
-        pairs = np.array(list(heldout), dtype=np.int64)
-        counts = np.array(list(heldout.values()), dtype=np.int64)
+            heldout.append(key)
+        pairs = np.array(heldout, dtype=np.int64)
+        counts = simulate_comparison(truth, pairs[:, 0], pairs[:, 1], 1000, stream=99)
         graph = ComparisonGraph(n, pairs.ravel(), pairs[:, ::-1].ravel(), counts.ravel())
         accuracies.append(pairwise_accuracy(result.q, graph, 0.75).accuracy)
     elapsed = time.perf_counter() - start

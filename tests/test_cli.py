@@ -185,6 +185,23 @@ class TestUsageErrors:
         assert main([*argv, "--out", "out"]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["select-pairs", "--mode", "cross-dataset", "--scale", "scale.csv", "--k", "0"],
+        ["select-pairs", "--mode", "cross-dataset", "--scale", "scale.csv", "--bins", "0"],
+        ["select-pairs", "--mode", "cross-dataset", "--scale", "scale.csv", "--window", "-1"],
+        ["select-pairs", "--mode", "gmad", "--metric-test", "scale.csv",
+         "--metric-bench", "scale.csv", "--window", "nan"],
+        ["pu-encode", "--input", "lum.csv", "--knots", "0"],
+    ])
+    def test_flag_value_out_of_range(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scale.csv").write_text(
+            "condition,jod,score\na/ref/reference/0,0.0,0.0\na/c0/d/1,-1.0,-1.0\n"
+            "b/ref/reference/0,0.0,0.0\nb/c0/d/1,-0.5,-0.5\n")
+        (tmp_path / "lum.csv").write_text("value\n1.0\n100.0\n")
+        assert main([*argv, "--out", "out"]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_gmad_requires_metric_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["select-pairs", "--mode", "gmad", "--out", "out"]) == 1
@@ -353,6 +370,18 @@ class TestSelectPairsCommand:
         assert code == 0
         selection = json.loads((tmp_path / "sel" / "selection.json").read_text())
         assert len(selection["pairs"]) == 5
+
+
+    @pytest.mark.parametrize("mode", ["cross-dataset", "gmad"])
+    def test_non_finite_score_is_data_error(self, tmp_path, monkeypatch, mode):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scores.csv").write_text(
+            "condition,jod,score\na/ref/reference/0,0.0,0.0\na/c0/d/1,nan,nan\n"
+            "b/ref/reference/0,0.0,0.0\nb/c0/d/1,-0.5,-0.5\n")
+        inputs = (["--scale", "scores.csv"] if mode == "cross-dataset" else
+                  ["--metric-test", "scores.csv", "--metric-bench", "scores.csv"])
+        assert main(["select-pairs", "--mode", mode, *inputs, "--out", "sel"]) == 2
+        assert not (tmp_path / "sel" / "selection.json").exists()
 
 
 class TestLinkfitCommand:

@@ -83,6 +83,12 @@ class TestSelectCrossDatasetPairs:
             batch = select_cross_dataset_pairs(*_scale_of(rows), 5, 1.0, 2)
         assert len(batch) == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        rows = [("a", "c0", 0.0), ("b", "c0", bad), ("b", "c1", -0.2)]
+        with pytest.raises(IntegrityError, match="finite"):
+            select_cross_dataset_pairs(*_scale_of(rows), 1, 1.0, 2)
+
     def test_single_dataset_rejected(self):
         rows = [("a", "c0", 0.0), ("a", "c1", -1.0)]
         with pytest.raises(DesignError):
@@ -165,6 +171,13 @@ class TestSelectGmadPairs:
         with pytest.warns(UserWarning):
             batch = select_gmad_pairs(test, bench, 3, 0.1)
         assert len(batch) == 0
+
+    @pytest.mark.parametrize("which", ["test", "bench"])
+    def test_non_finite_score_rejected(self, which):
+        scores = {"test": np.array([0.0, -0.5, -1.0]), "bench": np.array([0.0, -0.2, -0.4])}
+        scores[which][1] = np.nan
+        with pytest.raises(IntegrityError, match="finite"):
+            select_gmad_pairs(scores["test"], scores["bench"], 1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(53)

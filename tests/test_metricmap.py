@@ -17,7 +17,7 @@ from jodscale.metricmap import (
     probability_consistency,
 )
 from jodscale.simulate import GroundTruth, simulate_comparison
-from jodscale.model import ConditionId
+from jodscale.model import ComparisonGraph, ConditionId
 
 from conftest import graph_of
 
@@ -151,21 +151,25 @@ def _simulated_truth(n, seed):
     return GroundTruth(tuple(conds), q, {}, seed=seed)
 
 
+def _simulated_graph(truth, pairs, n_trials):
+    """All pairs simulated in one call, each as two directed observations."""
+    i, j = np.array(pairs).T
+    counts = simulate_comparison(truth, i, j, n_trials)
+    return ComparisonGraph(truth.q_true.size, np.concatenate([i, j]), np.concatenate([j, i]),
+                           np.concatenate([counts[:, 0], counts[:, 1]]))
+
+
 class TestProbabilityConsistency:
     def test_consistent_data_high_correlation(self):
         truth = _simulated_truth(20, seed=21)
         rng = np.random.default_rng(2)
         pairs = []
-        entries = {}
         for _ in range(120):
             i, j = (int(v) for v in rng.integers(0, 20, size=2))
-            if i == j or (i, j) in entries:
+            if i == j or (i, j) in pairs or (j, i) in pairs:
                 continue
-            cij, cji = simulate_comparison(truth, i, j, 1000)
-            entries[(i, j)] = cij
-            entries[(j, i)] = cji
             pairs.append((i, j))
-        graph = graph_of(20, {k: v for k, v in entries.items() if v})
+        graph = _simulated_graph(truth, pairs, 1000)
         rho = probability_consistency(truth.q_true, graph, pairs)
         assert rho > 0.99
 
@@ -173,16 +177,12 @@ class TestProbabilityConsistency:
         truth = _simulated_truth(30, seed=33)
         rng = np.random.default_rng(4)
         pairs = []
-        entries = {}
         while len(pairs) < 100:
             i, j = (int(v) for v in rng.integers(0, 30, size=2))
-            if i == j or (i, j) in entries:
+            if i == j or (i, j) in pairs or (j, i) in pairs:
                 continue
-            cij, cji = simulate_comparison(truth, i, j, 200)
-            entries[(i, j)] = cij
-            entries[(j, i)] = cji
             pairs.append((i, j))
-        graph = graph_of(30, {k: v for k, v in entries.items() if v})
+        graph = _simulated_graph(truth, pairs, 200)
         hits = 0
         for draw in range(50):
             random_scores = np.random.default_rng(1000 + draw).normal(0, 1, 30)

@@ -2,9 +2,10 @@
 
 The comparison graph stores each measured pair once, in canonical order, so
 the row layout of ``comparisons.csv`` must not reach the scale; the
-joint-scaling components must match a plain breadth-first search; and the
+joint-scaling components must match a plain breadth-first search; the
 likelihood kernel's gradient, cached curvature and Jacobi diagonal must
-match central differences.
+match central differences; and both pair selectors must return exactly what
+a double loop over all pairs returns.
 """
 
 import json
@@ -17,6 +18,8 @@ import pytest
 from scipy.special import ndtr
 
 from jodscale.cli import main
+from jodscale.design import select_cross_dataset_pairs, select_gmad_pairs
+from jodscale.errors import DesignError
 from jodscale.model import (
     ComparisonGraph,
     ConditionId,
@@ -192,3 +195,94 @@ def test_kernel_matches_central_differences(seed, prior):
 
     columns = [problem.hess_vec(curvature, e) @ e for e in unit]
     assert problem.hess_diag(curvature) == pytest.approx(columns, rel=1e-12, abs=1e-12)
+
+
+def _cross_dataset_loop(q, conditions, k, window, bins):
+    """Cross-dataset selection as a double loop over all pairs, then a
+    round-robin over the coverage bins."""
+    datasets = [c.dataset for c in conditions]
+    lo, hi = float(q.min()), float(q.max())
+    width = (hi - lo) / bins if hi > lo else 1.0
+    candidates = []
+    for i in range(q.size):
+        for j in range(i + 1, q.size):
+            gap = abs(float(q[i] - q[j]))
+            if datasets[i] == datasets[j] or gap > window:
+                continue
+            mid = 0.5 * float(q[i] + q[j])
+            cell = min(int((mid - lo) / width), bins - 1) if hi > lo else 0
+            candidates.append((cell, gap, conditions[i].key, conditions[j].key, i, j))
+    by_cell: dict[int, list] = {}
+    for cand in sorted(candidates):
+        by_cell.setdefault(cand[0], []).append(cand)
+    chosen = []
+    cursor = dict.fromkeys(by_cell, 0)
+    while len(chosen) < k and any(cursor[c] < len(by_cell[c]) for c in cursor):
+        for c in sorted(by_cell):
+            if len(chosen) < k and cursor[c] < len(by_cell[c]):
+                chosen.append(by_cell[c][cursor[c]])
+                cursor[c] += 1
+    return [(c[4], c[5]) for c in chosen], [c[1] for c in chosen]
+
+
+def _gmad_loop(test, bench, k, window, allow_reuse):
+    """gMAD selection as a double loop over all pairs and a greedy pass."""
+    candidates = []
+    for i in range(test.size):
+        for j in range(i + 1, test.size):
+            bench_gap = abs(float(bench[i] - bench[j]))
+            if bench_gap < window:
+                candidates.append((-(abs(float(test[i] - test[j])) - bench_gap), i, j))
+    chosen, used = [], set()
+    for neg_objective, i, j in sorted(candidates):
+        if len(chosen) == k:
+            break
+        if allow_reuse or not {i, j} & used:
+            chosen.append((i, j, -neg_objective))
+            used.update((i, j))
+    return [(i, j) for i, j, _ in chosen], [objective for _, _, objective in chosen]
+
+
+@st.composite
+def _selection_inputs(draw):
+    """Scores on a coarse grid (tied gaps, gaps exactly equal to the
+    window), arbitrary floats, or pairs a few ulps either side of the window."""
+    n = draw(st.integers(2, 24))
+    window = draw(st.sampled_from([0.0, 0.25, 0.3, 1.0, 2.5]))
+    kind = draw(st.sampled_from(["grid", "float", "boundary"]))
+    if kind == "grid":
+        values = [0.25 * v for v in draw(st.lists(st.integers(-12, 0), min_size=2 * n,
+                                                  max_size=2 * n))]
+    elif kind == "float":
+        values = draw(st.lists(st.floats(-5.0, 0.0), min_size=2 * n, max_size=2 * n))
+    else:
+        values = []
+        for base in draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)):
+            ulps = draw(st.integers(-2, 2))
+            values.append(base)
+            values.append(float(np.nextafter(base + window, np.sign(ulps) * np.inf))
+                          if ulps else base + window)
+    values = np.array(values)
+    order = draw(st.permutations(range(2 * n)))
+    datasets = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    conditions = tuple(ConditionId(datasets[x % n], f"c{order[x]}", "d", 1) for x in range(n))
+    k = draw(st.integers(1, 12))
+    return values[:n], values[n:], conditions, k, window, draw(st.integers(1, 5))
+
+
+@pytest.mark.filterwarnings("ignore:only")
+@settings(max_examples=300, deadline=None)
+@given(_selection_inputs(), st.booleans())
+def test_selectors_match_double_loops(case, allow_reuse):
+    q, test, conditions, k, window, bins = case
+    pairs, gaps = _cross_dataset_loop(q, conditions, k, window, bins)
+    if pairs:
+        batch = select_cross_dataset_pairs(q, conditions, k, window, bins)
+        assert (list(batch.pairs), list(batch.rationale)) == (pairs, gaps)
+    elif len({c.dataset for c in conditions}) > 1:
+        with pytest.raises(DesignError, match="no cross-dataset pair"):
+            select_cross_dataset_pairs(q, conditions, k, window, bins)
+
+    batch = select_gmad_pairs(test, q, k, window, allow_reuse=allow_reuse)
+    expected = _gmad_loop(test, q, k, window, allow_reuse)
+    assert (list(batch.pairs), list(batch.rationale)) == expected
