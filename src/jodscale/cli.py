@@ -1,18 +1,20 @@
 """Command-line front end.
 
 Subcommands: scale, simulate, recover, validate, fit-logistic, pu-encode,
-select-pairs, linkfit, stats. Every run writes a ``run.json`` echoing the
-resolved options and the library version next to its outputs. All outputs
-are plain CSV or JSON and are byte-identical across runs with the same
-inputs and seed.
+select-pairs, linkfit, stats. Every successful run writes a ``run.json``
+echoing the resolved options and the library version next to its outputs.
+All outputs are plain CSV or JSON and are byte-identical across runs with
+the same inputs and seed.
 
 Exit codes: 0 success, 1 usage error, 2 data integrity error, 3 numerical
 failure (non-convergence under --strict). Usage errors include an unknown
 flag (each subcommand takes only the flags it reads: --seed belongs to
 scale, simulate and recover, --strict to scale and pu-encode) and a value
-out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0,
+out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0
+(or NaN), ``simulate``/``recover --density`` below 0 or not finite,
 ``stats``/``select-pairs --bins`` or ``select-pairs --k`` below 1,
-``pu-encode --knots`` below 64. An ``--alpha`` outside (0, 1) with
+``pu-encode --knots`` below 64. Flag ranges are checked at parse time,
+before any output directory exists. An ``--alpha`` outside (0, 1) with
 ``scale --bootstrap`` and a non-finite ``select-pairs`` score are data
 integrity errors.
 """
@@ -22,13 +24,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .design import PairBatch, select_cross_dataset_pairs, select_gmad_pairs
+from .design import select_cross_dataset_pairs, select_gmad_pairs
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -39,7 +43,14 @@ from .errors import (
 )
 from .linkfit import fit_report
 from .metricmap import correlation_metrics, eval_logistic, fit_logistic, pairwise_accuracy
-from .model import ComparisonGraph, ConditionId, DatasetCollection, load_collection
+from .model import (
+    ComparisonGraph,
+    ConditionId,
+    DatasetCollection,
+    _cells,
+    _read_csv,
+    load_collection,
+)
 from .photometry import (
     DisplayModel,
     PuLut,
@@ -49,7 +60,7 @@ from .photometry import (
     pu_encode,
     tabulated_threshold,
 )
-from .scaling import UnifiedScale, bootstrap_ci, scale
+from .scaling import bootstrap_ci, scale
 from .simulate import RecoveryConfig, recovery_experiment, synthesize_collection
 
 _ACCURACY_THRESHOLDS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
@@ -76,40 +87,48 @@ def _write_run_config(out_dir: Path, args: argparse.Namespace) -> None:
     )
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _at_least(minimum, convert=int, finite=False):
+    """An argparse ``type`` converting the text with ``convert`` and
+    accepting values of at least ``minimum`` (never NaN, and with ``finite``
+    no infinity), so that a flag out of range fails at parse time."""
+    def parse(text):
+        value = convert(text)
+        if not value >= minimum or (finite and not math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be {'a finite number of ' if finite else ''}at least {minimum}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # for argparse's "invalid int value" message
+    return parse
 
 
-def _open_input(path):
-    try:
-        return open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}") from exc
+def _write_csv(path: Path, header: str, row_format: str, *columns) -> None:
+    """Write ``header`` and one ``row_format`` line per element of the
+    columns (Python lists, so that floats format as floats)."""
+    with open(path, "w", newline="") as handle:
+        handle.write(header + "\n")
+        handle.writelines(map(row_format.format, *columns))
 
 
 def _read_keyed_csv(path, value_column: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    with _open_input(path) as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "condition" not in reader.fieldnames \
-                or value_column not in reader.fieldnames:
-            raise ParseError(f"{path} needs columns 'condition' and '{value_column}'")
-        for row in reader:
-            key = row["condition"].strip()
-            if key in out:
-                raise IntegrityError(f"duplicate condition {key!r} in {path}")
-            try:
-                out[key] = float(row[value_column])
-            except ValueError as exc:
-                raise ParseError(f"non-numeric {value_column} {row[value_column]!r}") from exc
+    keys, values = _read_csv(
+        path, {"condition": _cells(str.strip, str), value_column: _cells(float, float)}
+    )
+    keys = keys.tolist()
+    out = dict(zip(keys, values.tolist()))
+    if len(out) < len(keys):
+        key = next(key for key, count in Counter(keys).items() if count > 1)
+        raise IntegrityError(f"duplicate condition {key!r} in {path}")
     return out
 
 
 def _read_values_csv(path) -> np.ndarray:
     values = []
-    with _open_input(path) as handle:
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot open {path}: {exc}") from exc
+    with handle:
         reader = csv.reader(handle)
         for row in reader:
             if not row:
@@ -124,28 +143,49 @@ def _read_values_csv(path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _joined_scores(scores_path, scale_path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    scores = _read_keyed_csv(scores_path, "score")
-    jods = _read_keyed_csv(scale_path, "jod")
+def _fitted_scores(args):
+    """Join ``--scores`` and ``--scale`` on condition (in score-file order),
+    fit the logistic mapping and apply it: (keys, scores, jods, fit, mapped)."""
+    scores = _read_keyed_csv(args.scores, "score")
+    jods = _read_keyed_csv(args.scale, "jod")
     keys = [key for key in scores if key in jods]
     if not keys:
         raise IntegrityError("the score and scale files share no conditions")
-    return (
-        keys,
-        np.array([scores[k] for k in keys]),
-        np.array([jods[k] for k in keys]),
+    x = np.array([scores[k] for k in keys])
+    y = np.array([jods[k] for k in keys])
+    fit = fit_logistic(x, y)
+    return keys, x, y, fit, eval_logistic(fit.params, x)
+
+
+def _cmd_scale(args, out: Path) -> None:
+    collection = load_collection(args.manifest)
+    result = scale(
+        collection,
+        prior_enabled=args.prior,
+        tol=args.tol,
+        max_iter=args.max_iter,
+        per_component=args.per_component,
     )
-
-
-def _write_scale_outputs(out: Path, result: UnifiedScale, intervals) -> None:
-    with open(out / "scale.csv", "w", newline="") as handle:
-        handle.write("condition,jod,ci_low,ci_high\n")
-        for idx, cond in enumerate(result.conditions):
-            if intervals is None:
-                handle.write(f"{cond.key},{result.q[idx]:.6f},,\n")
-            else:
-                low, high = intervals[idx]
-                handle.write(f"{cond.key},{result.q[idx]:.6f},{low:.6f},{high:.6f}\n")
+    if args.strict and not result.converged:
+        raise ConvergenceError(
+            f"optimizer did not reach tolerance {args.tol} within {args.max_iter} iterations"
+        )
+    row_format = "{},{:.6f},,\n"
+    columns = [[cond.key for cond in result.conditions], result.q.tolist()]
+    if args.bootstrap > 0:
+        intervals = bootstrap_ci(
+            collection,
+            args.bootstrap,
+            seed=args.seed,
+            alpha=args.alpha,
+            prior_enabled=args.prior,
+            tol=args.tol,
+            max_iter=args.max_iter,
+            per_component=args.per_component,
+        )
+        row_format = "{},{:.6f},{:.6f},{:.6f}\n"
+        columns += [intervals[:, 0].tolist(), intervals[:, 1].tolist()]
+    _write_csv(out / "scale.csv", "condition,jod,ci_low,ci_high", row_format, *columns)
     _write_json(
         out / "links.json",
         {name: {"a": link.a, "b": link.b, "c": link.c}
@@ -159,53 +199,17 @@ def _write_scale_outputs(out: Path, result: UnifiedScale, intervals) -> None:
             "converged": result.converged,
         },
     )
-
-
-def _cmd_scale(args) -> int:
-    if args.bootstrap < 0:
-        raise UsageError(f"--bootstrap must be non-negative, got {args.bootstrap}")
-    out = _out_dir(args)
-    collection = load_collection(args.manifest)
-    result = scale(
-        collection,
-        prior_enabled=args.prior,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        per_component=args.per_component,
-    )
-    if args.strict and not result.converged:
-        raise ConvergenceError(
-            f"optimizer did not reach tolerance {args.tol} within {args.max_iter} iterations"
-        )
-    intervals = None
-    if args.bootstrap > 0:
-        intervals = bootstrap_ci(
-            collection,
-            args.bootstrap,
-            seed=args.seed,
-            alpha=args.alpha,
-            prior_enabled=args.prior,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            per_component=args.per_component,
-        )
-    _write_scale_outputs(out, result, intervals)
-    _write_run_config(out, args)
     print(f"scaled {collection.n} conditions; log posterior {result.log_posterior:.4f}")
-    return 0
 
 
 def _write_collection_files(collection: DatasetCollection, out: Path) -> None:
-    keys = [cond.key for cond in collection.conditions]
+    keys = np.array([cond.key for cond in collection.conditions], dtype=object)
     datasets = []
     for name in sorted(collection.manifest):
         meta = collection.manifest[name]
         cond_file = f"conditions_{name}.csv"
-        with open(out / cond_file, "w", newline="") as handle:
-            handle.write("condition\n")
-            for cond in collection.conditions:
-                if cond.dataset == name:
-                    handle.write(cond.key + "\n")
+        _write_csv(out / cond_file, "condition", "{}\n",
+                   [cond.key for cond in collection.conditions if cond.dataset == name])
         entry = {
             "name": name,
             "experiment": meta.experiment,
@@ -221,23 +225,13 @@ def _write_collection_files(collection: DatasetCollection, out: Path) -> None:
             rating_file = f"ratings_{name}.csv"
             entry["ratings"] = rating_file
             table = collection.ratings[name]
-            with open(out / rating_file, "w", newline="") as handle:
-                handle.write("condition,observer,score\n")
-                handle.writelines(
-                    f"{keys[idx]},{observer},{score!r}\n"
-                    for idx, observer, score in zip(
-                        table.condition_indices.tolist(), table.observers.tolist(),
-                        table.scores.tolist(),
-                    )
-                )
+            _write_csv(out / rating_file, "condition,observer,score", "{},{},{!r}\n",
+                       keys[table.condition_indices].tolist(), table.observers.tolist(),
+                       table.scores.tolist())
         datasets.append(entry)
-    with open(out / "comparisons.csv", "w", newline="") as handle:
-        handle.write("cond_a,cond_b,count_a_over_b\n")
-        winners, losers, counts = collection.graph.observations()
-        handle.writelines(
-            f"{keys[i]},{keys[j]},{count}\n"
-            for i, j, count in zip(winners.tolist(), losers.tolist(), counts.tolist())
-        )
+    winners, losers, counts = collection.graph.observations()
+    _write_csv(out / "comparisons.csv", "cond_a,cond_b,count_a_over_b", "{},{},{}\n",
+               keys[winners].tolist(), keys[losers].tolist(), counts.tolist())
     _write_json(out / "manifest.json", {"datasets": datasets, "comparisons": "comparisons.csv"})
 
 
@@ -252,24 +246,18 @@ def _recovery_config(args) -> RecoveryConfig:
     )
 
 
-def _cmd_simulate(args) -> int:
-    out = _out_dir(args)
+def _cmd_simulate(args, out: Path) -> None:
     _, collection = synthesize_collection(_recovery_config(args))
     _write_collection_files(collection, out)
-    _write_run_config(out, args)
     print(f"simulated {collection.n} conditions into {out}")
-    return 0
 
 
-def _cmd_recover(args) -> int:
-    out = _out_dir(args)
+def _cmd_recover(args, out: Path) -> None:
     report = recovery_experiment(_recovery_config(args))
     runtime = report.pop("runtime_seconds")
     _write_json(out / "report.json", report)
-    _write_run_config(out, args)
     print(json.dumps({**report, "runtime_seconds": runtime}, sort_keys=True, indent=2))
     print(f"recovery finished in {runtime:.2f} s", file=sys.stderr)
-    return 0
 
 
 def _accuracy_curve(mapped: dict[str, float], manifest_path) -> list[list[float]]:
@@ -296,11 +284,8 @@ def _accuracy_curve(mapped: dict[str, float], manifest_path) -> list[list[float]
     return curve
 
 
-def _cmd_validate(args) -> int:
-    out = _out_dir(args)
-    keys, scores, jods = _joined_scores(args.scores, args.scale)
-    fit = fit_logistic(scores, jods)
-    mapped = eval_logistic(fit.params, scores)
+def _cmd_validate(args, out: Path) -> None:
+    keys, _, jods, fit, mapped = _fitted_scores(args)
     stats = correlation_metrics(mapped, jods)
     payload = {
         "srocc": stats.srocc,
@@ -315,16 +300,11 @@ def _cmd_validate(args) -> int:
             dict(zip(keys, mapped.tolist())), args.manifest
         )
     _write_json(out / "validation.json", payload)
-    _write_run_config(out, args)
     print(json.dumps(payload, sort_keys=True, indent=2))
-    return 0
 
 
-def _cmd_fit_logistic(args) -> int:
-    out = _out_dir(args)
-    keys, scores, jods = _joined_scores(args.scores, args.scale)
-    fit = fit_logistic(scores, jods)
-    mapped = eval_logistic(fit.params, scores)
+def _cmd_fit_logistic(args, out: Path) -> None:
+    keys, scores, _, fit, mapped = _fitted_scores(args)
     _write_json(
         out / "logistic.json",
         {
@@ -339,19 +319,12 @@ def _cmd_fit_logistic(args) -> int:
             "converged": fit.converged,
         },
     )
-    with open(out / "mapped.csv", "w", newline="") as handle:
-        handle.write("condition,score,jod\n")
-        for key, score, value in zip(keys, scores, mapped):
-            handle.write(f"{key},{float(score)!r},{value:.6f}\n")
-    _write_run_config(out, args)
+    _write_csv(out / "mapped.csv", "condition,score,jod", "{},{!r},{:.6f}\n",
+               keys, scores.tolist(), mapped.tolist())
     print(f"fit rmse {fit.rmse:.6f} over {len(keys)} conditions")
-    return 0
 
 
-def _cmd_pu_encode(args) -> int:
-    if args.knots < 64:
-        raise UsageError(f"--knots must be at least 64, got {args.knots}")
-    out = _out_dir(args)
+def _cmd_pu_encode(args, out: Path) -> None:
     values = _read_values_csv(args.input)
     if args.lut:
         lut = PuLut.from_csv(args.lut)
@@ -365,44 +338,13 @@ def _cmd_pu_encode(args) -> int:
         encoded = log_encode(values)
     else:
         encoded = pu_encode(values, lut, strict=args.strict)
-    with open(out / "encoded.csv", "w", newline="") as handle:
-        handle.write("value\n")
-        for item in encoded:
-            handle.write(f"{item:.6f}\n")
+    _write_csv(out / "encoded.csv", "value", "{:.6f}\n", encoded.tolist())
     if args.save_lut:
         lut.to_csv(out / args.save_lut)
-    _write_run_config(out, args)
     print(f"encoded {encoded.size} values")
-    return 0
 
 
-def _write_pair_batch(out: Path, batch: PairBatch, conditions, mode: str, window: float):
-    with open(out / "pairs.csv", "w", newline="") as handle:
-        handle.write("cond_a,cond_b,count_a_over_b\n")
-        for i, j in batch.pairs:
-            handle.write(f"{conditions[i].key},{conditions[j].key},0\n")
-    _write_json(
-        out / "selection.json",
-        {
-            "mode": mode,
-            "window": window,
-            "pairs": [
-                {
-                    "cond_a": conditions[i].key,
-                    "cond_b": conditions[j].key,
-                    "rationale": rationale,
-                }
-                for (i, j), rationale in zip(batch.pairs, batch.rationale)
-            ],
-        },
-    )
-
-
-def _cmd_select_pairs(args) -> int:
-    if args.k < 1 or args.bins < 1 or not args.window >= 0:
-        raise UsageError("--k and --bins must be at least 1 and --window non-negative, "
-                         f"got {args.k}, {args.bins} and {args.window}")
-    out = _out_dir(args)
+def _cmd_select_pairs(args, out: Path) -> None:
     if args.mode == "cross-dataset":
         if not args.scale:
             raise UsageError("--scale is required for cross-dataset selection")
@@ -427,14 +369,24 @@ def _cmd_select_pairs(args) -> int:
             args.window,
             allow_reuse=args.allow_reuse,
         )
-    _write_pair_batch(out, batch, conditions, args.mode, args.window)
-    _write_run_config(out, args)
+    firsts = [conditions[i].key for i, _ in batch.pairs]
+    seconds = [conditions[j].key for _, j in batch.pairs]
+    _write_csv(out / "pairs.csv", "cond_a,cond_b,count_a_over_b", "{},{},0\n", firsts, seconds)
+    _write_json(
+        out / "selection.json",
+        {
+            "mode": args.mode,
+            "window": args.window,
+            "pairs": [
+                {"cond_a": a, "cond_b": b, "rationale": rationale}
+                for a, b, rationale in zip(firsts, seconds, batch.rationale)
+            ],
+        },
+    )
     print(f"selected {len(batch)} pairs")
-    return 0
 
 
-def _cmd_linkfit(args) -> int:
-    out = _out_dir(args)
+def _cmd_linkfit(args, out: Path) -> None:
     collection = load_collection(args.manifest)
     jods = _read_keyed_csv(args.scale, "jod")
     payload = {}
@@ -467,15 +419,10 @@ def _cmd_linkfit(args) -> int:
                 f"r2_adj {fit.r2_adj:.4f}  monotone {fit.monotone_on_range}"
             )
     _write_json(out / "linkfit.json", payload)
-    _write_run_config(out, args)
     print("\n".join(rows))
-    return 0
 
 
-def _cmd_stats(args) -> int:
-    if args.bins < 1:
-        raise UsageError(f"--bins must be at least 1, got {args.bins}")
-    out = _out_dir(args)
+def _cmd_stats(args, out: Path) -> None:
     values = _read_values_csv(args.input)
     positive = values[values > 0]
     excluded = int(values.size - positive.size)
@@ -499,9 +446,7 @@ def _cmd_stats(args) -> int:
         },
     }
     _write_json(out / "stats.json", payload)
-    _write_run_config(out, args)
     print(json.dumps(payload, sort_keys=True, indent=2))
-    return 0
 
 
 def build_parser() -> _Parser:
@@ -517,7 +462,7 @@ def build_parser() -> _Parser:
         p.add_argument("--datasets", type=int, default=3)
         p.add_argument("--trials", type=int, default=30)
         p.add_argument("--observers", type=int, default=15)
-        p.add_argument("--density", type=float, default=0.5)
+        p.add_argument("--density", type=_at_least(0.0, float, finite=True), default=0.5)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scale", help="scale a collection onto the unified JOD scale")
@@ -534,7 +479,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=2000,
                    help="maximum number of Newton iterations (default 2000)")
     p.add_argument("--per-component", action="store_true")
-    p.add_argument("--bootstrap", type=int, default=0, metavar="N",
+    p.add_argument("--bootstrap", type=_at_least(0), default=0, metavar="N",
                    help="bootstrap replicates for confidence intervals")
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=_cmd_scale)
@@ -576,7 +521,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", help="tabulated detection threshold CSV")
     p.add_argument("--l-min", type=float, default=1e-3)
     p.add_argument("--l-max", type=float, default=1e6)
-    p.add_argument("--knots", type=int, default=4096)
+    p.add_argument("--knots", type=_at_least(64), default=4096)
     p.add_argument("--log-encode", action="store_true",
                    help="use the logarithmic alternative instead of PU")
     p.set_defaults(func=_cmd_pu_encode)
@@ -584,9 +529,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("select-pairs", help="select comparison pairs for an experiment")
     add_common(p)
     p.add_argument("--mode", choices=("cross-dataset", "gmad"), required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--window", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--k", type=_at_least(1), default=10)
+    p.add_argument("--window", type=_at_least(0.0, float), default=1.0)
+    p.add_argument("--bins", type=_at_least(1), default=10)
     p.add_argument("--scale", help="scale CSV (cross-dataset mode)")
     p.add_argument("--metric-test", help="condition,score CSV (gmad mode)")
     p.add_argument("--metric-bench", help="condition,score CSV (gmad mode)")
@@ -603,7 +548,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("stats", help="log-luminance histogram summary of a value file")
     add_common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--bins", type=int, default=64)
+    p.add_argument("--bins", type=_at_least(1), default=64)
     p.set_defaults(func=_cmd_stats)
 
     return parser
@@ -618,7 +563,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, out)
+        _write_run_config(out, args)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -196,6 +196,8 @@ class PuLut:
                     values.append(float(row[1]))
                 except (ValueError, IndexError) as exc:
                     raise ParseError(f"bad LUT row {row!r} in {path}") from exc
+        if len(lums) < 2:
+            raise ParseError(f"LUT {path} needs at least two rows")
         knots = np.asarray(lums, dtype=float)
         return cls(knots, np.asarray(values, dtype=float), float(knots[0]), float(knots[-1]))
 

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr
 
-from .errors import (
-    ConvergenceError,
-    DegenerateDataError,
-    DisconnectedGraphError,
-    IntegrityError,
-)
+from .errors import DegenerateDataError, DisconnectedGraphError, IntegrityError
 from .model import (
     ComparisonGraph,
     ConditionId,
@@ -583,7 +578,7 @@ def bootstrap_ci(
         replicate = _resample_collection(collection, rng)
         try:
             result = scale(replicate, **scale_options)
-        except (DisconnectedGraphError, DegenerateDataError, ConvergenceError):
+        except (DisconnectedGraphError, DegenerateDataError):
             continue
         if result.converged:
             samples.append(result.q)

@@ -143,6 +143,10 @@ class RecoveryConfig:
             raise IntegrityError(
                 "need at least one dataset and two conditions (reference + test) per dataset"
             )
+        if not (np.isfinite(self.graph_density) and self.graph_density >= 0):
+            raise IntegrityError(
+                f"graph_density must be finite and non-negative, got {self.graph_density}"
+            )
         if self.seed < 0:
             raise IntegrityError(f"seed must be non-negative, got {self.seed}")
 

@@ -192,6 +192,9 @@ class TestUsageErrors:
         ["select-pairs", "--mode", "gmad", "--metric-test", "scale.csv",
          "--metric-bench", "scale.csv", "--window", "nan"],
         ["pu-encode", "--input", "lum.csv", "--knots", "0"],
+        ["simulate", "--conditions", "6", "--datasets", "2", "--density", "nan"],
+        ["simulate", "--conditions", "6", "--datasets", "2", "--density", "inf"],
+        ["recover", "--conditions", "6", "--datasets", "2", "--density", "-1"],
     ])
     def test_flag_value_out_of_range(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -205,6 +208,29 @@ class TestUsageErrors:
     def test_gmad_requires_metric_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["select-pairs", "--mode", "gmad", "--out", "out"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-logistic", "--scores", "short.csv", "--scale", "scale.csv"],
+        ["validate", "--scores", "scale.csv", "--scale", "short.csv"],
+        ["select-pairs", "--mode", "cross-dataset", "--scale", "short.csv"],
+        ["select-pairs", "--mode", "gmad", "--metric-test", "short.csv",
+         "--metric-bench", "scale.csv"],
+    ])
+    def test_short_row_in_keyed_csv_is_data_error(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scale.csv").write_text(
+            "condition,jod,score\na/ref/reference/0,0.0,0.0\na/c0/d/1,-1.0,-1.0\n")
+        (tmp_path / "short.csv").write_text(
+            "condition,jod,score\na/ref/reference/0,0.0,0.0\na/c0/d/1\n")
+        assert main([*argv, "--out", "out"]) == 2
+
+    def test_duplicate_key_in_keyed_csv_is_data_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scale.csv").write_text(
+            "condition,jod\na/ref/reference/0,0.0\na/c0/d/1,-1.0\na/c0/d/1,-2.0\n")
+        assert main(["select-pairs", "--mode", "cross-dataset", "--scale", "scale.csv",
+                     "--out", "out"]) == 2
+        assert "duplicate condition 'a/c0/d/1'" in capsys.readouterr().err
 
     def test_missing_input_file_is_data_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -444,3 +470,180 @@ class TestDeterminism:
             assert main(args) == 0
             digests.append(_tree_digest(workdir / "out"))
         assert digests[0] == digests[1]
+
+
+# condition,jod,score: jod = score / 2 - 3.25 exactly, datasets a and b interleaved
+_KEYED = (
+    "condition,jod,score\n"
+    "a/ref/reference/0,-2.75,1.0\n"
+    "a/c1/d/1,-1.75,3.0\n"
+    "a/c2/d/1,-0.75,5.0\n"
+    "a/c3/d/1,0.25,7.0\n"
+    "b/ref/reference/0,-2.25,2.0\n"
+    "b/c1/d/1,-1.25,4.0\n"
+    "b/c2/d/1,-0.25,6.0\n"
+    "b/c3/d/1,0.75,8.0\n"
+)
+_BENCH = (
+    "condition,score\n"
+    "a/ref/reference/0,4.0\n"
+    "a/c1/d/1,8.0\n"
+    "a/c2/d/1,1.0\n"
+    "a/c3/d/1,6.0\n"
+    "b/ref/reference/0,3.0\n"
+    "b/c1/d/1,7.0\n"
+    "b/c2/d/1,2.0\n"
+    "b/c3/d/1,5.0\n"
+)
+
+# argv (without --out) -> the exact text of every CSV file the run writes
+_PINNED = {
+    "scale": (["scale", "--manifest", "fx/manifest.json", "--no-prior"], {
+        "scale.csv": (
+            "condition,jod,ci_low,ci_high\n"
+            "demo/ref/reference/0,0.000000,,\n"
+            "demo/c0/dist/1,-0.999658,,\n"
+        ),
+    }),
+    "scale-bootstrap": (["scale", "--manifest", "fx/manifest.json", "--no-prior",
+                         "--bootstrap", "4", "--seed", "9"], {
+        "scale.csv": (
+            "condition,jod,ci_low,ci_high\n"
+            "demo/ref/reference/0,0.000000,0.000000,0.000000\n"
+            "demo/c0/dist/1,-0.999658,-1.036416,-0.696304\n"
+        ),
+    }),
+    "simulate": (["simulate", "--conditions", "6", "--datasets", "2"], {
+        "comparisons.csv": (
+            "cond_a,cond_b,count_a_over_b\n"
+            "ds0/ref/reference/0,ds0/c000/dist/1,29\n"
+            "ds0/ref/reference/0,ds0/c001/dist/1,30\n"
+            "ds0/ref/reference/0,ds1/c000/dist/1,30\n"
+            "ds0/c000/dist/1,ds0/ref/reference/0,1\n"
+            "ds0/c000/dist/1,ds0/c001/dist/1,29\n"
+            "ds0/c000/dist/1,ds1/c001/dist/1,30\n"
+            "ds0/c001/dist/1,ds0/c000/dist/1,1\n"
+            "ds0/c001/dist/1,ds1/c000/dist/1,26\n"
+            "ds1/ref/reference/0,ds0/c001/dist/1,30\n"
+            "ds1/ref/reference/0,ds1/c000/dist/1,30\n"
+            "ds1/ref/reference/0,ds1/c001/dist/1,30\n"
+            "ds1/c000/dist/1,ds0/c001/dist/1,4\n"
+            "ds1/c000/dist/1,ds1/c001/dist/1,18\n"
+            "ds1/c001/dist/1,ds1/c000/dist/1,12\n"
+        ),
+        "conditions_ds0.csv": (
+            "condition\n"
+            "ds0/ref/reference/0\n"
+            "ds0/c000/dist/1\n"
+            "ds0/c001/dist/1\n"
+        ),
+        "conditions_ds1.csv": (
+            "condition\n"
+            "ds1/ref/reference/0\n"
+            "ds1/c000/dist/1\n"
+            "ds1/c001/dist/1\n"
+        ),
+        "ratings_ds1.csv": (
+            "condition,observer,score\n"
+            "ds1/ref/reference/0,o000,0.20729224389990866\n"
+            "ds1/ref/reference/0,o001,-0.00893280679095293\n"
+            "ds1/ref/reference/0,o002,0.6280978907223416\n"
+            "ds1/ref/reference/0,o003,-0.6381936078993115\n"
+            "ds1/ref/reference/0,o004,-0.43954158613261785\n"
+            "ds1/ref/reference/0,o005,0.4495251490466826\n"
+            "ds1/ref/reference/0,o006,-1.094501729939759\n"
+            "ds1/ref/reference/0,o007,-0.8961113964718349\n"
+            "ds1/ref/reference/0,o008,-1.209270623644823\n"
+            "ds1/ref/reference/0,o009,-3.1732930758120745\n"
+            "ds1/ref/reference/0,o010,-2.224167687690996\n"
+            "ds1/ref/reference/0,o011,0.44054607446012406\n"
+            "ds1/ref/reference/0,o012,1.6403560378285225\n"
+            "ds1/ref/reference/0,o013,1.1090953011331337\n"
+            "ds1/ref/reference/0,o014,1.1648562307452153\n"
+            "ds1/c000/dist/1,o000,-4.72591635847419\n"
+            "ds1/c000/dist/1,o001,-3.68071149980267\n"
+            "ds1/c000/dist/1,o002,-3.736493929016367\n"
+            "ds1/c000/dist/1,o003,-3.208012362585045\n"
+            "ds1/c000/dist/1,o004,-4.143766576745789\n"
+            "ds1/c000/dist/1,o005,-3.0573442258389374\n"
+            "ds1/c000/dist/1,o006,-5.015386709337461\n"
+            "ds1/c000/dist/1,o007,-3.474869386154149\n"
+            "ds1/c000/dist/1,o008,-1.0648058084557714\n"
+            "ds1/c000/dist/1,o009,-3.51706726957904\n"
+            "ds1/c000/dist/1,o010,-3.6956797475998897\n"
+            "ds1/c000/dist/1,o011,-6.218153204958378\n"
+            "ds1/c000/dist/1,o012,-3.535873535637569\n"
+            "ds1/c000/dist/1,o013,-2.608679622548344\n"
+            "ds1/c000/dist/1,o014,-1.9981392014749018\n"
+            "ds1/c001/dist/1,o000,-1.2733103805862847\n"
+            "ds1/c001/dist/1,o001,-2.6027223305163543\n"
+            "ds1/c001/dist/1,o002,-6.474537165046348\n"
+            "ds1/c001/dist/1,o003,-1.427398706664\n"
+            "ds1/c001/dist/1,o004,-4.285516737618978\n"
+            "ds1/c001/dist/1,o005,-3.7069479500698286\n"
+            "ds1/c001/dist/1,o006,-6.681945098787011\n"
+            "ds1/c001/dist/1,o007,-3.9147136870910093\n"
+            "ds1/c001/dist/1,o008,-2.742480024286564\n"
+            "ds1/c001/dist/1,o009,-3.8755395165287463\n"
+            "ds1/c001/dist/1,o010,-4.41706003841101\n"
+            "ds1/c001/dist/1,o011,-3.409574203266215\n"
+            "ds1/c001/dist/1,o012,-4.602621486151328\n"
+            "ds1/c001/dist/1,o013,-3.65019157551137\n"
+            "ds1/c001/dist/1,o014,-3.557031675128462\n"
+        ),
+    }),
+    "select-cross-dataset": (["select-pairs", "--mode", "cross-dataset",
+                              "--scale", "keyed.csv", "--k", "3"], {
+        "pairs.csv": (
+            "cond_a,cond_b,count_a_over_b\n"
+            "a/ref/reference/0,b/ref/reference/0,0\n"
+            "a/c1/d/1,b/ref/reference/0,0\n"
+            "a/c1/d/1,b/c1/d/1,0\n"
+        ),
+    }),
+    "select-gmad": (["select-pairs", "--mode", "gmad", "--metric-test", "keyed.csv",
+                     "--metric-bench", "bench.csv", "--k", "2", "--window", "2.5"], {
+        "pairs.csv": (
+            "cond_a,cond_b,count_a_over_b\n"
+            "a/ref/reference/0,b/c3/d/1,0\n"
+            "b/c2/d/1,b/ref/reference/0,0\n"
+        ),
+    }),
+    "fit-logistic": (["fit-logistic", "--scores", "keyed.csv", "--scale", "keyed.csv"], {
+        "mapped.csv": (
+            "condition,score,jod\n"
+            "a/ref/reference/0,1.0,-2.750000\n"
+            "a/c1/d/1,3.0,-1.750000\n"
+            "a/c2/d/1,5.0,-0.750000\n"
+            "a/c3/d/1,7.0,0.250000\n"
+            "b/ref/reference/0,2.0,-2.250000\n"
+            "b/c1/d/1,4.0,-1.250000\n"
+            "b/c2/d/1,6.0,-0.250000\n"
+            "b/c3/d/1,8.0,0.750000\n"
+        ),
+    }),
+    "pu-encode": (["pu-encode", "--input", "values.csv", "--knots", "512"], {
+        "encoded.csv": (
+            "value\n"
+            "0.000000\n"
+            "255.000000\n"
+            "121.607141\n"
+            "419.555723\n"
+        ),
+    }),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_csv_bytes(self, tmp_path, monkeypatch, name):
+        argv, expected = _PINNED[name]
+        write_two_condition_fixture(tmp_path / "fx")
+        (tmp_path / "keyed.csv").write_text(_KEYED)
+        (tmp_path / "bench.csv").write_text(_BENCH)
+        (tmp_path / "values.csv").write_text("value\n0.8\n80.0\n10.0\n1000.0\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "out"]) == 0
+        written = {path.name: path.read_bytes().decode()
+                   for path in (tmp_path / "out").glob("*.csv")}
+        assert written == expected

@@ -158,6 +158,13 @@ class TestPuEncode:
         with pytest.raises(ParseError):
             PuLut.from_csv(path)
 
+    @pytest.mark.parametrize("text", ["luminance,pu\n", "luminance,pu\n1.0,0.0\n"])
+    def test_lut_csv_with_fewer_than_two_rows(self, tmp_path, text):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="at least two rows"):
+            PuLut.from_csv(path)
+
 
 class TestThresholds:
     def test_default_threshold_positive_and_weber_like(self):

@@ -263,6 +263,11 @@ class TestRecoveryExperiment:
         with pytest.raises(IntegrityError):
             RecoveryConfig(seed=-1)
 
+    @pytest.mark.parametrize("density", [float("nan"), float("inf"), -1.0])
+    def test_graph_density_must_be_finite_and_non_negative(self, density):
+        with pytest.raises(IntegrityError, match="graph_density"):
+            RecoveryConfig(graph_density=density)
+
 
 def test_simulate_design_benchmark_workload_at_small_size(tmp_path, monkeypatch):
     # the benchmark's own simulate-design workload, run read-only from bench/:
