@@ -14,9 +14,11 @@ out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0
 (or NaN), ``simulate``/``recover --density`` below 0 or not finite,
 ``stats``/``select-pairs --bins`` or ``select-pairs --k`` below 1,
 ``pu-encode --knots`` below 64. Flag ranges are checked at parse time,
-before any output directory exists. An ``--alpha`` outside (0, 1) with
-``scale --bootstrap`` and a non-finite ``select-pairs`` score are data
-integrity errors.
+before any output directory exists, and so are the input files each
+``select-pairs`` mode needs; an ``--out`` that cannot be made a directory
+(it names an existing file, say) is a usage error too. An ``--alpha``
+outside (0, 1) with ``scale --bootstrap`` and a non-finite ``select-pairs``
+score are data integrity errors.
 """
 
 from __future__ import annotations
@@ -182,6 +184,7 @@ def _cmd_scale(args, out: Path) -> None:
             tol=args.tol,
             max_iter=args.max_iter,
             per_component=args.per_component,
+            start=result,
         )
         row_format = "{},{:.6f},{:.6f},{:.6f}\n"
         columns += [intervals[:, 0].tolist(), intervals[:, 1].tolist()]
@@ -344,18 +347,23 @@ def _cmd_pu_encode(args, out: Path) -> None:
     print(f"encoded {encoded.size} values")
 
 
+def _check_select_pairs(args) -> None:
+    """The input files each ``select-pairs`` mode needs, checked before
+    ``--out`` is made."""
+    if args.mode == "cross-dataset" and not args.scale:
+        raise UsageError("--scale is required for cross-dataset selection")
+    if args.mode == "gmad" and not (args.metric_test and args.metric_bench):
+        raise UsageError("--metric-test and --metric-bench are required for gmad")
+
+
 def _cmd_select_pairs(args, out: Path) -> None:
     if args.mode == "cross-dataset":
-        if not args.scale:
-            raise UsageError("--scale is required for cross-dataset selection")
         jods = _read_keyed_csv(args.scale, "jod")
         conditions = tuple(ConditionId.parse(key) for key in jods)
         batch = select_cross_dataset_pairs(
             list(jods.values()), conditions, args.k, args.window, args.bins
         )
     else:
-        if not (args.metric_test and args.metric_bench):
-            raise UsageError("--metric-test and --metric-bench are required for gmad")
         test = _read_keyed_csv(args.metric_test, "score")
         bench = _read_keyed_csv(args.metric_bench, "score")
         keys = sorted(set(test) & set(bench))
@@ -563,8 +571,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        if args.subcommand == "select-pairs":
+            _check_select_pairs(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"--out {args.out}: cannot make the output directory ({exc})")
         args.func(args, out)
         _write_run_config(out, args)
         return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr
@@ -258,6 +258,19 @@ class PosteriorProblem:
             x[at : at + 2] = math.log(a0), b0
         return x
 
+    def pack(self, q, links: dict[str, LinkParams]) -> np.ndarray:
+        """The parameter vector of scores q and ``links``; reference entries
+        of q are ignored, and a dataset without a link keeps its
+        ``initial_point`` guess."""
+        x = self.initial_point()
+        x[: self.n_free] = _finite_q(q)[self.free_idx]
+        for d, name in enumerate(self.rating_names):
+            if name in links:
+                link = links[name]
+                at = self.n_free + 3 * d
+                x[at : at + 3] = math.log(link.a), link.b, math.log(link.c)
+        return x
+
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, dict[str, LinkParams]]:
         q = self._full_q(x)
         links = {}
@@ -361,19 +374,23 @@ _MAX_HALVINGS = 30
 _FLAT = 64 * np.finfo(float).eps
 
 
-def _newton_direction(problem: PosteriorProblem, curvature: Curvature, grad: np.ndarray):
+def _newton_direction(
+    problem: PosteriorProblem, curvature: Curvature, grad: np.ndarray, first_norm: float
+):
     """Truncated Jacobi-preconditioned CG on the Newton system -H p = grad.
 
-    The forcing term min(0.5, sqrt(|grad|)) |grad| makes the steps
-    superlinear near the optimum; on negative curvature the iterate so far
-    is returned (Steihaug), or the preconditioned gradient on the first
-    iteration.
+    CG stops once the residual is below eta |grad|, with the forcing term
+    eta = min(0.5, sqrt(|grad| / first_norm)) relative to the gradient norm
+    at the start of the solve, so the steps turn superlinear whatever the
+    scale of the log-posterior (Eisenstat and Walker 1996). On negative
+    curvature the iterate so far is returned (Steihaug), or the
+    preconditioned gradient on the first iteration.
     """
     diag = -problem.hess_diag(curvature)
     precond = np.ones_like(diag)
     np.divide(1.0, diag, out=precond, where=diag > 0)
     grad_norm = float(np.linalg.norm(grad))
-    stop = min(0.5, math.sqrt(grad_norm)) * grad_norm
+    stop = min(0.5, math.sqrt(grad_norm / first_norm)) * grad_norm
     step = np.zeros_like(grad)
     residual = grad.copy()
     z = precond * residual
@@ -395,8 +412,8 @@ def _newton_direction(problem: PosteriorProblem, curvature: Curvature, grad: np.
     return step
 
 
-def _solve(problem: PosteriorProblem, tol: float, max_iter: int):
-    """Line-search Newton-CG maximization of the log-posterior.
+def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
+    """Line-search Newton-CG maximization of the log-posterior from x.
 
     Each iteration solves the Newton system on the curvature cached by the
     last kernel evaluation, then backtracks from the full step until the
@@ -405,15 +422,17 @@ def _solve(problem: PosteriorProblem, tol: float, max_iter: int):
     absolute gradient tolerance stays reachable at large |f|. Converged means
     max|grad| < tol; returns (x, value, converged, iterations).
     """
-    x = problem.initial_point()
     value, grad, curvature = problem.value_and_grad(x)
+    # a zero first gradient never changes (the solve stays put), so any
+    # positive norm serves
+    first_norm = float(np.linalg.norm(grad)) or 1.0
     iterations = 0
     while True:
         grad_norm = float(np.max(np.abs(grad), initial=0.0))
         if grad_norm < tol or iterations >= max_iter:
             return x, value, grad_norm < tol, iterations
         iterations += 1
-        step = _newton_direction(problem, curvature, grad)
+        step = _newton_direction(problem, curvature, grad, first_norm)
         gain = float(grad @ step)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -439,14 +458,20 @@ def scale(
     tol: float = 1e-6,
     max_iter: int = 2000,
     per_component: bool = False,
+    start: UnifiedScale | None = None,
 ) -> UnifiedScale:
     """Recover JOD scores and link parameters by maximum likelihood.
 
     The comparison graph together with the rating linkage must form a single
     connected component containing at least one reference condition per
     dataset; pass ``per_component=True`` to scale disconnected components
-    independently (their scores are then mutually incomparable).
+    independently (their scores are then mutually incomparable). ``start``,
+    a scale of the same conditions (for instance the full-data scale when
+    solving a bootstrap replicate), is the point the solver starts from;
+    links it lacks start from the default guess.
     """
+    if start is not None and start.conditions != collection.conditions:
+        raise IntegrityError("the start scale is of other conditions than the collection")
     _check_rating_variance(collection)
     for name in sorted({c.dataset for c in collection.conditions}):
         if not any(c.is_reference and c.dataset == name for c in collection.conditions):
@@ -465,10 +490,11 @@ def scale(
             "scores are NOT comparable across components",
             stacklevel=2,
         )
-        return _scale_per_component(collection, components, prior_enabled, tol, max_iter)
+        return _scale_per_component(collection, components, prior_enabled, tol, max_iter, start)
 
     problem = PosteriorProblem(collection, prior_enabled)
-    x, value, converged, iterations = _solve(problem, tol, max_iter)
+    x0 = problem.initial_point() if start is None else problem.pack(start.q, start.links)
+    x, value, converged, iterations = _solve(problem, x0, tol, max_iter)
     q, links = problem.unpack(x)
     return UnifiedScale(
         q=q,
@@ -503,7 +529,7 @@ def _subcollection(collection: DatasetCollection, members: list[int]) -> Dataset
     return DatasetCollection(conditions, graph, ratings, manifest)
 
 
-def _scale_per_component(collection, components, prior_enabled, tol, max_iter):
+def _scale_per_component(collection, components, prior_enabled, tol, max_iter, start):
     q = np.zeros(collection.n)
     links: dict[str, LinkParams] = {}
     total_lp = 0.0
@@ -511,8 +537,17 @@ def _scale_per_component(collection, components, prior_enabled, tol, max_iter):
     iterations = 0
     for members in components:
         sub = _subcollection(collection, members)
-        result = scale(sub, prior_enabled=prior_enabled, tol=tol, max_iter=max_iter)
-        q[np.asarray(members, dtype=int)] = result.q
+        members = np.asarray(members, dtype=int)
+        part = None if start is None else replace(
+            start,
+            q=start.q[members],
+            links={name: link for name, link in start.links.items() if name in sub.ratings},
+            conditions=sub.conditions,
+        )
+        result = scale(
+            sub, prior_enabled=prior_enabled, tol=tol, max_iter=max_iter, start=part
+        )
+        q[members] = result.q
         links.update(result.links)
         total_lp += result.log_posterior
         converged = converged and result.converged
@@ -561,9 +596,10 @@ def bootstrap_ci(
 
     Comparisons are resampled per pair (binomial with the empirical
     probability) and rating rows are resampled with replacement; each
-    replicate is rescaled with ``scale_options``. Replicates that fail to
-    scale or do not converge are skipped and counted; more than 50% failures
-    is an error. Deterministic for a given seed. Returns an (n, 2) array of
+    replicate is rescaled with ``scale_options`` (pass ``start``, the
+    full-data scale, to warm-start every replicate from it). Replicates that
+    fail to scale or do not converge are skipped and counted; more than 50%
+    failures is an error. Deterministic for a given seed. Returns an (n, 2) array of
     (low, high) bounds at the 100*alpha/2 and 100*(1 - alpha/2) percentiles,
     where 0 < alpha < 1.
     """

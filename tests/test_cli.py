@@ -208,6 +208,35 @@ class TestUsageErrors:
     def test_gmad_requires_metric_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["select-pairs", "--mode", "gmad", "--out", "out"]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "gmad", "--metric-test", "scale.csv"],
+        ["--mode", "gmad", "--metric-bench", "scale.csv", "--scale", "scale.csv"],
+        ["--mode", "cross-dataset"],
+        ["--mode", "cross-dataset", "--metric-test", "scale.csv",
+         "--metric-bench", "scale.csv"],
+    ])
+    def test_select_pairs_mode_files_checked_before_out(self, tmp_path, monkeypatch, capsys,
+                                                        argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scale.csv").write_text("condition,jod,score\na/ref/reference/0,0,0\n")
+        assert main(["select-pairs", *argv, "--out", "out"]) == 1
+        assert "required for" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--input", "values.csv"],
+        ["scale", "--manifest", "fx/manifest.json"],
+    ])
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        write_two_condition_fixture(tmp_path / "fx")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "values.csv").write_text("value\n1.0\n100.0\n")
+        for out in ("values.csv", "values.csv/sub"):
+            assert main([*argv, "--out", out]) == 1
+            assert "usage error: --out" in capsys.readouterr().err
+        assert (tmp_path / "values.csv").read_text() == "value\n1.0\n100.0\n"
 
     @pytest.mark.parametrize("argv", [
         ["fit-logistic", "--scores", "short.csv", "--scale", "scale.csv"],

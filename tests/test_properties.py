@@ -4,22 +4,26 @@ The comparison graph stores each measured pair once, in canonical order, so
 the row layout of ``comparisons.csv`` must not reach the scale; the
 joint-scaling components must match a plain breadth-first search; the
 likelihood kernel's gradient, cached curvature and Jacobi diagonal must
-match central differences; and both pair selectors must return exactly what
-a double loop over all pairs returns.
+match central differences; a solve started anywhere near the maximum (or
+at it) must reach the maximum a cold solve reaches; and both pair selectors
+must return exactly what a double loop over all pairs returns.
 """
 
 import json
+import math
+import warnings
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 from scipy.special import ndtr
 
 from jodscale.cli import main
 from jodscale.design import select_cross_dataset_pairs, select_gmad_pairs
-from jodscale.errors import DesignError
+from jodscale.errors import DesignError, IntegrityError
 from jodscale.model import (
     ComparisonGraph,
     ConditionId,
@@ -28,7 +32,7 @@ from jodscale.model import (
     RatingTable,
     connected_components,
 )
-from jodscale.scaling import SIGMA_JOD, PosteriorProblem
+from jodscale.scaling import SIGMA_JOD, LinkParams, PosteriorProblem, bootstrap_ci, scale
 
 _HEADER = "cond_a,cond_b,count_a_over_b"
 
@@ -195,6 +199,96 @@ def test_kernel_matches_central_differences(seed, prior):
 
     columns = [problem.hess_vec(curvature, e) @ e for e in unit]
     assert problem.hess_diag(curvature) == pytest.approx(columns, rel=1e-12, abs=1e-12)
+
+
+def _observer_collection(seed, cross=True):
+    """A pairwise and a rating dataset with every pair inside each dataset
+    compared 20 times and 4 ratings per rated condition, all drawn from the
+    observer model with a random affine link; one cross pair joins the two
+    datasets unless ``cross`` is false."""
+    rng = np.random.default_rng(seed)
+    n_p, n_r = int(rng.integers(3, 7)), int(rng.integers(3, 6))
+    n = n_p + n_r
+    conditions = [ConditionId.reference("p")]
+    conditions += [ConditionId("p", f"c{k}", "d", 1) for k in range(n_p - 1)]
+    conditions += [ConditionId.reference("r")]
+    conditions += [ConditionId("r", f"c{k}", "d", 1) for k in range(n_r - 1)]
+    quality = -rng.uniform(0.0, 3.0, n)
+    quality[[0, n_p]] = 0.0
+    pairs = [(i, j) for lo, hi in ((0, n_p), (n_p, n)) for i in range(lo, hi)
+             for j in range(i + 1, hi)]
+    if cross:
+        pairs.append((int(rng.integers(n_p)), int(rng.integers(n_p, n))))
+    i, j = np.array(pairs).T
+    wins = rng.binomial(20, ndtr((quality[i] - quality[j]) / (np.sqrt(2.0) * SIGMA_JOD)))
+    graph = ComparisonGraph(n, np.concatenate([i, j]), np.concatenate([j, i]),
+                            np.concatenate([wins, 20 - wins]))
+    rated = np.repeat(np.arange(n_p, n), 4)
+    a, b = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+    scores = (quality[rated] - b) / a + rng.normal(0.0, 0.7 * SIGMA_JOD / a, rated.size)
+    table = RatingTable(rated, [f"o{k % 4}" for k in range(rated.size)], scores)
+    manifest = {"p": DatasetMeta("p", "pwc"), "r": DatasetMeta("r", "rating")}
+    return DatasetCollection(conditions, graph, {"r": table}, manifest), rng
+
+
+def _assert_same_scale(result, expected, atol):
+    np.testing.assert_allclose(result.q, expected.q, rtol=0, atol=atol)
+    assert result.links.keys() == expected.links.keys()
+    for name, link in expected.links.items():
+        got = result.links[name]
+        np.testing.assert_allclose([got.a, got.b, got.c], [link.a, link.b, link.c],
+                                   rtol=0, atol=atol)
+
+
+# The comparisons below are at tol=1e-10, so that 1e-6 measures where the
+# maximum is and not where the stop rule happened to halt. A cold solve that
+# does not reach that tolerance has no maximum to compare with.
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_warm_start_reaches_the_cold_maximum(seed):
+    collection, rng = _observer_collection(seed)
+    cold = scale(collection, tol=1e-10)
+    assume(cold.converged)
+    perturbed = replace(cold, q=cold.q + rng.normal(0.0, 0.5, cold.q.size), links={
+        name: LinkParams(link.a * math.exp(rng.normal(0.0, 0.2)), link.b + rng.normal(0.0, 0.3),
+                         link.c * math.exp(rng.normal(0.0, 0.2)))
+        for name, link in cold.links.items()
+    })
+    warm = scale(collection, tol=1e-10, start=perturbed)
+    assert warm.converged
+    _assert_same_scale(warm, cold, atol=1e-6)
+
+    at_maximum = scale(collection)
+    again = scale(collection, start=at_maximum)
+    assert again.converged and again.iterations == 0
+    _assert_same_scale(again, at_maximum, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), other_seed=st.integers(0, 2**32 - 1))
+def test_start_of_other_conditions_is_rejected(seed, other_seed):
+    collection, _ = _observer_collection(seed)
+    other, _ = _observer_collection(other_seed)
+    assume(other.conditions != collection.conditions)
+    with pytest.raises(IntegrityError, match="start"):
+        scale(collection, start=scale(other))
+    own = scale(collection)
+    with pytest.raises(IntegrityError, match="start"):
+        scale(collection, start=replace(own, conditions=own.conditions[::-1]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_warm_started_per_component_bootstrap_matches_cold(seed):
+    collection, _ = _observer_collection(seed, cross=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "NOT comparable" across components
+        full = scale(collection, per_component=True, tol=1e-10)
+        assume(full.converged)
+        options = {"per_component": True, "tol": 1e-10}
+        cold = bootstrap_ci(collection, 4, seed=seed, **options)
+        warm = bootstrap_ci(collection, 4, seed=seed, start=full, **options)
+    np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-6)
 
 
 def _cross_dataset_loop(q, conditions, k, window, bins):

@@ -15,6 +15,7 @@ from jodscale.errors import (
     IntegrityError,
 )
 from jodscale.model import (
+    ComparisonGraph,
     ConditionId,
     DatasetCollection,
     DatasetMeta,
@@ -369,9 +370,9 @@ class TestScale:
                 np.testing.assert_allclose(hv, fd, rtol=1e-6, atol=1e-6)
 
     def test_newton_work_stays_small(self):
-        # the line-search Newton-CG solver converges here in 19 iterations
+        # the line-search Newton-CG solver converges here in 11 iterations
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=300, seed=7))
-        assert scale(coll).iterations <= 40
+        assert scale(coll).iterations <= 15
 
 
 def _bench_generator():
@@ -446,6 +447,32 @@ class TestBootstrap:
                 replicate.ratings[name].scores, table.scores[picks])
             np.testing.assert_array_equal(
                 replicate.ratings[name].condition_indices, table.condition_indices[picks])
+
+    @pytest.mark.filterwarnings("ignore:scaling .* disconnected components")
+    @pytest.mark.parametrize("per_component", [False, True])
+    def test_warm_start_saves_kernel_calls(self, monkeypatch, per_component):
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=60, seed=3))
+        if per_component:  # drop the cross-dataset pairs: one component per dataset
+            winners, losers, counts = coll.graph.observations()
+            datasets = np.array([c.dataset for c in coll.conditions])
+            inside = datasets[winners] == datasets[losers]
+            graph = ComparisonGraph(coll.n, winners[inside], losers[inside], counts[inside])
+            coll = DatasetCollection(coll.conditions, graph, coll.ratings, coll.manifest)
+        full = scale(coll, per_component=per_component)
+        calls = []
+        kernel = PosteriorProblem.value_and_grad
+        monkeypatch.setattr(PosteriorProblem, "value_and_grad",
+                            lambda problem, x: calls.append(1) or kernel(problem, x))
+
+        def kernel_calls(**start):
+            calls.clear()
+            intervals = bootstrap_ci(coll, 5, seed=2, per_component=per_component, **start)
+            return len(calls), intervals
+
+        cold_calls, cold = kernel_calls()
+        warm_calls, warm = kernel_calls(start=full)
+        assert warm_calls < cold_calls
+        np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-5)
 
     def test_n_boot_validation(self, two_condition_collection):
         with pytest.raises(IntegrityError):
