@@ -4,8 +4,8 @@ Objective metrics predict quality on their own arbitrary scales; a
 five-parameter logistic with a linear term maps those predictions into
 absolute JOD units so that RMSE and Pearson correlation become meaningful.
 The remaining helpers compute the standard agreement statistics between
-predictions and a quality scale, plus the ranking-accuracy measures used to
-validate a scale against held-out comparisons.
+predictions and a quality scale, plus the pairwise ranking accuracy used to
+validate a scale against measured comparisons.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     IntegrityError,
     UndefinedCorrelationError,
 )
-from .model import ComparisonGraph, empirical_probability
+from .model import ComparisonGraph
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class LogisticParams:
     a3: float
     a4: float
     a5: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a1, self.a2, self.a3, self.a4, self.a5])
 
 
 @dataclass(frozen=True)
@@ -166,20 +163,6 @@ def correlation_metrics(pred, truth) -> CorrelationMetrics:
     return CorrelationMetrics(srocc=srocc, plcc=plcc, rmse=rmse)
 
 
-def probability_consistency(scale_scores, graph: ComparisonGraph, pairs) -> float:
-    """Rank correlation between score gaps and empirical win probabilities.
-
-    Every pair in the subset must have at least one recorded comparison.
-    """
-    scores = np.asarray(scale_scores, dtype=float)
-    pairs = list(pairs)
-    if len(pairs) < 2:
-        raise IntegrityError("need at least two pairs for a rank correlation")
-    gaps = np.array([scores[i] - scores[j] for i, j in pairs])
-    probs = np.array([empirical_probability(graph, i, j) for i, j in pairs])
-    return _spearman(gaps, probs)
-
-
 def pairwise_accuracy(
     scale_scores, graph: ComparisonGraph, threshold_jod: float
 ) -> PairwiseAccuracy:
@@ -204,16 +187,3 @@ def pairwise_accuracy(
     return PairwiseAccuracy(
         accuracy=int(correct.sum()) / n_considered, considered_pairs=n_considered
     )
-
-
-def kfold_split(pairs, k: int, seed: int = 0) -> list[list]:
-    """Seeded partition of pairs into k folds with sizes within one of each
-    other; folds are disjoint and cover the input."""
-    pairs = list(pairs)
-    if k < 2:
-        raise IntegrityError(f"k must be at least 2, got {k}")
-    if k > len(pairs):
-        raise IntegrityError(f"cannot split {len(pairs)} pairs into {k} folds")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF01D)))
-    order = rng.permutation(len(pairs))
-    return [[pairs[int(i)] for i in chunk] for chunk in np.array_split(order, k)]

@@ -25,10 +25,11 @@ ratings CSV
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -181,9 +182,6 @@ class ComparisonGraph:
         order = order[counts[order] > 0]
         return winners[order], losers[order], counts[order]
 
-    def total_comparisons(self) -> int:
-        return int(self.c_ij.sum() + self.c_ji.sum())
-
     __eq__ = _same_columns
 
     def __repr__(self):
@@ -294,9 +292,6 @@ class DatasetCollection:
         except KeyError:
             raise IntegrityError(f"unknown condition {key!r}") from None
 
-    def dataset_indices(self, name: str) -> list[int]:
-        return [i for i, c in enumerate(self.conditions) if c.dataset == name]
-
     def reference_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.conditions) if c.is_reference]
 
@@ -339,37 +334,36 @@ def connected_components(collection: DatasetCollection) -> list[list[int]]:
     return sorted((members.tolist() for members in groups), key=lambda members: members[0])
 
 
-_CHUNK_ROWS = 1 << 16
+_BLOCK_CHARS = 1 << 20
 
 
 def _read_csv(path: Path, parsers: Mapping[str, Callable]) -> list:
     """Read a CSV file in one pass; return each required column converted
-    by its parser (``parsers`` maps column name to parser). Rows are parsed
-    in chunks, so the text of a large file is never held at once."""
+    by its parser (``parsers`` maps column name to parser). The file is read
+    in blocks of whole lines of about ``_BLOCK_CHARS`` characters, so the
+    text of a large file is never held at once."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     chunks = []
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
+        header = next(csv.reader(handle), [])
         missing = [col for col in parsers if col not in header]
         if missing:
             raise ParseError(f"{path} is missing columns {missing} (header {header})")
-        positions = {col: header.index(col) for col in parsers}
-        width = max(positions.values()) + 1
-        rows = filter(None, reader)
-        # rows as tuples: the garbage collector stops tracking tuples of strings
-        while chunk := list(map(tuple, islice(rows, _CHUNK_ROWS))):
-            if min(map(len, chunk)) < width:
-                short = next(row for row in chunk if len(row) < width)
-                raise ParseError(f"{path} has a row with fewer than {width} fields: {short}")
-            columns = list(zip(*chunk))
+        positions = [header.index(col) for col in parsers]
+        width = max(positions) + 1
+        while block := handle.read(_BLOCK_CHARS):
+            if block[-1] != "\n":
+                block += handle.readline()
+            columns = _split_plain(block, width) or _split_rows(block, width, handle, path)
+            if not columns:
+                continue
             parsed = []
-            for col, parse in parsers.items():
+            for (col, parse), pos in zip(parsers.items(), positions):
                 try:
-                    parsed.append(parse(columns[positions[col]]))
+                    parsed.append(parse(columns[pos]))
                 except (ValueError, OverflowError) as exc:
                     raise ParseError(f"{path}, column {col!r}: {exc}") from exc
             chunks.append(parsed)
@@ -378,19 +372,57 @@ def _read_csv(path: Path, parsers: Mapping[str, Callable]) -> list:
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
+def _split_plain(block: str, width: int) -> list | None:
+    """The columns of a block of plain lines, split once; ``None`` unless
+    the block has no quote, no carriage return and no blank line, and every
+    line has the same number of fields, at least ``width``."""
+    if '"' in block or "\r" in block or "\n\n" in block or block[0] == "\n":
+        return None
+    text = block.removesuffix("\n")
+    data = np.frombuffer(text.encode(), np.uint8)
+    line_ends = np.append(np.flatnonzero(data == ord("\n")), data.size)
+    fields = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), line_ends), prepend=0) + 1
+    if fields[0] < width or np.any(fields != fields[0]):
+        return None
+    parts = text.replace("\n", ",").split(",")
+    return [parts[pos::fields[0]] for pos in range(width)]
+
+
+def _split_rows(block: str, width: int, handle, path: Path) -> list:
+    """The columns of a block read row by row with ``csv.reader``, skipping
+    blank rows; a short row is a parse error. A quoted field still open at
+    the end of the block is completed from ``handle``."""
+    lines = io.StringIO(block, newline="")
+    reader = csv.reader(chain(lines, handle))
+    rows = []
+    while lines.tell() < len(block):
+        # rows as tuples: the garbage collector stops tracking tuples of strings
+        if row := tuple(next(reader)):
+            if len(row) < width:
+                raise ParseError(f"{path} has a row with fewer than {width} fields: {row}")
+            rows.append(row)
+    return list(zip(*rows))
+
+
 def _cells(convert, dtype) -> Callable:
     """A ``_read_csv`` parser that converts every cell of a column."""
     return lambda texts: np.array(list(map(convert, texts)), dtype=dtype)
 
 
 def _indices(index: Mapping[str, int], what: str) -> Callable:
-    """A ``_read_csv`` parser mapping condition keys to indices; an unknown
-    key is an integrity error."""
+    """A ``_read_csv`` parser mapping condition keys, stripped of outer
+    whitespace, to indices; an unknown key is an integrity error."""
     def parse(keys):
-        out = np.fromiter(map(index.get, map(str.strip, keys), repeat(-1)), np.int64, len(keys))
-        if np.any(out < 0):
-            key = keys[int(np.argmax(out < 0))].strip()
-            raise IntegrityError(f"{what} references unknown condition {key!r}")
+        out = np.fromiter(map(index.get, keys, repeat(-1)), np.int64, len(keys))
+        # keys in ``index`` carry no outer whitespace, so only misses need stripping
+        misses = np.flatnonzero(out < 0)
+        if misses.size:
+            stripped = [keys[k].strip() for k in misses.tolist()]
+            found = np.fromiter(map(index.get, stripped, repeat(-1)), np.int64, misses.size)
+            if np.any(found < 0):
+                key = stripped[int(np.argmax(found < 0))]
+                raise IntegrityError(f"{what} references unknown condition {key!r}")
+            out[misses] = found
         return out
 
     return parse

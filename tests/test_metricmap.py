@@ -12,12 +12,8 @@ from jodscale.metricmap import (
     correlation_metrics,
     eval_logistic,
     fit_logistic,
-    kfold_split,
     pairwise_accuracy,
-    probability_consistency,
 )
-from jodscale.simulate import GroundTruth, simulate_comparison
-from jodscale.model import ComparisonGraph, ConditionId
 
 from conftest import graph_of
 
@@ -143,59 +139,6 @@ class TestCorrelationMetrics:
             assert warped == pytest.approx(base, abs=1e-12)
 
 
-def _simulated_truth(n, seed):
-    conds = [ConditionId.reference("x")]
-    conds += [ConditionId("x", f"c{i}", "d", 1) for i in range(n - 1)]
-    rng = np.random.default_rng(seed)
-    q = np.concatenate([[0.0], rng.uniform(-4, 0, n - 1)])
-    return GroundTruth(tuple(conds), q, {}, seed=seed)
-
-
-def _simulated_graph(truth, pairs, n_trials):
-    """All pairs simulated in one call, each as two directed observations."""
-    i, j = np.array(pairs).T
-    counts = simulate_comparison(truth, i, j, n_trials)
-    return ComparisonGraph(truth.q_true.size, np.concatenate([i, j]), np.concatenate([j, i]),
-                           np.concatenate([counts[:, 0], counts[:, 1]]))
-
-
-class TestProbabilityConsistency:
-    def test_consistent_data_high_correlation(self):
-        truth = _simulated_truth(20, seed=21)
-        rng = np.random.default_rng(2)
-        pairs = []
-        for _ in range(120):
-            i, j = (int(v) for v in rng.integers(0, 20, size=2))
-            if i == j or (i, j) in pairs or (j, i) in pairs:
-                continue
-            pairs.append((i, j))
-        graph = _simulated_graph(truth, pairs, 1000)
-        rho = probability_consistency(truth.q_true, graph, pairs)
-        assert rho > 0.99
-
-    def test_random_scores_near_zero(self):
-        truth = _simulated_truth(30, seed=33)
-        rng = np.random.default_rng(4)
-        pairs = []
-        while len(pairs) < 100:
-            i, j = (int(v) for v in rng.integers(0, 30, size=2))
-            if i == j or (i, j) in pairs or (j, i) in pairs:
-                continue
-            pairs.append((i, j))
-        graph = _simulated_graph(truth, pairs, 200)
-        hits = 0
-        for draw in range(50):
-            random_scores = np.random.default_rng(1000 + draw).normal(0, 1, 30)
-            if abs(probability_consistency(random_scores, graph, pairs)) < 0.3:
-                hits += 1
-        assert hits >= 45
-
-    def test_single_pair_rejected(self):
-        graph = graph_of(2, {(0, 1): 1})
-        with pytest.raises(IntegrityError):
-            probability_consistency([0.0, 1.0], graph, [(0, 1)])
-
-
 class TestPairwiseAccuracy:
     def test_perfectly_consistent_majority(self):
         scores = np.array([0.0, -1.0, -2.0])
@@ -257,31 +200,3 @@ class TestPairwiseAccuracy:
             result = pairwise_accuracy(scores, graph, threshold)
             assert result.considered_pairs == considered
             assert result.accuracy == correct / considered
-
-
-class TestKfoldSplit:
-    def test_even_split(self):
-        folds = kfold_split(list(range(10)), 5, seed=1)
-        assert [len(f) for f in folds] == [2, 2, 2, 2, 2]
-
-    def test_uneven_split_sizes(self):
-        folds = kfold_split(list(range(11)), 5, seed=1)
-        assert sorted(len(f) for f in folds) == [2, 2, 2, 2, 3]
-        assert [len(f) for f in folds] == [3, 2, 2, 2, 2]
-
-    def test_deterministic(self):
-        first = kfold_split(list(range(20)), 4, seed=9)
-        second = kfold_split(list(range(20)), 4, seed=9)
-        assert first == second
-
-    def test_disjoint_cover(self):
-        pairs = [(i, i + 1) for i in range(17)]
-        folds = kfold_split(pairs, 4, seed=2)
-        flat = [p for fold in folds for p in fold]
-        assert sorted(flat) == sorted(pairs)
-
-    def test_validation(self):
-        with pytest.raises(IntegrityError):
-            kfold_split(list(range(3)), 5)
-        with pytest.raises(IntegrityError):
-            kfold_split(list(range(3)), 1)

@@ -1,8 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from jodscale import model
+from jodscale.cli import main
 from jodscale.errors import IntegrityError, ParseError, UndefinedPairError
 from jodscale.model import (
     ComparisonGraph,
@@ -215,7 +218,7 @@ class TestLoadCollection:
         )
         coll = load_collection(path)
         assert coll.n == 2
-        assert coll.graph.total_comparisons() == 1
+        assert coll.graph.c_ij.sum() + coll.graph.c_ji.sum() == 1
 
     def test_rating_only_manifest_without_comparisons(self, tmp_path):
         root = tmp_path / "ratingonly"
@@ -242,7 +245,7 @@ class TestLoadCollection:
         (root / "manifest.json").write_text(json.dumps(manifest))
         coll = load_collection(root / "manifest.json")
         assert coll.n == 3
-        assert coll.graph.total_comparisons() == 0
+        assert coll.graph.c_ij.sum() + coll.graph.c_ji.sum() == 0
         assert len(coll.ratings["rd"]) == 3
         assert connected_components(coll) == [[0, 1, 2]]
 
@@ -292,6 +295,35 @@ class TestLoadCollection:
         (path.parent / "comparisons.csv").write_text(text)
         with pytest.raises(error):
             load_collection(path)
+
+    @pytest.mark.parametrize("block_chars", [1, 64])
+    @pytest.mark.parametrize("bad_row, error, message", [
+        ("demo/c0/dist/1,demo/ref/reference/0", ParseError,
+         "fewer than 3 fields: ('demo/c0/dist/1', 'demo/ref/reference/0')"),
+        ("demo/c0/dist/1,demo/ghost/dist/1,2", IntegrityError,
+         "unknown condition 'demo/ghost/dist/1'"),
+        ("demo/c0/dist/1, demo/nobody/dist/1 ,2", IntegrityError,
+         "unknown condition 'demo/nobody/dist/1'"),
+        ("demo/c0/dist/1,demo/ref/reference/0,many", ParseError,
+         "column 'count_a_over_b'"),
+    ])
+    def test_malformed_row_in_a_later_block(self, tmp_path, monkeypatch, block_chars,
+                                            bad_row, error, message):
+        """With 64-character blocks the bad row shares a block with a good
+        row before it; with 1-character blocks it is a block of its own."""
+        monkeypatch.setattr(model, "_BLOCK_CHARS", block_chars)
+        path = write_two_condition_fixture(tmp_path / "later")
+        good = "demo/c0/dist/1,demo/ref/reference/0,1\n"
+        comparisons = path.parent / "comparisons.csv"
+        comparisons.write_text("cond_a,cond_b,count_a_over_b\n" + good * 81)
+        graph = load_collection(path).graph
+        assert (graph.c_ij.sum(), graph.c_ji.sum()) == (0, 81)
+        comparisons.write_text(
+            "cond_a,cond_b,count_a_over_b\n" + good * 41 + bad_row + "\n" + good * 40)
+        with pytest.raises(error, match=re.escape(message)):
+            load_collection(path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["scale", "--manifest", "later/manifest.json", "--out", "out"]) == 2
 
     @pytest.mark.parametrize("rows, error", [
         ("rd/ref/reference/0,o1,4.8\nrd/c0/dist/1,o1,high\n", ParseError),
@@ -367,4 +399,4 @@ class TestLoadCollection:
         coll = load_collection(root / "manifest.json")
         assert coll.n == 4159
         for name, size in sizes.items():
-            assert len(coll.dataset_indices(name)) == size
+            assert sum(cond.dataset == name for cond in coll.conditions) == size

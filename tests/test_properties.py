@@ -3,17 +3,20 @@
 The comparison graph stores each measured pair once, in canonical order, so
 the row layout of ``comparisons.csv`` must not reach the scale; the
 joint-scaling components must match a plain breadth-first search; the
+block-split CSV reader must return what one plain ``csv.reader`` returns; the
 likelihood kernel's gradient, cached curvature and Jacobi diagonal must
 match central differences; a solve started anywhere near the maximum (or
 at it) must reach the maximum a cold solve reaches; and both pair selectors
 must return exactly what a double loop over all pairs returns.
 """
 
+import csv
 import json
 import math
 import warnings
 from collections import deque
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -21,9 +24,10 @@ from hypothesis import strategies as st
 import pytest
 from scipy.special import ndtr
 
+from jodscale import model
 from jodscale.cli import main
 from jodscale.design import select_cross_dataset_pairs, select_gmad_pairs
-from jodscale.errors import DesignError, IntegrityError
+from jodscale.errors import DesignError, IntegrityError, ParseError
 from jodscale.model import (
     ComparisonGraph,
     ConditionId,
@@ -102,6 +106,106 @@ def test_comparison_row_layout_leaves_scale_unchanged(tmp_path_factory, seed):
     # each pair first listed as (b, a), then as (a, b)
     mirrored = [row for n in range(0, len(rows), 2) for row in (rows[n + 1], rows[n])]
     assert _scale_csv(root, mirrored, "mirrored") == expected
+
+
+_KEYS = ("d/ref/reference/0", "d/c0/dist/1", "d/c1/dist/2")
+
+
+@st.composite
+def _csv_files(draw):
+    """The text of a CSV file with the columns key, count and name among
+    extra ones, in any order: keys padded with spaces, quoted fields, LF and
+    CRLF line ends, blank lines, maybe no final newline, and at most one
+    kind of fault (a missing column, short rows, unknown keys or bad
+    counts), so that the error class does not depend on row order. About
+    one row in four is quoted, so that plain and quoted blocks mix, and one
+    in five has a trailing extra field."""
+    def cell(text, quoted):
+        if quoted or any(ch in text for ch in ',"\n\r'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    fault = ([None] * 4 + ["header", "short", "key", "count"])[draw(st.integers(0, 7))]
+    extra = draw(st.lists(st.sampled_from(["x", "y"]), unique=True))
+    header = draw(st.permutations(["key", "count", "name", *extra]))
+    if fault == "header":
+        header = [col for col in header if col != "count"]
+    faulty = st.integers(0, 3).map(lambda k: k == 3)
+    lines = [",".join(cell(col, draw(st.booleans())) for col in header)]
+    for _ in range(draw(st.integers(0, 30))):
+        quoted = draw(st.integers(0, 3)) == 0
+        text = st.text(alphabet='ab \u00e9,"\n\r' if quoted else "ab \u00e9", max_size=5)
+        pad = st.sampled_from(["", " ", "  "])
+        key = draw(pad) + draw(st.sampled_from(_KEYS)) + draw(pad)
+        values = {
+            "key": "d/ghost/dist/1" if fault == "key" and draw(faulty) else key,
+            "count": draw(st.sampled_from(["1.5", "x"])) if fault == "count" and draw(
+                faulty) else str(draw(st.integers(0, 99))),
+        }
+        row = [values.get(col) or draw(text) for col in header]
+        if fault == "short" and draw(faulty):
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        elif draw(st.integers(0, 4)) == 0:
+            row.append(draw(text))
+        lines.append(",".join(cell(value, quoted and draw(st.booleans())) for value in row))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    if draw(st.booleans()):
+        lines.append("")
+    ends = st.sampled_from(["\n", "\r\n"])
+    return "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
+
+
+def _reference_read(path, columns, index):
+    """``_read_csv``'s result for ``columns`` (some of key, count and name),
+    read with one plain ``csv.reader`` over the whole file."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    header = rows[0] if rows else []
+    if not set(columns) <= set(header):
+        raise ParseError("missing column")
+    positions = [header.index(col) for col in columns]
+    rows = [row for row in rows[1:] if row]
+    if any(len(row) <= max(positions) for row in rows):
+        raise ParseError("short row")
+    out = []
+    for col, pos in zip(columns, positions):
+        cells = [row[pos] for row in rows]
+        if col == "key":
+            if any(cell.strip() not in index for cell in cells):
+                raise IntegrityError("unknown key")
+            cells = [index[cell.strip()] for cell in cells]
+        elif col == "count":
+            try:
+                cells = [int(cell) for cell in cells]
+            except ValueError as exc:
+                raise ParseError("bad count") from exc
+        out.append(cells)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_files(), block_chars=st.integers(1, 160),
+       columns=st.lists(st.sampled_from(["key", "count", "name"]), min_size=1, unique=True))
+def test_block_reader_matches_csv_reader(tmp_path_factory, text, block_chars, columns):
+    """Blocks of 1 to 160 characters, so that lines straddle block ends and
+    plain and quoted blocks alternate within one file."""
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_bytes(text.encode())
+    index = {key: k for k, key in enumerate(_KEYS)}
+    parsers = {"key": model._indices(index, "row"), "count": model._cells(int, np.int64),
+               "name": model._cells(str, str)}
+    try:
+        expected = _reference_read(path, columns, index)
+    except (ParseError, IntegrityError) as exc:
+        expected = type(exc)
+    with mock.patch.object(model, "_BLOCK_CHARS", block_chars):
+        try:
+            result = model._read_csv(path, {col: parsers[col] for col in columns})
+            result = [column.tolist() for column in result]
+        except (ParseError, IntegrityError) as exc:
+            result = type(exc)
+    assert result == expected
 
 
 def _bfs_components(n, edges):
