@@ -348,7 +348,10 @@ def _read_csv(path: Path, parsers: Mapping[str, Callable]) -> list:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     chunks = []
     with handle:
-        header = next(csv.reader(handle), [])
+        try:
+            header = next(csv.reader(handle), [])
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}") from exc
         missing = [col for col in parsers if col not in header]
         if missing:
             raise ParseError(f"{path} is missing columns {missing} (header {header})")
@@ -390,14 +393,19 @@ def _split_plain(block: str, width: int) -> list | None:
 
 def _split_rows(block: str, width: int, handle, path: Path) -> list:
     """The columns of a block read row by row with ``csv.reader``, skipping
-    blank rows; a short row is a parse error. A quoted field still open at
-    the end of the block is completed from ``handle``."""
+    blank rows; a short row or a row ``csv.reader`` rejects (a quoted field
+    longer than ``csv.field_size_limit()``, say) is a parse error. A quoted
+    field still open at the end of the block is completed from ``handle``."""
     lines = io.StringIO(block, newline="")
     reader = csv.reader(chain(lines, handle))
     rows = []
     while lines.tell() < len(block):
         # rows as tuples: the garbage collector stops tracking tuples of strings
-        if row := tuple(next(reader)):
+        try:
+            row = tuple(next(reader))
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        if row:
             if len(row) < width:
                 raise ParseError(f"{path} has a row with fewer than {width} fields: {row}")
             rows.append(row)

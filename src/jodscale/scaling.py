@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr
@@ -65,7 +65,9 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class UnifiedScale:
-    """Result of a joint scaling run."""
+    """Result of a joint scaling run: ``log_posterior`` is the maximized
+    function at ``q`` and ``links``; ``iterations`` counts the Newton
+    iterations of the one solve, for all components together."""
 
     q: np.ndarray
     links: dict[str, LinkParams]
@@ -143,9 +145,22 @@ def _rating_term(table: RatingTable, q: np.ndarray, log_a, b, log_c):
     return value, r_over_v, np.array([g_a, g_b, g_c]), hess, coupling
 
 
-def _prior_term(q: np.ndarray):
-    """Gaussian prior of each q_i around the mean score: value and gradient."""
-    centered = q - q.mean()
+def _component_labels(collection: DatasetCollection):
+    """Each condition's joint-scaling component, and the component sizes."""
+    labels = np.empty(collection.n, dtype=np.int64)
+    for k, members in enumerate(connected_components(collection)):
+        labels[members] = k
+    return labels, np.bincount(labels)
+
+
+def _center(v: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """v minus the mean of v over each entry's component."""
+    return v - (np.bincount(labels, v, sizes.size) / sizes)[labels]
+
+
+def _prior_term(q: np.ndarray, labels: np.ndarray, sizes: np.ndarray):
+    """Gaussian prior of each q_i around its component's mean score: value and gradient."""
+    centered = _center(q, labels, sizes)
     value = float(
         -q.size * math.log(SIGMA_JOD * _SQRT_2PI) - np.sum(centered**2) / (2.0 * SIGMA_JOD**2)
     )
@@ -193,9 +208,10 @@ def log_posterior(
 ) -> float:
     """Joint log-posterior: comparisons + ratings + optional score prior.
 
-    The prior treats each q_i as Gaussian around the mean of all scores with
-    standard deviation sigma; it bounds score differences when answers are
-    unanimous.
+    The prior treats each q_i as Gaussian around the mean score of its
+    joint-scaling component with standard deviation sigma; it bounds score
+    differences when answers are unanimous. This is the function ``scale``
+    maximizes, so at a scale's q and links it equals its ``log_posterior``.
     """
     q = np.asarray(q, dtype=float)
     total = pwc_log_likelihood(collection.graph, q)
@@ -205,7 +221,7 @@ def log_posterior(
             raise IntegrityError(f"missing link parameters for dataset {name!r}")
         total += rating_log_likelihood(collection.ratings[name], q, links[name])
     if prior_enabled:
-        total += _prior_term(q)[0]
+        total += _prior_term(q, *_component_labels(collection))[0]
     return total
 
 
@@ -243,6 +259,7 @@ class PosteriorProblem:
         self.rating_names = sorted(collection.ratings)
         self.n_free = self.free_idx.size
         self.n_params = self.n_free + 3 * len(self.rating_names)
+        self.labels, self.sizes = _component_labels(collection)
         self._pairs = collection.graph.pair_arrays()
         self._log_coef = _log_binomial(self._pairs)
 
@@ -321,7 +338,7 @@ class PosteriorProblem:
             rating_diag -= coupling[:, k + 1]  # d^2/dq_i^2 = -d^2/dq_i db
 
         if self.prior_enabled:
-            prior_value, prior_grad = _prior_term(q)
+            prior_value, prior_grad = _prior_term(q, self.labels, self.sizes)
             value += prior_value
             grad_q += prior_grad
 
@@ -340,7 +357,7 @@ class PosteriorProblem:
         out_q = self._net(curvature.weights * (v_q[j_arr] - v_q[i_arr]))
         out_q += curvature.rating_diag * v_q + curvature.coupling @ v_links
         if self.prior_enabled:
-            out_q -= (v_q - v_q.mean()) / SIGMA_JOD**2
+            out_q -= _center(v_q, self.labels, self.sizes) / SIGMA_JOD**2
         return np.concatenate([
             out_q[self.free_idx],
             curvature.coupling.T @ v_q + curvature.link_hessian @ v_links,
@@ -353,7 +370,7 @@ class PosteriorProblem:
         degree = np.bincount(i_arr, weights, self.n) + np.bincount(j_arr, weights, self.n)
         diag_q = curvature.rating_diag - degree
         if self.prior_enabled:
-            diag_q -= (1.0 - 1.0 / self.n) / SIGMA_JOD**2
+            diag_q -= (1.0 - 1.0 / self.sizes[self.labels]) / SIGMA_JOD**2
         return np.concatenate([diag_q[self.free_idx], np.diag(curvature.link_hessian)])
 
 
@@ -465,34 +482,37 @@ def scale(
     The comparison graph together with the rating linkage must form a single
     connected component containing at least one reference condition per
     dataset; pass ``per_component=True`` to scale disconnected components
-    independently (their scores are then mutually incomparable). ``start``,
-    a scale of the same conditions (for instance the full-data scale when
-    solving a bootstrap replicate), is the point the solver starts from;
-    links it lacks start from the default guess.
+    independently (their scores are then mutually incomparable). There is
+    one solve either way: the score prior is centred on each component's
+    own mean, so the per-component solves run in lock-step, under one line
+    search and one iteration count. ``start``, a scale of the same
+    conditions (for instance the full-data scale when solving a bootstrap
+    replicate), is the point the solver starts from; links it lacks start
+    from the default guess.
     """
     if start is not None and start.conditions != collection.conditions:
         raise IntegrityError("the start scale is of other conditions than the collection")
     _check_rating_variance(collection)
-    for name in sorted({c.dataset for c in collection.conditions}):
-        if not any(c.is_reference and c.dataset == name for c in collection.conditions):
-            raise IntegrityError(f"dataset {name!r} has no reference condition to anchor it")
-
-    components = connected_components(collection)
-    if len(components) > 1 and not per_component:
-        sizes = [len(c) for c in components]
-        raise DisconnectedGraphError(
-            f"comparison data splits into {len(components)} components "
-            f"(sizes {sizes}); add cross links or pass per_component=True"
-        )
-    if len(components) > 1:
+    problem = PosteriorProblem(collection, prior_enabled)
+    if problem.sizes.size > 1:
+        if not per_component:
+            raise DisconnectedGraphError(
+                f"comparison data splits into {problem.sizes.size} components "
+                f"(sizes {problem.sizes.tolist()}); add cross links or pass per_component=True"
+            )
         warnings.warn(
-            f"scaling {len(components)} disconnected components independently; "
+            f"scaling {problem.sizes.size} disconnected components independently; "
             "scores are NOT comparable across components",
             stacklevel=2,
         )
-        return _scale_per_component(collection, components, prior_enabled, tol, max_iter, start)
+    # every dataset needs a reference condition in each component it is in
+    parts = list(zip([c.dataset for c in collection.conditions], problem.labels.tolist()))
+    anchors = {part for part, c in zip(parts, collection.conditions) if c.is_reference}
+    unanchored = sorted(set(parts) - anchors)
+    if unanchored:
+        name = unanchored[0][0]
+        raise IntegrityError(f"dataset {name!r} has no reference condition to anchor it")
 
-    problem = PosteriorProblem(collection, prior_enabled)
     x0 = problem.initial_point() if start is None else problem.pack(start.q, start.links)
     x, value, converged, iterations = _solve(problem, x0, tol, max_iter)
     q, links = problem.unpack(x)
@@ -500,62 +520,6 @@ def scale(
         q=q,
         links=links,
         log_posterior=float(value),
-        converged=converged,
-        iterations=iterations,
-        conditions=collection.conditions,
-    )
-
-
-def _subcollection(collection: DatasetCollection, members: list[int]) -> DatasetCollection:
-    members = np.asarray(members, dtype=np.int64)
-    remap = np.full(collection.n, -1, dtype=np.int64)
-    remap[members] = np.arange(members.size)
-    inside = remap >= 0
-    conditions = [collection.conditions[i] for i in members]
-    winners, losers, counts = collection.graph.observations()
-    kept = inside[winners] & inside[losers]
-    graph = ComparisonGraph(
-        members.size, remap[winners[kept]], remap[losers[kept]], counts[kept]
-    )
-    ratings = {}
-    for name, table in collection.ratings.items():
-        rows = inside[table.condition_indices]
-        if rows.any():
-            ratings[name] = RatingTable(
-                remap[table.condition_indices[rows]], table.observers[rows], table.scores[rows]
-            )
-    names = {c.dataset for c in conditions}
-    manifest = {name: meta for name, meta in collection.manifest.items() if name in names}
-    return DatasetCollection(conditions, graph, ratings, manifest)
-
-
-def _scale_per_component(collection, components, prior_enabled, tol, max_iter, start):
-    q = np.zeros(collection.n)
-    links: dict[str, LinkParams] = {}
-    total_lp = 0.0
-    converged = True
-    iterations = 0
-    for members in components:
-        sub = _subcollection(collection, members)
-        members = np.asarray(members, dtype=int)
-        part = None if start is None else replace(
-            start,
-            q=start.q[members],
-            links={name: link for name, link in start.links.items() if name in sub.ratings},
-            conditions=sub.conditions,
-        )
-        result = scale(
-            sub, prior_enabled=prior_enabled, tol=tol, max_iter=max_iter, start=part
-        )
-        q[members] = result.q
-        links.update(result.links)
-        total_lp += result.log_posterior
-        converged = converged and result.converged
-        iterations = max(iterations, result.iterations)
-    return UnifiedScale(
-        q=q,
-        links=links,
-        log_posterior=total_lp,
         converged=converged,
         iterations=iterations,
         conditions=collection.conditions,

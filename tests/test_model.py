@@ -343,6 +343,32 @@ class TestLoadCollection:
         with pytest.raises(error):
             load_collection(root / "manifest.json")
 
+    def test_field_over_the_csv_limit(self, tmp_path, monkeypatch):
+        """A field longer than ``csv.field_size_limit()`` is a parse error
+        naming the file where ``csv.reader`` reads it: in the header and in a
+        quoted row. An unquoted row is split without ``csv.reader``, which
+        has no such limit, so there the field loads."""
+        root = tmp_path / "long"
+        root.mkdir()
+        (root / "conditions.csv").write_text("condition\nrd/ref/reference/0\nrd/c0/dist/1\n")
+        (root / "manifest.json").write_text(json.dumps({"datasets": [{
+            "name": "rd", "experiment": "rating",
+            "conditions": "conditions.csv", "ratings": "ratings.csv",
+        }]}))
+        ratings = root / "ratings.csv"
+        long = "o" * 200_000
+        rows = "rd/ref/reference/0,{0},4.8\nrd/c0/dist/1,{0},3.1\n"
+        ratings.write_text("condition,observer,score\n" + rows.format(long))
+        assert load_collection(root / "manifest.json").ratings["rd"].observers[0] == long
+
+        monkeypatch.chdir(tmp_path)
+        for text in ("condition,observer,score\n" + rows.format(f'"{long}"'),
+                     f"condition,observer,score,{long}\n" + rows.format("o1")):
+            ratings.write_text(text)
+            with pytest.raises(ParseError, match="ratings.csv: field larger than field limit"):
+                load_collection(root / "manifest.json")
+            assert main(["scale", "--manifest", "long/manifest.json", "--out", "out"]) == 2
+
     def test_unknown_fields_warn_not_error(self, tmp_path):
         path = write_two_condition_fixture(tmp_path / "warn")
         manifest = json.loads(path.read_text())

@@ -6,8 +6,9 @@ joint-scaling components must match a plain breadth-first search; the
 block-split CSV reader must return what one plain ``csv.reader`` returns; the
 likelihood kernel's gradient, cached curvature and Jacobi diagonal must
 match central differences; a solve started anywhere near the maximum (or
-at it) must reach the maximum a cold solve reaches; and both pair selectors
-must return exactly what a double loop over all pairs returns.
+at it) must reach the maximum a cold solve reaches; a disconnected collection
+scaled per component must be its components scaled alone; and both pair
+selectors must return exactly what a double loop over all pairs returns.
 """
 
 import csv
@@ -36,7 +37,9 @@ from jodscale.model import (
     RatingTable,
     connected_components,
 )
-from jodscale.scaling import SIGMA_JOD, LinkParams, PosteriorProblem, bootstrap_ci, scale
+from jodscale.scaling import (
+    SIGMA_JOD, LinkParams, PosteriorProblem, bootstrap_ci, log_posterior, scale,
+)
 
 _HEADER = "cond_a,cond_b,count_a_over_b"
 
@@ -260,9 +263,10 @@ def test_connected_components_match_bfs(case):
     assert connected_components(collection) == _bfs_components(collection.n, edges)
 
 
-def _rated_collection(seed):
+def _rated_collection(seed, cross=True):
     """A pairwise and a rating dataset with random counts along a chain,
-    random extra pairs and one cross pair; 2-4 ratings per rated condition."""
+    random extra pairs and one cross pair unless ``cross`` is false; 2-4
+    ratings per rated condition."""
     rng = np.random.default_rng(seed)
     n_p, n_r = int(rng.integers(2, 6)), int(rng.integers(2, 5))
     conditions = [ConditionId.reference("p")]
@@ -270,7 +274,8 @@ def _rated_collection(seed):
     conditions += [ConditionId.reference("r")]
     conditions += [ConditionId("r", f"c{k}", "d", 1) for k in range(n_r - 1)]
     pairs = [(k, k + 1) for k in range(n_p - 1)]
-    pairs += [(int(rng.integers(n_p)), int(rng.integers(n_p, n_p + n_r)))]
+    cross_pair = (int(rng.integers(n_p)), int(rng.integers(n_p, n_p + n_r)))
+    pairs += [cross_pair] if cross else []
     pairs += [tuple(rng.choice(n_p + n_r, size=2, replace=False)) for _ in range(3)]
     wins = rng.integers(0, 11, size=(len(pairs), 2))
     winners = [i for i, _ in pairs] + [j for _, j in pairs]
@@ -284,9 +289,11 @@ def _rated_collection(seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), prior=st.booleans())
-def test_kernel_matches_central_differences(seed, prior):
-    collection, rng = _rated_collection(seed)
+@given(seed=st.integers(0, 2**32 - 1), prior=st.booleans(), cross=st.booleans())
+def test_kernel_matches_central_differences(seed, prior, cross):
+    """Without the cross pair the collection may split into components,
+    each with its own prior mean."""
+    collection, rng = _rated_collection(seed, cross)
     problem = PosteriorProblem(collection, prior_enabled=prior)
     x = rng.normal(0.0, 0.7, problem.n_params)
     _, grad, curvature = problem.value_and_grad(x)
@@ -393,6 +400,60 @@ def test_warm_started_per_component_bootstrap_matches_cold(seed):
         cold = bootstrap_ci(collection, 4, seed=seed, **options)
         warm = bootstrap_ci(collection, 4, seed=seed, start=full, **options)
     np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-6)
+
+
+def _subcollection(collection, members):
+    """The conditions ``members`` of ``collection`` as a collection of their
+    own: the comparisons among them, their ratings and the manifest entries
+    of their datasets."""
+    members = np.asarray(members, dtype=np.int64)
+    remap = np.full(collection.n, -1, dtype=np.int64)
+    remap[members] = np.arange(members.size)
+    inside = remap >= 0
+    conditions = [collection.conditions[i] for i in members]
+    winners, losers, counts = collection.graph.observations()
+    kept = inside[winners] & inside[losers]
+    graph = ComparisonGraph(members.size, remap[winners[kept]], remap[losers[kept]], counts[kept])
+    ratings = {}
+    for name, table in collection.ratings.items():
+        rows = inside[table.condition_indices]
+        if rows.any():
+            ratings[name] = RatingTable(
+                remap[table.condition_indices[rows]], table.observers[rows], table.scores[rows]
+            )
+    names = {c.dataset for c in conditions}
+    manifest = {name: meta for name, meta in collection.manifest.items() if name in names}
+    return DatasetCollection(conditions, graph, ratings, manifest)
+
+
+# The one solve over all components against each component scaled alone.
+# Without the prior, a dataset whose comparisons are unanimous has no finite
+# maximum-likelihood estimate: the solves then stop at different points of a
+# ridge that still rises (seed 81709: q near -4.6e4, log-posteriors 2e-8
+# apart), so q, links and log-posteriors are compared with the prior on only.
+# An unconverged solve has no maximum to compare with.
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), prior=st.booleans())
+def test_per_component_scale_is_the_components_scaled_alone(seed, prior):
+    collection, _ = _observer_collection(seed, cross=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "NOT comparable" across components
+        whole = scale(collection, per_component=True, prior_enabled=prior, tol=1e-10)
+    parts = [
+        (members, scale(_subcollection(collection, members), prior_enabled=prior, tol=1e-10))
+        for members in connected_components(collection)
+    ]
+    assert len(parts) == 2
+    assert whole.converged == all(part.converged for _, part in parts)
+    assert log_posterior(collection, whole.q, whole.links, prior) == pytest.approx(
+        whole.log_posterior, rel=1e-12)
+    if prior and whole.converged:
+        total = sum(part.log_posterior for _, part in parts)
+        assert whole.log_posterior == pytest.approx(total, rel=1e-9)
+        for members, part in parts:
+            alone = replace(whole, q=whole.q[members],
+                            links={name: whole.links[name] for name in part.links})
+            _assert_same_scale(alone, part, atol=1e-6)
 
 
 def _cross_dataset_loop(q, conditions, k, window, bins):

@@ -149,6 +149,15 @@ def _demo_collection(entries, ratings=None, n=2, experiments=None):
     return DatasetCollection(conds, graph_of(n, entries), ratings or {}, manifest)
 
 
+def _within_datasets(coll):
+    """``coll`` without its cross-dataset pairs: one component per dataset."""
+    winners, losers, counts = coll.graph.observations()
+    datasets = np.array([c.dataset for c in coll.conditions])
+    inside = datasets[winners] == datasets[losers]
+    graph = ComparisonGraph(coll.n, winners[inside], losers[inside], counts[inside])
+    return DatasetCollection(coll.conditions, graph, coll.ratings, coll.manifest)
+
+
 class TestLogPosterior:
     def test_empty_data_prior_disabled(self):
         coll = _demo_collection({})
@@ -318,6 +327,33 @@ class TestScale:
         expected = SQRT2 * SIGMA_JOD * norm.ppf(0.8)
         assert result.q[3] == pytest.approx(expected, abs=1e-4)
 
+    def test_component_without_its_dataset_reference_rejected(self):
+        conds = [ConditionId.reference("a")] + [ConditionId("a", f"c{k}", "d", 1)
+                                                for k in range(3)]
+        coll = DatasetCollection(
+            conds,
+            graph_of(4, {(0, 1): 5, (1, 0): 5, (2, 3): 2, (3, 2): 8}),
+            {},
+            {"a": DatasetMeta("a", "pwc")},
+        )
+        with pytest.raises(DisconnectedGraphError):
+            scale(coll)
+        with pytest.warns(UserWarning, match="NOT comparable"):
+            with pytest.raises(IntegrityError, match="dataset 'a' has no reference"):
+                scale(coll, per_component=True)
+
+    @pytest.mark.parametrize("prior", [True, False])
+    def test_per_component_log_posterior_is_the_maximized_function(self, prior):
+        """The one solve over all components maximizes the log-posterior
+        with the score prior centred on each component's mean, the function
+        ``log_posterior`` computes."""
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=60, seed=3))
+        coll = _within_datasets(coll)
+        with pytest.warns(UserWarning, match="NOT comparable"):
+            result = scale(coll, per_component=True, prior_enabled=prior)
+        value = log_posterior(coll, result.q, result.links, prior_enabled=prior)
+        assert value == pytest.approx(result.log_posterior, rel=1e-12)
+
     def test_gradient_matches_finite_differences(self):
         table = ratings_of(
             tuple((i, f"o{k}", 2.0 - 0.7 * i + 0.1 * k)
@@ -452,12 +488,8 @@ class TestBootstrap:
     @pytest.mark.parametrize("per_component", [False, True])
     def test_warm_start_saves_kernel_calls(self, monkeypatch, per_component):
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=60, seed=3))
-        if per_component:  # drop the cross-dataset pairs: one component per dataset
-            winners, losers, counts = coll.graph.observations()
-            datasets = np.array([c.dataset for c in coll.conditions])
-            inside = datasets[winners] == datasets[losers]
-            graph = ComparisonGraph(coll.n, winners[inside], losers[inside], counts[inside])
-            coll = DatasetCollection(coll.conditions, graph, coll.ratings, coll.manifest)
+        if per_component:
+            coll = _within_datasets(coll)
         full = scale(coll, per_component=per_component)
         calls = []
         kernel = PosteriorProblem.value_and_grad
