@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from collections import Counter
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,7 @@ from .scaling import bootstrap_ci, scale
 from .simulate import RecoveryConfig, recovery_experiment, synthesize_collection
 
 _ACCURACY_THRESHOLDS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
+_CHUNK_ROWS = 1024  # rows per write: larger blocks leave more heap behind
 
 
 class UsageError(Exception):
@@ -105,11 +107,29 @@ def _at_least(minimum, convert=int, finite=False):
 
 
 def _write_csv(path: Path, header: str, row_format: str, *columns) -> None:
-    """Write ``header`` and one ``row_format`` line per element of the
-    columns (Python lists, so that floats format as floats)."""
+    """Write ``header`` and what ``row_format.format`` gives for each row of
+    the columns, in blocks of ``_CHUNK_ROWS`` rows. Each comma-separated cell
+    of ``row_format`` is constant text or one field. A ``{}`` column is a list
+    of strings or a numpy array, whose distinct values are formatted once;
+    other fields take Python lists, so that floats format as floats."""
+    fields = iter(columns)
+    strings = []
+    for cell in row_format.removesuffix("\n").split(","):
+        if "{" not in cell:
+            strings.append(repeat(cell))
+        elif cell != "{}":
+            strings.append(map(cell.format, next(fields)))
+        elif isinstance(column := next(fields), np.ndarray):
+            values, inverse = np.unique(column, return_inverse=True)
+            strings.append(values.astype(str).astype(object)[inverse].tolist())
+        else:
+            strings.append(column)
+    rows = map(",".join, zip(*strings))
     with open(path, "w", newline="") as handle:
-        handle.write(header + "\n")
-        handle.writelines(map(row_format.format, *columns))
+        handle.write(header)
+        while block := list(islice(rows, _CHUNK_ROWS)):
+            handle.write("\n" + "\n".join(block))
+        handle.write("\n")
 
 
 def _read_keyed_csv(path, value_column: str) -> dict[str, float]:
@@ -234,7 +254,7 @@ def _write_collection_files(collection: DatasetCollection, out: Path) -> None:
         datasets.append(entry)
     winners, losers, counts = collection.graph.observations()
     _write_csv(out / "comparisons.csv", "cond_a,cond_b,count_a_over_b", "{},{},{}\n",
-               keys[winners].tolist(), keys[losers].tolist(), counts.tolist())
+               keys[winners].tolist(), keys[losers].tolist(), counts)
     _write_json(out / "manifest.json", {"datasets": datasets, "comparisons": "comparisons.csv"})
 
 

@@ -60,9 +60,11 @@ def _window_pairs(scores: np.ndarray, window: float) -> tuple[np.ndarray, np.nda
     # widened by a few ulps, so rounding in s + window cannot drop a pair
     upper = s + window + 4.0 * np.finfo(float).eps * (np.abs(s) + abs(window))
     count = np.maximum(np.searchsorted(s, upper, side="right") - np.arange(s.size) - 1, 0)
-    a = np.repeat(np.arange(s.size), count)
-    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
-    return np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+    first = np.repeat(order, count)
+    second = np.arange(first.size)
+    second -= np.repeat(np.cumsum(count) - count - np.arange(1, s.size + 1), count)
+    second = order[second]
+    return np.minimum(first, second), np.maximum(first, second)
 
 
 def select_cross_dataset_pairs(
@@ -105,6 +107,21 @@ def select_cross_dataset_pairs(
         )
     width = (hi - lo) / coverage_bins if hi > lo else 1.0
     cell = np.minimum(((0.5 * (q[i] + q[j]) - lo) / width).astype(np.int64), coverage_bins - 1)
+
+    # only a bin's k smallest gaps (ties kept) can be picked: any other ranks
+    # >= k in its bin; and with more than k bins, the first round fills k
+    # picks from the k lowest. Group by a sort, so nothing is sized by bins.
+    by_cell = np.argsort(cell, kind="stable")
+    sorted_cell = cell[by_cell]
+    starts = np.flatnonzero(np.r_[True, sorted_cell[1:] != sorted_cell[:-1]])
+    if starts.size > k:
+        by_cell, starts = by_cell[:starts[k]], starts[:k]
+    sizes = np.diff(np.r_[starts, by_cell.size])
+    cutoff = np.full(starts.size, np.inf)
+    for b in np.flatnonzero(sizes > k):
+        cutoff[b] = np.partition(gap[by_cell[starts[b]:starts[b] + sizes[b]]], k - 1)[k - 1]
+    kept = by_cell[gap[by_cell] <= np.repeat(cutoff, sizes)]
+    i, j, gap, cell = i[kept], j[kept], gap[kept], cell[kept]
 
     # rank within the bin by (gap, identity), then round-robin over the bins:
     # the n-th pick of every bin comes before any bin's (n+1)-th
@@ -234,16 +251,24 @@ def select_gmad_pairs(
     i, j, bench_gap = i[keep], j[keep], bench_gap[keep]
     objective = np.abs(test[i] - test[j]) - bench_gap
 
+    # the greedy pass reads a prefix of the (-objective, i, j) order: each step
+    # sorts the objectives from the m-th largest (ties kept, so the steps join
+    # into an exact prefix) up to the last step's cutoff, with m growing 4x
     chosen = []
     used: set[int] = set()
-    for c in np.lexsort((j, i, -objective)):
-        if len(chosen) >= k:
-            break
-        a, b = int(i[c]), int(j[c])
-        if not allow_reuse and (a in used or b in used):
-            continue
-        chosen.append(c)
-        used.update((a, b))
+    upper, m = np.inf, 4 * k
+    while len(chosen) < k and upper > -np.inf:
+        lower = -np.partition(-objective, m - 1)[m - 1] if m < objective.size else -np.inf
+        step = np.flatnonzero((objective >= lower) & (objective < upper))
+        for c in step[np.lexsort((j[step], i[step], -objective[step]))]:
+            if len(chosen) >= k:
+                break
+            a, b = int(i[c]), int(j[c])
+            if not allow_reuse and (a in used or b in used):
+                continue
+            chosen.append(c)
+            used.update((a, b))
+        upper, m = lower, 4 * m
     if len(chosen) < k:
         warnings.warn(
             f"only {len(chosen)} of {k} requested adversarial pairs are feasible",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import jodscale
-from jodscale.cli import main
+from jodscale.cli import _CHUNK_ROWS, _write_csv, main
 
 from conftest import write_two_condition_fixture
 
@@ -676,3 +676,34 @@ class TestPinnedOutputs:
         written = {path.name: path.read_bytes().decode()
                    for path in (tmp_path / "out").glob("*.csv")}
         assert written == expected
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    def test_matches_one_format_per_row(self, tmp_path, rows):
+        """Every row format the CSV outputs use, on condition keys, observer
+        ids, integer arrays (0..rows-1 and repeated counts) and floats."""
+        rng = np.random.default_rng(rows)
+        specials = [0.0, -0.0, 0.1, 1e-7, -2.5e16, 1 / 3, 123456.0000005]
+        floats = (specials + rng.normal(scale=3.0, size=rows).tolist())[:rows]
+        others = rng.uniform(-5.0, 0.0, size=rows).tolist()
+        keys = [f"ds{r % 3}/c{r:04d}/dist/1" for r in range(rows)]
+        observers = [f"o{r % 15:03d}" for r in range(rows)]
+        counts = rng.integers(0, 31, size=rows)
+        for row_format, columns in [
+            ("{},{:.6f},,\n", (keys, floats)),
+            ("{},{:.6f},{:.6f},{:.6f}\n", (keys, floats, others, floats)),
+            ("{}\n", (keys,)),
+            ("{},{},{!r}\n", (keys, observers, floats)),
+            ("{},{},{}\n", (keys, keys[::-1], counts)),
+            ("{},{}\n", (np.arange(rows), keys)),
+            ("{},{!r},{:.6f}\n", (keys, floats, others)),
+            ("{:.6f}\n", (floats,)),
+            ("{},{},0\n", (keys, observers)),
+        ]:
+            path = tmp_path / "out.csv"
+            _write_csv(path, "h,e,a,d", row_format, *columns)
+            expected = "h,e,a,d\n" + "".join(map(row_format.format, *columns))
+            assert path.read_bytes().decode() == expected, row_format
+            if rows == 0:  # the header alone, with no stray newline
+                assert expected == "h,e,a,d\n"

@@ -20,7 +20,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import pytest
 from scipy.special import ndtr
@@ -529,9 +529,25 @@ def _selection_inputs(draw):
     return values[:n], values[n:], conditions, k, window, draw(st.integers(1, 5))
 
 
+def _hub_case(test_rest):
+    """A gMAD instance whose top objectives all share one condition, c13: the
+    no-reuse greedy must read past its first prefix to fill k = 3."""
+    conditions = tuple(ConditionId("ab"[x % 2], f"c{x}", "d", 1) for x in range(14))
+    return np.zeros(14), np.array([*test_rest, 10.0]), conditions, 3, 1.0, 1
+
+
+# More than k = 2 cross-dataset candidates tied at the k-th gap of the bin
+_TIED_BIN = (np.array([0.5, 0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.75, 0.5, 0.75, 0.5]),
+             np.zeros(12), tuple(ConditionId("ab"[x % 2], f"c{x}", "d", 1) for x in range(12)),
+             2, 0.5, 1)
+
+
 @pytest.mark.filterwarnings("ignore:only")
 @settings(max_examples=300, deadline=None)
 @given(_selection_inputs(), st.booleans())
+@example(_TIED_BIN, False)
+@example(_hub_case(0.1 * np.arange(13)), False)
+@example(_hub_case(np.zeros(13)), False)
 def test_selectors_match_double_loops(case, allow_reuse):
     q, test, conditions, k, window, bins = case
     pairs, gaps = _cross_dataset_loop(q, conditions, k, window, bins)
@@ -545,3 +561,14 @@ def test_selectors_match_double_loops(case, allow_reuse):
     batch = select_gmad_pairs(test, q, k, window, allow_reuse=allow_reuse)
     expected = _gmad_loop(test, q, k, window, allow_reuse)
     assert (list(batch.pairs), list(batch.rationale)) == expected
+
+
+@pytest.mark.filterwarnings("ignore:only")
+def test_cross_dataset_bins_far_above_the_candidates():
+    """``--bins`` has no upper bound, so nothing may be sized by it."""
+    q = np.round(np.random.default_rng(5).uniform(-3.0, 0.0, 30), 1)
+    conditions = tuple(ConditionId("abc"[x % 3], f"c{x}", "d", 1) for x in range(30))
+    for k in (1, 4, 40):
+        batch = select_cross_dataset_pairs(q, conditions, k, 0.5, 10**12)
+        assert (list(batch.pairs), list(batch.rationale)) == \
+            _cross_dataset_loop(q, conditions, k, 0.5, 10**12)
