@@ -67,7 +67,7 @@ from .scaling import bootstrap_ci, scale
 from .simulate import RecoveryConfig, recovery_experiment, synthesize_collection
 
 _ACCURACY_THRESHOLDS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
-_CHUNK_ROWS = 1024  # rows per write: larger blocks leave more heap behind
+_CHUNK_ROWS = 256  # rows per write: larger blocks leave more heap behind
 
 
 class UsageError(Exception):
@@ -108,22 +108,19 @@ def _at_least(minimum, convert=int, finite=False):
 
 def _write_csv(path: Path, header: str, row_format: str, *columns) -> None:
     """Write ``header`` and what ``row_format.format`` gives for each row of
-    the columns, in blocks of ``_CHUNK_ROWS`` rows. Each comma-separated cell
-    of ``row_format`` is constant text or one field. A ``{}`` column is a list
-    of strings or a numpy array, whose distinct values are formatted once;
-    other fields take Python lists, so that floats format as floats."""
+    the columns (Python lists of one length, so that floats format as
+    floats), in blocks of ``_CHUNK_ROWS`` rows. Each comma-separated cell of
+    ``row_format`` is constant text or one field; the column of a ``{}``
+    field must hold strings, which are written as they are."""
     fields = iter(columns)
     strings = []
     for cell in row_format.removesuffix("\n").split(","):
         if "{" not in cell:
-            strings.append(repeat(cell))
+            strings.append(repeat(cell, len(columns[0])))
         elif cell != "{}":
             strings.append(map(cell.format, next(fields)))
-        elif isinstance(column := next(fields), np.ndarray):
-            values, inverse = np.unique(column, return_inverse=True)
-            strings.append(values.astype(str).astype(object)[inverse].tolist())
         else:
-            strings.append(column)
+            strings.append(next(fields))
     rows = map(",".join, zip(*strings))
     with open(path, "w", newline="") as handle:
         handle.write(header)
@@ -253,8 +250,10 @@ def _write_collection_files(collection: DatasetCollection, out: Path) -> None:
                        table.scores.tolist())
         datasets.append(entry)
     winners, losers, counts = collection.graph.observations()
+    values, inverse = np.unique(counts, return_inverse=True)  # format each count once
     _write_csv(out / "comparisons.csv", "cond_a,cond_b,count_a_over_b", "{},{},{}\n",
-               keys[winners].tolist(), keys[losers].tolist(), counts)
+               keys[winners].tolist(), keys[losers].tolist(),
+               values.astype(str).astype(object)[inverse].tolist())
     _write_json(out / "manifest.json", {"datasets": datasets, "comparisons": "comparisons.csv"})
 
 

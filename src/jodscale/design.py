@@ -109,13 +109,10 @@ def select_cross_dataset_pairs(
     cell = np.minimum(((0.5 * (q[i] + q[j]) - lo) / width).astype(np.int64), coverage_bins - 1)
 
     # only a bin's k smallest gaps (ties kept) can be picked: any other ranks
-    # >= k in its bin; and with more than k bins, the first round fills k
-    # picks from the k lowest. Group by a sort, so nothing is sized by bins.
+    # >= k in its bin. Group by a sort, so nothing is sized by bins.
     by_cell = np.argsort(cell, kind="stable")
     sorted_cell = cell[by_cell]
     starts = np.flatnonzero(np.r_[True, sorted_cell[1:] != sorted_cell[:-1]])
-    if starts.size > k:
-        by_cell, starts = by_cell[:starts[k]], starts[:k]
     sizes = np.diff(np.r_[starts, by_cell.size])
     cutoff = np.full(starts.size, np.inf)
     for b in np.flatnonzero(sizes > k):

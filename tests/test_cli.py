@@ -282,6 +282,13 @@ class TestSimulateCommand:
         assert set(coll.ratings) == {"ds1", "ds2"}
         manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
         assert not any("dynamic_range" in entry for entry in manifest["datasets"])
+        # the counts, formatted once per distinct value, read as str.format gives
+        keys = [cond.key for cond in coll.conditions]
+        winners, losers, counts = coll.graph.observations()
+        expected = "cond_a,cond_b,count_a_over_b\n" + "".join(map(
+            "{},{},{}\n".format, [keys[w] for w in winners], [keys[v] for v in losers],
+            counts.tolist()))
+        assert (tmp_path / "sim" / "comparisons.csv").read_text() == expected
 
     def test_identical_trees_for_same_seed(self, tmp_path, monkeypatch):
         for run in ("a", "b"):
@@ -682,21 +689,20 @@ class TestWriteCsv:
     @pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
     def test_matches_one_format_per_row(self, tmp_path, rows):
         """Every row format the CSV outputs use, on condition keys, observer
-        ids, integer arrays (0..rows-1 and repeated counts) and floats."""
+        ids, count strings and floats."""
         rng = np.random.default_rng(rows)
         specials = [0.0, -0.0, 0.1, 1e-7, -2.5e16, 1 / 3, 123456.0000005]
         floats = (specials + rng.normal(scale=3.0, size=rows).tolist())[:rows]
         others = rng.uniform(-5.0, 0.0, size=rows).tolist()
         keys = [f"ds{r % 3}/c{r:04d}/dist/1" for r in range(rows)]
         observers = [f"o{r % 15:03d}" for r in range(rows)]
-        counts = rng.integers(0, 31, size=rows)
+        counts = list(map(str, rng.integers(0, 31, size=rows).tolist()))
         for row_format, columns in [
             ("{},{:.6f},,\n", (keys, floats)),
             ("{},{:.6f},{:.6f},{:.6f}\n", (keys, floats, others, floats)),
             ("{}\n", (keys,)),
             ("{},{},{!r}\n", (keys, observers, floats)),
             ("{},{},{}\n", (keys, keys[::-1], counts)),
-            ("{},{}\n", (np.arange(rows), keys)),
             ("{},{!r},{:.6f}\n", (keys, floats, others)),
             ("{:.6f}\n", (floats,)),
             ("{},{},0\n", (keys, observers)),
