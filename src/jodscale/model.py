@@ -24,6 +24,7 @@ ratings CSV
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -101,10 +102,34 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _same_columns(a, b) -> bool:
-    """Equality of two column holders: same type, equal ``__slots__`` values."""
+    """Equality of two column holders: same type, equal public ``__slots__`` values."""
     return type(a) is type(b) and all(
-        np.array_equal(getattr(a, name), getattr(b, name)) for name in a.__slots__
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in a.__slots__ if not name.startswith("_")
     )
+
+
+def _directed_rows(i: np.ndarray, j: np.ndarray):
+    """Both directions of the canonical pairs ``(i, j)`` as (winners,
+    losers, order): winners ``(j, i)``, losers ``(i, j)``, and the order
+    that sorts the rows by (winner, loser). One stable sort on the winner
+    is enough: for each winner, its rows in the first half (losers below
+    it) and those in the second half (losers above it) are each already
+    sorted by loser."""
+    winners = np.concatenate([j, i])
+    return winners, np.concatenate([i, j]), np.argsort(winners, kind="stable")
+
+
+@dataclass(frozen=True)
+class PairPattern:
+    """CSR sparsity pattern of a graph's symmetric pair adjacency: row a
+    lists, in ``indices[indptr[a]:indptr[a + 1]]``, the conditions measured
+    against a in increasing order, and ``pairs`` gives the measured pair of
+    each slot, so per-pair values ``w`` fill the pattern as ``w[pairs]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    pairs: np.ndarray
 
 
 class ComparisonGraph:
@@ -121,9 +146,10 @@ class ComparisonGraph:
     non-negative integers.
     """
 
-    __slots__ = ("n", "i", "j", "c_ij", "c_ji")
+    __slots__ = ("n", "i", "j", "c_ij", "c_ji", "_pattern")
 
     def __init__(self, n: int, winners=(), losers=(), counts=()):
+        self._pattern = None
         if n < 0:
             raise IntegrityError(f"graph size must be non-negative, got {n}")
         self.n = int(n)
@@ -175,12 +201,38 @@ class ComparisonGraph:
     def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Non-zero directed counts as (winners, losers, counts), sorted by
         (winner, loser): the constructor's input form."""
-        winners = np.concatenate([self.i, self.j])
-        losers = np.concatenate([self.j, self.i])
-        counts = np.concatenate([self.c_ij, self.c_ji])
-        order = np.lexsort((losers, winners))
+        winners, losers, order = _directed_rows(self.i, self.j)
+        counts = np.concatenate([self.c_ji, self.c_ij])
         order = order[counts[order] > 0]
         return winners[order], losers[order], counts[order]
+
+    def pattern(self) -> PairPattern:
+        """The CSR pattern of the measured pairs, built on first use and
+        shared with every ``recounted`` graph."""
+        if self._pattern is None:
+            winners, losers, order = _directed_rows(self.i, self.j)
+            indptr = np.zeros(self.n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(winners, minlength=self.n), out=indptr[1:])
+            indptr.flags.writeable = False
+            # directed rows k and P + k are both pair k
+            pairs = order % max(self.i.size, 1)
+            self._pattern = PairPattern(
+                indptr, _frozen(losers[order], np.int32), _frozen(pairs, np.int32)
+            )
+        return self._pattern
+
+    def recounted(self, c_ij, c_ji) -> "ComparisonGraph":
+        """The same measured pairs with new integer counts ``c_ij[k]`` and
+        ``c_ji[k]`` for pair k, sharing this graph's pair arrays and pattern.
+        Every pair must keep a positive total, so it stays measured."""
+        c_ij, c_ji = _frozen(c_ij, np.int64), _frozen(c_ji, np.int64)
+        if c_ij.shape != self.c_ij.shape or c_ji.shape != self.c_ji.shape:
+            raise IntegrityError(f"recounting needs two counts per measured pair ({self.i.size})")
+        if np.any((c_ij < 0) | (c_ji < 0) | (c_ij + c_ji == 0)):
+            raise IntegrityError("recounted pairs need non-negative counts with a positive total")
+        graph = copy.copy(self)
+        graph.c_ij, graph.c_ji, graph._pattern = c_ij, c_ji, self.pattern()
+        return graph
 
     __eq__ = _same_columns
 
@@ -207,6 +259,10 @@ class RatingTable:
 
     def __len__(self) -> int:
         return self.scores.size
+
+    def take(self, rows) -> "RatingTable":
+        """The rows ``rows`` of this table, in that order, repeats allowed."""
+        return RatingTable(self.condition_indices[rows], self.observers[rows], self.scores[rows])
 
     __eq__ = _same_columns
 
@@ -281,6 +337,20 @@ class DatasetCollection:
                 )
             if name not in anchored:
                 raise IntegrityError(f"rating dataset {name!r} has no reference condition")
+
+    def recounted(self, c_ij, c_ji, picks: Mapping[str, np.ndarray]) -> "DatasetCollection":
+        """This collection with new counts on its measured pairs (see
+        ``ComparisonGraph.recounted``) and each rating table replaced by the
+        rows ``picks[name]`` of itself. Conditions, manifest and index are
+        shared, and nothing is revalidated: picked rows are valid rows."""
+        if sorted(picks) != sorted(self.ratings):
+            raise IntegrityError("recounting needs row picks for exactly the rating datasets")
+        collection = copy.copy(self)
+        collection.graph = self.graph.recounted(c_ij, c_ji)
+        collection.ratings = MappingProxyType(
+            {name: self.ratings[name].take(rows) for name, rows in picks.items()}
+        )
+        return collection
 
     @property
     def n(self) -> int:

@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import gammaln, log_ndtr, ndtr
 
 from .errors import DegenerateDataError, DisconnectedGraphError, IntegrityError
@@ -91,6 +92,16 @@ def _log_binomial(pairs) -> float:
     return float(np.sum(gammaln(cij + cji + 1.0) - gammaln(cij + 1.0) - gammaln(cji + 1.0)))
 
 
+def _log_ndtr_pair(z: np.ndarray):
+    """log Phi(z) and log Phi(-z) from one ``log_ndtr`` call: the smaller
+    side is log Phi(-|z|), and the larger is log1p(-exp(smaller)), accurate
+    to a few ulp because exp(smaller) is at most 1/2."""
+    small = log_ndtr(-np.abs(z))
+    large = np.log1p(-np.exp(small))
+    ahead = z >= 0.0
+    return np.where(ahead, large, small), np.where(ahead, small, large)
+
+
 def _pair_term(pairs, q: np.ndarray):
     """Binomial comparison terms, without their binomial coefficients.
 
@@ -101,7 +112,7 @@ def _pair_term(pairs, q: np.ndarray):
     i, j, cij, cji = pairs
     scale = 1.0 / (math.sqrt(2.0) * SIGMA_JOD)
     z = (q[i] - q[j]) * scale
-    log_win, log_loss = log_ndtr(z), log_ndtr(-z)
+    log_win, log_loss = _log_ndtr_pair(z)
     value = float(np.sum(cij * log_win + cji * log_loss))
     # Phi'(z)/Phi(z), evaluated stably in both tails.
     log_pdf = -0.5 * z**2 - math.log(_SQRT_2PI)
@@ -229,14 +240,16 @@ def log_posterior(
 class Curvature:
     """Second derivatives of the log-posterior at one point.
 
-    ``weights`` holds the per-pair curvature of the comparison terms,
-    ``rating_diag`` the per-condition d^2/dq_i^2 of the rating terms,
-    ``coupling`` (n x 3 per rating dataset) the d^2/dq_i d(link) entries and
-    ``link_hessian`` the block-diagonal Hessian of the link parameters.
+    ``adjacency`` is the n x n matrix of the per-pair curvature weights of
+    the comparison terms, on the graph's CSR pattern; ``diagonal`` holds the
+    per-condition d^2/dq_i^2 of the comparison and rating terms (the rating
+    part minus the weighted degree); ``coupling`` (n x 3 per rating dataset)
+    the d^2/dq_i d(link) entries and ``link_hessian`` the block-diagonal
+    Hessian of the link parameters. The prior's part is left out.
     """
 
-    weights: np.ndarray
-    rating_diag: np.ndarray
+    adjacency: csr_matrix
+    diagonal: np.ndarray
     coupling: np.ndarray
     link_hessian: np.ndarray
 
@@ -261,6 +274,7 @@ class PosteriorProblem:
         self.n_params = self.n_free + 3 * len(self.rating_names)
         self.labels, self.sizes = _component_labels(collection)
         self._pairs = collection.graph.pair_arrays()
+        self._pattern = collection.graph.pattern()
         self._log_coef = _log_binomial(self._pairs)
 
     def initial_point(self) -> np.ndarray:
@@ -316,10 +330,16 @@ class PosteriorProblem:
         value, slope, weights = _pair_term(self._pairs, q)
         value += self._log_coef
         grad_q = self._net(slope)
+        i_arr, j_arr = self._pairs[:2]
+        pattern = self._pattern
+        adjacency = csr_matrix(
+            (weights[pattern.pairs], pattern.indices, pattern.indptr), shape=(n, n)
+        )
+        degree = np.add(np.bincount(i_arr, weights, n), np.bincount(j_arr, weights, n), dtype=float)
+        diagonal = -degree
 
         grad = np.empty(self.n_params)
         n_links = 3 * len(self.rating_names)
-        rating_diag = np.zeros(n)
         coupling = np.zeros((n, n_links))
         link_hessian = np.zeros((n_links, n_links))
         for d, name in enumerate(self.rating_names):
@@ -335,7 +355,7 @@ class PosteriorProblem:
             grad_q += np.bincount(idx, r_over_v, n)
             for col in range(3):
                 coupling[:, k + col] = np.bincount(idx, record_coupling[:, col], n)
-            rating_diag -= coupling[:, k + 1]  # d^2/dq_i^2 = -d^2/dq_i db
+            diagonal -= coupling[:, k + 1]  # d^2/dq_i^2 = -d^2/dq_i db
 
         if self.prior_enabled:
             prior_value, prior_grad = _prior_term(q, self.labels, self.sizes)
@@ -343,19 +363,18 @@ class PosteriorProblem:
             grad_q += prior_grad
 
         grad[: self.n_free] = grad_q[self.free_idx]
-        return value, grad, Curvature(weights, rating_diag, coupling, link_hessian)
+        return value, grad, Curvature(adjacency, diagonal, coupling, link_hessian)
 
     def hess_vec(self, curvature: Curvature, vec: np.ndarray) -> np.ndarray:
         """Product of the log-posterior Hessian with a vector.
 
-        Uses the curvature cached by ``value_and_grad``: one gather and two
-        bincounts over the pairs, no special functions.
+        Uses the curvature cached by ``value_and_grad``: one sparse product
+        with the weighted adjacency, no special functions.
         """
         v_q = self._full_q(vec)
         v_links = vec[self.n_free :]
-        i_arr, j_arr = self._pairs[:2]
-        out_q = self._net(curvature.weights * (v_q[j_arr] - v_q[i_arr]))
-        out_q += curvature.rating_diag * v_q + curvature.coupling @ v_links
+        out_q = curvature.adjacency @ v_q
+        out_q += curvature.diagonal * v_q + curvature.coupling @ v_links
         if self.prior_enabled:
             out_q -= _center(v_q, self.labels, self.sizes) / SIGMA_JOD**2
         return np.concatenate([
@@ -365,12 +384,9 @@ class PosteriorProblem:
 
     def hess_diag(self, curvature: Curvature) -> np.ndarray:
         """Diagonal of the log-posterior Hessian, for Jacobi preconditioning."""
-        i_arr, j_arr = self._pairs[:2]
-        weights = curvature.weights
-        degree = np.bincount(i_arr, weights, self.n) + np.bincount(j_arr, weights, self.n)
-        diag_q = curvature.rating_diag - degree
+        diag_q = curvature.diagonal
         if self.prior_enabled:
-            diag_q -= (1.0 - 1.0 / self.sizes[self.labels]) / SIGMA_JOD**2
+            diag_q = diag_q - (1.0 - 1.0 / self.sizes[self.labels]) / SIGMA_JOD**2
         return np.concatenate([diag_q[self.free_idx], np.diag(curvature.link_hessian)])
 
 
@@ -529,23 +545,17 @@ def scale(
 def _resample_collection(
     collection: DatasetCollection, rng: np.random.Generator
 ) -> DatasetCollection:
-    i, j, c_ij, c_ji = collection.graph.pair_arrays()
+    """One bootstrap replicate: binomial counts on the measured pairs, whose
+    totals stay as they are, and rating rows drawn with replacement; the
+    replicate shares the collection's pairs and their pattern."""
+    _, _, c_ij, c_ji = collection.graph.pair_arrays()
     total = c_ij + c_ji
     new_c_ij = rng.binomial(total, c_ij / total)
-    graph = ComparisonGraph(
-        collection.n,
-        np.concatenate([i, j]),
-        np.concatenate([j, i]),
-        np.concatenate([new_c_ij, total - new_c_ij]),
-    )
-    ratings = {}
-    for name in sorted(collection.ratings):
-        table = collection.ratings[name]
-        picks = rng.integers(0, len(table), size=len(table))
-        ratings[name] = RatingTable(
-            table.condition_indices[picks], table.observers[picks], table.scores[picks]
-        )
-    return DatasetCollection(collection.conditions, graph, ratings, collection.manifest)
+    picks = {
+        name: rng.integers(0, len(collection.ratings[name]), size=len(collection.ratings[name]))
+        for name in sorted(collection.ratings)
+    }
+    return collection.recounted(new_c_ij, total - new_c_ij, picks)
 
 
 def bootstrap_ci(

@@ -96,6 +96,32 @@ class TestComparisonGraph:
         ]
         assert ComparisonGraph(4, winners, losers, counts) == graph
 
+    def test_pattern_is_the_csr_of_the_pair_adjacency(self):
+        graph = ComparisonGraph(5, [3, 0, 2, 1, 4], [0, 3, 1, 4, 2], [2, 1, 5, 0, 3])
+        i, j = graph.pair_arrays()[:2]
+        pattern = graph.pattern()
+        assert pattern is graph.pattern()
+        assert pattern.indptr.dtype == pattern.indices.dtype == pattern.pairs.dtype == np.int32
+        expected = np.full((5, 5), -1)
+        expected[i, j] = expected[j, i] = np.arange(i.size)
+        for row in range(5):
+            slots = slice(pattern.indptr[row], pattern.indptr[row + 1])
+            assert pattern.indices[slots].tolist() == np.flatnonzero(expected[row] >= 0).tolist()
+            assert pattern.pairs[slots].tolist() == expected[row][expected[row] >= 0].tolist()
+        empty = ComparisonGraph(3).pattern()
+        assert empty.indptr.tolist() == [0, 0, 0, 0] and empty.indices.size == 0
+
+    def test_recounted_graph_keeps_the_pairs(self):
+        graph = ComparisonGraph(4, [3, 0, 2, 1], [0, 3, 1, 2], [2, 1, 5, 0])
+        recounted = graph.recounted([3, 0], [0, 5])
+        assert recounted == ComparisonGraph(4, [0, 2], [3, 1], [3, 5])
+        assert recounted.i is graph.i and recounted.pattern() is graph.pattern()
+        assert graph.count(0, 3) == 1  # the source is unchanged
+        assert not recounted.c_ij.flags.writeable
+        for c_ij, c_ji in (([3], [0]), ([3, -1], [0, 5]), ([0, 2], [0, 3])):
+            with pytest.raises(IntegrityError, match="count"):
+                graph.recounted(c_ij, c_ji)
+
 
 class TestEmpiricalProbability:
     def test_direct_ratio(self):
@@ -134,6 +160,31 @@ def _collection(conditions, entries, ratings=None, experiments=None):
     }
     graph = graph_of(len(conditions), entries)
     return DatasetCollection(conditions, graph, ratings or {}, manifest)
+
+
+class TestRecountedCollection:
+    def _rated(self):
+        conds = [ConditionId.reference("a"), ConditionId("a", "c0", "d", 1),
+                 ConditionId.reference("b"), ConditionId("b", "c0", "d", 1)]
+        table = ratings_of(((2, "o1", 3.0), (3, "o1", 2.0), (3, "o2", 1.0)))
+        return _collection(conds, {(0, 1): 4, (1, 0): 1, (1, 2): 2},
+                           ratings={"b": table}, experiments={"b": "rating"})
+
+    def test_new_counts_and_picked_rows_without_revalidation(self, monkeypatch):
+        coll = self._rated()
+        monkeypatch.setattr(DatasetCollection, "_validate", lambda self: pytest.fail())
+        replicate = coll.recounted([2, 0], [3, 2], {"b": np.array([2, 2, 0])})
+        assert replicate.graph == graph_of(4, {(0, 1): 2, (1, 0): 3, (2, 1): 2})
+        assert replicate.ratings["b"] == ratings_of(((3, "o2", 1.0),) * 2 + ((2, "o1", 3.0),))
+        assert replicate.conditions is coll.conditions and replicate.manifest is coll.manifest
+        assert replicate.index_of("b/c0/d/1") == 3
+        assert coll.graph.count(0, 1) == 4 and len(coll.ratings["b"]) == 3
+
+    def test_picks_must_name_exactly_the_rating_datasets(self):
+        coll = self._rated()
+        for picks in ({}, {"b": [0], "a": [0]}):
+            with pytest.raises(IntegrityError, match="row picks"):
+                coll.recounted([4, 2], [1, 0], picks)
 
 
 class TestConnectedComponents:

@@ -5,8 +5,12 @@ the row layout of ``comparisons.csv`` must not reach the scale; the
 joint-scaling components must match a plain breadth-first search; the
 block-split CSV reader must return what one plain ``csv.reader`` returns; the
 likelihood kernel's gradient, cached curvature and Jacobi diagonal must
-match central differences; a solve started anywhere near the maximum (or
-at it) must reach the maximum a cold solve reaches; a disconnected collection
+match central differences, and its one-``log_ndtr`` pair of log
+probabilities must match two ``log_ndtr`` calls; a graph's directed rows and
+CSR pattern must follow the two-key ``lexsort`` order; a bootstrap replicate,
+which shares its collection's pairs, must scale exactly as the collection
+rebuilt from its rows; a solve started anywhere near the maximum (or at it)
+must reach the maximum a cold solve reaches; a disconnected collection
 scaled per component must be its components scaled alone; and both pair
 selectors must return exactly what a double loop over all pairs returns.
 """
@@ -23,12 +27,13 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import pytest
-from scipy.special import ndtr
+from scipy.sparse import csr_matrix
+from scipy.special import log_ndtr, ndtr
 
 from jodscale import model
 from jodscale.cli import main
 from jodscale.design import select_cross_dataset_pairs, select_gmad_pairs
-from jodscale.errors import DesignError, IntegrityError, ParseError
+from jodscale.errors import DesignError, IntegrityError, JodscaleError, ParseError
 from jodscale.model import (
     ComparisonGraph,
     ConditionId,
@@ -38,7 +43,8 @@ from jodscale.model import (
     connected_components,
 )
 from jodscale.scaling import (
-    SIGMA_JOD, LinkParams, PosteriorProblem, bootstrap_ci, log_posterior, scale,
+    SIGMA_JOD, LinkParams, PosteriorProblem, UnifiedScale, _log_ndtr_pair,
+    _resample_collection, bootstrap_ci, log_posterior, scale,
 )
 
 _HEADER = "cond_a,cond_b,count_a_over_b"
@@ -263,6 +269,44 @@ def test_connected_components_match_bfs(case):
     assert connected_components(collection) == _bfs_components(collection.n, edges)
 
 
+@st.composite
+def _graphs(draw):
+    """Graphs of up to 9 conditions whose rows repeat, mirror and hold zero counts."""
+    n = draw(st.integers(0, 9))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3))
+        .filter(lambda row: row[0] != row[1]),
+        max_size=30,
+    )) if n > 1 else []
+    return ComparisonGraph(n, *(list(column) for column in zip(*rows))) \
+        if rows else ComparisonGraph(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+@example(ComparisonGraph(0))
+@example(ComparisonGraph(4, [0, 2], [1, 3], [0, 0]))
+@example(ComparisonGraph(4, [0, 3, 1], [3, 0, 2], [0, 5, 2]))
+def test_directed_rows_follow_the_lexsort_order(graph):
+    i, j, c_ij, c_ji = graph.pair_arrays()
+    winners, losers = np.concatenate([i, j]), np.concatenate([j, i])
+    counts = np.concatenate([c_ij, c_ji])
+    order = np.lexsort((losers, winners))
+    nonzero = order[counts[order] > 0]
+    for got, expected in zip(graph.observations(),
+                             (winners[nonzero], losers[nonzero], counts[nonzero])):
+        np.testing.assert_array_equal(got, expected)
+
+    pattern = graph.pattern()
+    np.testing.assert_array_equal(pattern.indices, losers[order])
+    weights = np.arange(1.0, i.size + 1)
+    adjacency = csr_matrix((weights[pattern.pairs], pattern.indices, pattern.indptr),
+                           shape=(graph.n, graph.n))
+    dense = np.zeros((graph.n, graph.n))
+    dense[i, j] = dense[j, i] = weights
+    np.testing.assert_array_equal(adjacency.toarray(), dense)
+
+
 def _rated_collection(seed, cross=True):
     """A pairwise and a rating dataset with random counts along a chain,
     random extra pairs and one cross pair unless ``cross`` is false; 2-4
@@ -310,6 +354,19 @@ def test_kernel_matches_central_differences(seed, prior, cross):
 
     columns = [problem.hess_vec(curvature, e) @ e for e in unit]
     assert problem.hess_diag(curvature) == pytest.approx(columns, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(z=st.floats(-40.0, 40.0))
+@example(z=0.0)
+@example(z=-0.0)
+@example(z=40.0)
+@example(z=-40.0)
+def test_one_log_ndtr_pair_matches_two_calls(z):
+    zs = np.array([z, -z, z / 3.0, np.nextafter(z, 0.0)])
+    log_win, log_loss = _log_ndtr_pair(zs)
+    np.testing.assert_allclose(log_win, log_ndtr(zs), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(log_loss, log_ndtr(-zs), rtol=0, atol=1e-15)
 
 
 def _observer_collection(seed, cross=True):
@@ -400,6 +457,48 @@ def test_warm_started_per_component_bootstrap_matches_cold(seed):
         cold = bootstrap_ci(collection, 4, seed=seed, **options)
         warm = bootstrap_ci(collection, 4, seed=seed, start=full, **options)
     np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-6)
+
+
+def _outcome(collection, **options):
+    """The scale of a collection, or the type and message of the error it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "NOT comparable" across components
+        try:
+            return scale(collection, **options)
+        except JodscaleError as exc:
+            return type(exc), str(exc)
+
+
+# A replicate shares its collection's pair arrays and CSR pattern and skips
+# revalidation; rebuilt from its own rows, it must scale bit for bit alike,
+# whether it splits into components (cross=False), fails to scale or not.
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["observer", "rated", "unrated"]),
+       cross=st.booleans(), per_component=st.booleans(), prior=st.booleans())
+def test_replicate_scales_as_its_rebuilt_collection(seed, kind, cross, per_component, prior):
+    make = _observer_collection if kind == "observer" else _rated_collection
+    collection, _ = make(seed, cross)
+    if kind == "unrated":
+        collection = DatasetCollection(collection.conditions, collection.graph, {},
+                                       collection.manifest)
+    replicate = _resample_collection(collection, np.random.default_rng(seed))
+    rebuilt = DatasetCollection(
+        collection.conditions, ComparisonGraph(collection.n, *replicate.graph.observations()),
+        {name: RatingTable(table.condition_indices, table.observers, table.scores)
+         for name, table in replicate.ratings.items()},
+        collection.manifest,
+    )
+    assert replicate.graph == rebuilt.graph
+    assert dict(replicate.ratings) == dict(rebuilt.ratings)
+    options = {"per_component": per_component, "prior_enabled": prior}
+    got, expected = _outcome(replicate, **options), _outcome(rebuilt, **options)
+    assert isinstance(got, UnifiedScale) == isinstance(expected, UnifiedScale)
+    if isinstance(expected, UnifiedScale):
+        np.testing.assert_array_equal(got.q, expected.q)
+        assert (got.links, got.log_posterior, got.converged, got.iterations) == (
+            expected.links, expected.log_posterior, expected.converged, expected.iterations)
+    else:
+        assert got == expected
 
 
 def _subcollection(collection, members):
@@ -536,6 +635,14 @@ def _hub_case(test_rest):
     return np.zeros(14), np.array([*test_rest, 10.0]), conditions, 3, 1.0, 1
 
 
+# gMAD at k = 4: the first prefix (the 15 pairs across the groups {0, 1, 2}
+# and {1000, ..., 1004}, then 1000-1004) fills 3 picks and leaves 1000 and
+# 1001 unused, whose pair comes last: the pass must go on past its prefix
+# while two unused conditions remain.
+_LATE_PAIR = (np.zeros(8), np.array([0.0, 1.0, 2.0, 1000.0, 1001.0, 1002.0, 1003.0, 1004.0]),
+              tuple(ConditionId("ab"[x % 2], f"c{x}", "d", 1) for x in range(8)), 4, 1.0, 1)
+
+
 # More than k = 2 cross-dataset candidates tied at the k-th gap of the bin
 _TIED_BIN = (np.array([0.5, 0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.75, 0.5, 0.75, 0.5]),
              np.zeros(12), tuple(ConditionId("ab"[x % 2], f"c{x}", "d", 1) for x in range(12)),
@@ -546,6 +653,7 @@ _TIED_BIN = (np.array([0.5, 0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.75, 0.5, 0.75
 @settings(max_examples=300, deadline=None)
 @given(_selection_inputs(), st.booleans())
 @example(_TIED_BIN, False)
+@example(_LATE_PAIR, False)
 @example(_hub_case(0.1 * np.arange(13)), False)
 @example(_hub_case(np.zeros(13)), False)
 def test_selectors_match_double_loops(case, allow_reuse):
@@ -558,9 +666,14 @@ def test_selectors_match_double_loops(case, allow_reuse):
         with pytest.raises(DesignError, match="no cross-dataset pair"):
             select_cross_dataset_pairs(q, conditions, k, window, bins)
 
-    batch = select_gmad_pairs(test, q, k, window, allow_reuse=allow_reuse)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = select_gmad_pairs(test, q, k, window, allow_reuse=allow_reuse)
     expected = _gmad_loop(test, q, k, window, allow_reuse)
     assert (list(batch.pairs), list(batch.rationale)) == expected
+    short = len(expected[0]) < k
+    assert [str(w.message) for w in caught] == (
+        [f"only {len(expected[0])} of {k} requested adversarial pairs are feasible"] * short)
 
 
 @pytest.mark.filterwarnings("ignore:only")
