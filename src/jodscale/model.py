@@ -260,10 +260,6 @@ class RatingTable:
     def __len__(self) -> int:
         return self.scores.size
 
-    def take(self, rows) -> "RatingTable":
-        """The rows ``rows`` of this table, in that order, repeats allowed."""
-        return RatingTable(self.condition_indices[rows], self.observers[rows], self.scores[rows])
-
     __eq__ = _same_columns
 
 
@@ -347,9 +343,13 @@ class DatasetCollection:
             raise IntegrityError("recounting needs row picks for exactly the rating datasets")
         collection = copy.copy(self)
         collection.graph = self.graph.recounted(c_ij, c_ji)
-        collection.ratings = MappingProxyType(
-            {name: self.ratings[name].take(rows) for name, rows in picks.items()}
-        )
+        ratings = {}
+        for name, rows in picks.items():
+            table = self.ratings[name]
+            ratings[name] = RatingTable(
+                table.condition_indices[rows], table.observers[rows], table.scores[rows]
+            )
+        collection.ratings = MappingProxyType(ratings)
         return collection
 
     @property
