@@ -210,15 +210,17 @@ class ComparisonGraph:
         """The CSR pattern of the measured pairs, built on first use and
         shared with every ``recounted`` graph."""
         if self._pattern is None:
-            winners, losers, order = _directed_rows(self.i, self.j)
+            # int32 indices, as scipy.sparse keeps them, halve the temporaries
+            winners, losers, order = _directed_rows(self.i.astype(np.int32),
+                                                    self.j.astype(np.int32))
             indptr = np.zeros(self.n + 1, dtype=np.int32)
             np.cumsum(np.bincount(winners, minlength=self.n), out=indptr[1:])
-            indptr.flags.writeable = False
+            indices = losers[order]
             # directed rows k and P + k are both pair k
-            pairs = order % max(self.i.size, 1)
-            self._pattern = PairPattern(
-                indptr, _frozen(losers[order], np.int32), _frozen(pairs, np.int32)
-            )
+            pairs = np.remainder(order, max(self.i.size, 1), out=order).astype(np.int32)
+            for array in (indptr, indices, pairs):
+                array.flags.writeable = False
+            self._pattern = PairPattern(indptr, indices, pairs)
         return self._pattern
 
     def recounted(self, c_ij, c_ji) -> "ComparisonGraph":

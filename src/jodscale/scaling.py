@@ -551,10 +551,10 @@ def _resample_collection(
     _, _, c_ij, c_ji = collection.graph.pair_arrays()
     total = c_ij + c_ji
     new_c_ij = rng.binomial(total, c_ij / total)
-    picks = {
-        name: rng.integers(0, len(collection.ratings[name]), size=len(collection.ratings[name]))
-        for name in sorted(collection.ratings)
-    }
+    picks = {}
+    for name in sorted(collection.ratings):
+        rows = len(collection.ratings[name])
+        picks[name] = rng.integers(0, rows, size=rows)
     return collection.recounted(new_c_ij, total - new_c_ij, picks)
 
 
