@@ -251,21 +251,20 @@ def select_gmad_pairs(
     # the greedy pass reads a prefix of the (-objective, i, j) order: each step
     # sorts the objectives from the m-th largest (ties kept, so the steps join
     # into an exact prefix) up to the last step's cutoff, with m growing 4x.
-    # Without reuse, a step drops the pairs that touch a used condition, and
-    # the pass stops once no pair of two unused conditions is left.
+    # Without reuse, a step drops its pairs that touch a used condition, and
+    # the pass stops once fewer than two conditions are unused.
     chosen = []
     used: set[int] = set()
     upper, m = np.inf, 4 * k
     while len(chosen) < k and upper > -np.inf:
+        if not allow_reuse and test.size - len(used) < 2:
+            break
         lower = -np.partition(-objective, m - 1)[m - 1] if m < objective.size else -np.inf
-        pending = objective < upper
+        step = np.flatnonzero((objective >= lower) & (objective < upper))
         if used and not allow_reuse:
             free = np.ones(test.size, dtype=bool)
             free[list(used)] = False
-            pending &= free[i] & free[j]
-            if not pending.any():
-                break
-        step = np.flatnonzero(pending & (objective >= lower))
+            step = step[free[i[step]] & free[j[step]]]
         for c in step[np.lexsort((j[step], i[step], -objective[step]))]:
             if len(chosen) >= k:
                 break
