@@ -17,24 +17,24 @@ out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0
 before any output directory exists, and so are the input files each
 ``select-pairs`` mode needs; an ``--out`` that cannot be made a directory
 (it names an existing file, say) is a usage error too. An ``--alpha``
-outside (0, 1) with ``scale --bootstrap`` and a non-finite ``select-pairs``
-score are data integrity errors.
+outside (0, 1) with ``scale --bootstrap``, a non-finite ``select-pairs``
+score and a non-finite ``pu-encode``/``stats`` input value are data
+integrity errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from collections import Counter
-from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .csvio import _cells, _read_csv, _write_csv
 from .design import select_cross_dataset_pairs, select_gmad_pairs
 from .errors import (
     ConvergenceError,
@@ -42,18 +42,10 @@ from .errors import (
     DesignError,
     IntegrityError,
     JodscaleError,
-    ParseError,
 )
 from .linkfit import fit_report
 from .metricmap import correlation_metrics, eval_logistic, fit_logistic, pairwise_accuracy
-from .model import (
-    ComparisonGraph,
-    ConditionId,
-    DatasetCollection,
-    _cells,
-    _read_csv,
-    load_collection,
-)
+from .model import ComparisonGraph, ConditionId, DatasetCollection, load_collection
 from .photometry import (
     DisplayModel,
     PuLut,
@@ -67,7 +59,6 @@ from .scaling import bootstrap_ci, scale
 from .simulate import RecoveryConfig, recovery_experiment, synthesize_collection
 
 _ACCURACY_THRESHOLDS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
-_CHUNK_ROWS = 256  # rows per write: larger blocks leave more heap behind
 
 
 class UsageError(Exception):
@@ -106,29 +97,6 @@ def _at_least(minimum, convert=int, finite=False):
     return parse
 
 
-def _write_csv(path: Path, header: str, row_format: str, *columns) -> None:
-    """Write ``header`` and what ``row_format.format`` gives for each row of
-    the columns (Python lists of one length, so that floats format as
-    floats), in blocks of ``_CHUNK_ROWS`` rows. Each comma-separated cell of
-    ``row_format`` is constant text or one field; the column of a ``{}``
-    field must hold strings, which are written as they are."""
-    fields = iter(columns)
-    strings = []
-    for cell in row_format.removesuffix("\n").split(","):
-        if "{" not in cell:
-            strings.append(repeat(cell, len(columns[0])))
-        elif cell != "{}":
-            strings.append(map(cell.format, next(fields)))
-        else:
-            strings.append(next(fields))
-    rows = map(",".join, zip(*strings))
-    with open(path, "w", newline="") as handle:
-        handle.write(header)
-        while block := list(islice(rows, _CHUNK_ROWS)):
-            handle.write("\n" + "\n".join(block))
-        handle.write("\n")
-
-
 def _read_keyed_csv(path, value_column: str) -> dict[str, float]:
     keys, values = _read_csv(
         path, {"condition": _cells(str.strip, str), value_column: _cells(float, float)}
@@ -142,24 +110,10 @@ def _read_keyed_csv(path, value_column: str) -> dict[str, float]:
 
 
 def _read_values_csv(path) -> np.ndarray:
-    values = []
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            if not row:
-                continue
-            cell = row[0].strip()
-            if cell == "value" or cell.startswith("#"):
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError as exc:
-                raise ParseError(f"non-numeric value {cell!r} in {path}") from exc
-    return np.asarray(values, dtype=float)
+    values, = _read_csv(path, {"value": _cells(float, float)})
+    if not np.all(np.isfinite(values)):
+        raise IntegrityError(f"values in {path} must be finite")
+    return values
 
 
 def _fitted_scores(args):
@@ -538,14 +492,14 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--strict", action="store_true",
                    help="reject out-of-range values instead of clamping them with a warning")
-    p.add_argument("--input", required=True, help="single-column CSV of values")
+    p.add_argument("--input", required=True, help="CSV of values, header 'value'")
     p.add_argument("--l-peak", type=float, default=None,
                    help="treat input as normalized display values with this peak")
     p.add_argument("--l-black", type=float, default=0.5)
     p.add_argument("--gamma", type=float, default=2.2)
-    p.add_argument("--lut", help="load the PU look-up table from CSV")
+    p.add_argument("--lut", help="load the PU look-up table from a CSV, header 'luminance,pu'")
     p.add_argument("--save-lut", help="write the look-up table next to the output")
-    p.add_argument("--threshold", help="tabulated detection threshold CSV")
+    p.add_argument("--threshold", help="detection threshold CSV, header 'luminance,threshold'")
     p.add_argument("--l-min", type=float, default=1e-3)
     p.add_argument("--l-max", type=float, default=1e6)
     p.add_argument("--knots", type=_at_least(64), default=4096)
@@ -574,7 +528,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stats", help="log-luminance histogram summary of a value file")
     add_common(p)
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, help="CSV of luminance values, header 'value'")
     p.add_argument("--bins", type=_at_least(1), default=64)
     p.set_defaults(func=_cmd_stats)
 

@@ -94,11 +94,10 @@ def fit_logistic(scores, jod) -> LogisticFit:
     baseline = _linear_baseline(scores, jod)
     best_params = baseline
     best_rmse = _rmse(eval_logistic(baseline, scores), jod)
-    solver_ok = True
 
-    residual_trend = float(np.polyfit(scores, jod - eval_logistic(baseline, scores), 1)[0])
-    span = float(scores.max() - scores.min())
     resid = jod - eval_logistic(baseline, scores)
+    residual_trend = float(np.polyfit(scores, resid, 1)[0])
+    span = float(scores.max() - scores.min())
     amplitude = float(resid.max() - resid.min()) or 1.0
     a2_mag = 4.0 / span
     a3_init = float(np.median(scores))

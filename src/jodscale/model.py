@@ -25,12 +25,10 @@ ratings CSV
 from __future__ import annotations
 
 import copy
-import csv
-import io
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -38,6 +36,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
 
+from .csvio import _cells, _read_csv
 from .errors import IntegrityError, ParseError, UndefinedPairError
 from .photometry import DisplayModel
 
@@ -404,89 +403,6 @@ def connected_components(collection: DatasetCollection) -> list[list[int]]:
     order = np.argsort(labels, kind="stable")
     groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
     return sorted((members.tolist() for members in groups), key=lambda members: members[0])
-
-
-_BLOCK_CHARS = 1 << 20
-
-
-def _read_csv(path: Path, parsers: Mapping[str, Callable]) -> list:
-    """Read a CSV file in one pass; return each required column converted
-    by its parser (``parsers`` maps column name to parser). The file is read
-    in blocks of whole lines of about ``_BLOCK_CHARS`` characters, so the
-    text of a large file is never held at once."""
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}") from exc
-    chunks = []
-    with handle:
-        try:
-            header = next(csv.reader(handle), [])
-        except csv.Error as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        missing = [col for col in parsers if col not in header]
-        if missing:
-            raise ParseError(f"{path} is missing columns {missing} (header {header})")
-        positions = [header.index(col) for col in parsers]
-        width = max(positions) + 1
-        while block := handle.read(_BLOCK_CHARS):
-            if block[-1] != "\n":
-                block += handle.readline()
-            columns = _split_plain(block, width) or _split_rows(block, width, handle, path)
-            if not columns:
-                continue
-            parsed = []
-            for (col, parse), pos in zip(parsers.items(), positions):
-                try:
-                    parsed.append(parse(columns[pos]))
-                except (ValueError, OverflowError) as exc:
-                    raise ParseError(f"{path}, column {col!r}: {exc}") from exc
-            chunks.append(parsed)
-    if not chunks:
-        return [parse(()) for parse in parsers.values()]
-    return [np.concatenate(parts) for parts in zip(*chunks)]
-
-
-def _split_plain(block: str, width: int) -> list | None:
-    """The columns of a block of plain lines, split once; ``None`` unless
-    the block has no quote, no carriage return and no blank line, and every
-    line has the same number of fields, at least ``width``."""
-    if '"' in block or "\r" in block or "\n\n" in block or block[0] == "\n":
-        return None
-    text = block.removesuffix("\n")
-    data = np.frombuffer(text.encode(), np.uint8)
-    line_ends = np.append(np.flatnonzero(data == ord("\n")), data.size)
-    fields = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), line_ends), prepend=0) + 1
-    if fields[0] < width or np.any(fields != fields[0]):
-        return None
-    parts = text.replace("\n", ",").split(",")
-    return [parts[pos::fields[0]] for pos in range(width)]
-
-
-def _split_rows(block: str, width: int, handle, path: Path) -> list:
-    """The columns of a block read row by row with ``csv.reader``, skipping
-    blank rows; a short row or a row ``csv.reader`` rejects (a quoted field
-    longer than ``csv.field_size_limit()``, say) is a parse error. A quoted
-    field still open at the end of the block is completed from ``handle``."""
-    lines = io.StringIO(block, newline="")
-    reader = csv.reader(chain(lines, handle))
-    rows = []
-    while lines.tell() < len(block):
-        # rows as tuples: the garbage collector stops tracking tuples of strings
-        try:
-            row = tuple(next(reader))
-        except csv.Error as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        if row:
-            if len(row) < width:
-                raise ParseError(f"{path} has a row with fewer than {width} fields: {row}")
-            rows.append(row)
-    return list(zip(*rows))
-
-
-def _cells(convert, dtype) -> Callable:
-    """A ``_read_csv`` parser that converts every cell of a column."""
-    return lambda texts: np.array(list(map(convert, texts)), dtype=dtype)
 
 
 def _indices(index: Mapping[str, int], what: str) -> Callable:

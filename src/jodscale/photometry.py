@@ -10,7 +10,6 @@ spans code values 0 to 255.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .csvio import _cells, _read_csv, _write_csv
 from .errors import IntegrityError, ParseError
 
 # Anchors: SDR display luminance range mapped onto the 8-bit code range.
@@ -116,30 +116,17 @@ def default_threshold() -> ThresholdFunction:
 
 
 def tabulated_threshold(path) -> ThresholdFunction:
-    """Threshold interpolated from a two-column CSV (luminance, threshold).
+    """Threshold interpolated from a CSV with header ``luminance,threshold``.
 
     Interpolation is linear in log-log space, clamped at the table ends.
     """
-    lums, thrs = [], []
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open threshold table {path}: {exc}") from exc
-    with handle:
-        for row in csv.reader(handle):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                lum, thr = float(row[0]), float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"bad threshold row {row!r} in {path}") from exc
-            lums.append(lum)
-            thrs.append(thr)
-    if len(lums) < 2:
+    lums, thrs = _read_csv(path, {"luminance": _cells(float, float),
+                                  "threshold": _cells(float, float)})
+    if lums.size < 2:
         raise ParseError(f"threshold table {path} needs at least two rows")
     order = np.argsort(lums)
-    log_l = np.log(np.asarray(lums, dtype=float)[order])
-    log_t = np.log(np.asarray(thrs, dtype=float)[order])
+    log_l = np.log(lums[order])
+    log_t = np.log(thrs[order])
     if np.any(~np.isfinite(log_l)) or np.any(~np.isfinite(log_t)):
         raise ParseError(f"threshold table {path} must be positive and finite")
 
@@ -171,35 +158,16 @@ class PuLut:
         object.__setattr__(self, "pu_values", values)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            handle.write("luminance,pu\n")
-            for lum, value in zip(self.luminance_knots, self.pu_values):
-                handle.write(f"{float(lum)!r},{float(value)!r}\n")
+        _write_csv(path, "luminance,pu", "{!r},{!r}\n",
+                   self.luminance_knots.tolist(), self.pu_values.tolist())
 
     @classmethod
     def from_csv(cls, path) -> "PuLut":
-        lums, values = [], []
-        try:
-            handle = open(path, newline="")
-        except OSError as exc:
-            raise ParseError(f"cannot open LUT {path}: {exc}") from exc
-        with handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["luminance", "pu"]:
-                raise ParseError(f"LUT {path} must start with header 'luminance,pu'")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    lums.append(float(row[0]))
-                    values.append(float(row[1]))
-                except (ValueError, IndexError) as exc:
-                    raise ParseError(f"bad LUT row {row!r} in {path}") from exc
-        if len(lums) < 2:
+        knots, values = _read_csv(path, {"luminance": _cells(float, float),
+                                         "pu": _cells(float, float)})
+        if knots.size < 2:
             raise ParseError(f"LUT {path} needs at least two rows")
-        knots = np.asarray(lums, dtype=float)
-        return cls(knots, np.asarray(values, dtype=float), float(knots[0]), float(knots[-1]))
+        return cls(knots, values, float(knots[0]), float(knots[-1]))
 
 
 def build_pu_lut(

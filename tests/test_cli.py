@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import jodscale
-from jodscale.cli import _CHUNK_ROWS, _write_csv, main
+from jodscale.cli import main
+from jodscale.csvio import _CHUNK_ROWS, _write_csv
 
 from conftest import write_two_condition_fixture
 
@@ -253,6 +255,27 @@ class TestUsageErrors:
             "condition,jod,score\na/ref/reference/0,0.0,0.0\na/c0/d/1\n")
         assert main([*argv, "--out", "out"]) == 2
 
+    @pytest.mark.parametrize("argv, output", [
+        (["stats", "--input", "values.csv"], "stats.json"),
+        (["pu-encode", "--input", "values.csv", "--knots", "64"], "encoded.csv"),
+    ])
+    @pytest.mark.parametrize("text, message", [
+        ("1.0\n100.0\n", "missing columns ['value']"),
+        ("value\n# luminance in cd/m^2\n1.0\n", "column 'value'"),
+        ("", "missing columns ['value']"),
+        ("value\n1.0\ninf\n", "must be finite"),
+        ("value\nnan\n100.0\n", "must be finite"),
+    ])
+    def test_malformed_value_file_is_data_error(self, tmp_path, monkeypatch, capsys,
+                                                argv, output, text, message):
+        """A value file without its header, with a comment line, empty, or
+        holding a non-finite value; no output is written."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "values.csv").write_text(text)
+        assert main([*argv, "--out", "out"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / output).exists()
+
     def test_duplicate_key_in_keyed_csv_is_data_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "scale.csv").write_text(
@@ -353,9 +376,14 @@ class TestValidateAndFitLogistic:
 
 
 class TestPuEncodeCommand:
-    def test_anchor_values(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("text", [
+        "value\n0.8\n80.0\n10.0\n",
+        'name,value\n"office, dim",0.8\nbright,80.0\r\n\n"mid",10.0\n',
+    ])
+    def test_anchor_values(self, tmp_path, monkeypatch, text):
+        """The ``value`` column is found by name, also after a quoted one."""
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "values.csv").write_text("value\n0.8\n80.0\n10.0\n")
+        (tmp_path / "values.csv").write_text(text)
         code = main(["pu-encode", "--input", "values.csv", "--out", "enc",
                      "--knots", "512"])
         assert code == 0
@@ -706,6 +734,7 @@ class TestWriteCsv:
             ("{},{!r},{:.6f}\n", (keys, floats, others)),
             ("{:.6f}\n", (floats,)),
             ("{},{},0\n", (keys, observers)),
+            ("{!r},{!r}\n", (floats, others)),
         ]:
             path = tmp_path / "out.csv"
             _write_csv(path, "h,e,a,d", row_format, *columns)
@@ -713,3 +742,15 @@ class TestWriteCsv:
             assert path.read_bytes().decode() == expected, row_format
             if rows == 0:  # the header alone, with no stray newline
                 assert expected == "h,e,a,d\n"
+
+
+def test_only_csvio_imports_csv():
+    """Every CSV file is read and written by ``jodscale.csvio``."""
+    importers = set()
+    for path in Path(jodscale.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in names:
+                importers.add(path.stem)
+    assert importers == {"csvio"}

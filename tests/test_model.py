@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from jodscale import model
+from jodscale import csvio
 from jodscale.cli import main
 from jodscale.errors import IntegrityError, ParseError, UndefinedPairError
 from jodscale.model import (
@@ -362,7 +362,7 @@ class TestLoadCollection:
                                             bad_row, error, message):
         """With 64-character blocks the bad row shares a block with a good
         row before it; with 1-character blocks it is a block of its own."""
-        monkeypatch.setattr(model, "_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(csvio, "_BLOCK_CHARS", block_chars)
         path = write_two_condition_fixture(tmp_path / "later")
         good = "demo/c0/dist/1,demo/ref/reference/0,1\n"
         comparisons = path.parent / "comparisons.csv"
@@ -396,9 +396,9 @@ class TestLoadCollection:
 
     def test_field_over_the_csv_limit(self, tmp_path, monkeypatch):
         """A field longer than ``csv.field_size_limit()`` is a parse error
-        naming the file where ``csv.reader`` reads it: in the header and in a
-        quoted row. An unquoted row is split without ``csv.reader``, which
-        has no such limit, so there the field loads."""
+        naming the file, wherever it is: in an unquoted row, in a quoted row
+        and in the header. A block with a line over the limit is not split
+        plainly but read with ``csv.reader``, which enforces the limit."""
         root = tmp_path / "long"
         root.mkdir()
         (root / "conditions.csv").write_text("condition\nrd/ref/reference/0\nrd/c0/dist/1\n")
@@ -409,16 +409,20 @@ class TestLoadCollection:
         ratings = root / "ratings.csv"
         long = "o" * 200_000
         rows = "rd/ref/reference/0,{0},4.8\nrd/c0/dist/1,{0},3.1\n"
-        ratings.write_text("condition,observer,score\n" + rows.format(long))
-        assert load_collection(root / "manifest.json").ratings["rd"].observers[0] == long
-
         monkeypatch.chdir(tmp_path)
-        for text in ("condition,observer,score\n" + rows.format(f'"{long}"'),
+        for text in ("condition,observer,score\n" + rows.format(long),
+                     "condition,observer,score\n" + rows.format(f'"{long}"'),
                      f"condition,observer,score,{long}\n" + rows.format("o1")):
             ratings.write_text(text)
             with pytest.raises(ParseError, match="ratings.csv: field larger than field limit"):
                 load_collection(root / "manifest.json")
             assert main(["scale", "--manifest", "long/manifest.json", "--out", "out"]) == 2
+
+        # a line over the limit whose fields are all within it loads
+        half = "o" * 100_000
+        ratings.write_text(f"condition,observer,score,note\nrd/ref/reference/0,o1,4.8,{half}\n"
+                           f"rd/c0/dist/1,{half},3.1,{half}\n")
+        assert load_collection(root / "manifest.json").ratings["rd"].observers[1] == half
 
     def test_unknown_fields_warn_not_error(self, tmp_path):
         path = write_two_condition_fixture(tmp_path / "warn")

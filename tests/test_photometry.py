@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,10 +153,19 @@ class TestPuEncode:
         loaded = PuLut.from_csv(path)
         np.testing.assert_array_equal(lut.luminance_knots, loaded.luminance_knots)
         np.testing.assert_array_equal(lut.pu_values, loaded.pu_values)
+        # columns are found by name: reordered, with an extra one
+        path.write_text("pu,luminance,extra\n" + "".join(
+            f"{v!r},{k!r},x\n" for k, v in zip(lut.luminance_knots.tolist(),
+                                              lut.pu_values.tolist())))
+        reordered = PuLut.from_csv(path)
+        np.testing.assert_array_equal(lut.luminance_knots, reordered.luminance_knots)
+        np.testing.assert_array_equal(lut.pu_values, reordered.pu_values)
 
-    def test_bad_lut_csv(self, tmp_path):
+    @pytest.mark.parametrize("text", ["wrong,header\n1,2\n",
+                                      "luminance,pu\n1.0,0.0\n2.0\n3.0,2.0\n"])
+    def test_bad_lut_csv(self, tmp_path, text):
         path = tmp_path / "bad.csv"
-        path.write_text("wrong,header\n1,2\n")
+        path.write_text(text)
         with pytest.raises(ParseError):
             PuLut.from_csv(path)
 
@@ -180,16 +191,24 @@ class TestThresholds:
         path = tmp_path / "thr.csv"
         lums = np.logspace(-3, 6, 40)
         thrs = 0.01 * lums + 0.05
-        path.write_text("\n".join(f"{float(l)!r},{float(t)!r}" for l, t in zip(lums, thrs)))
+        path.write_text("luminance,threshold\n" + "\n".join(
+            f"{float(l)!r},{float(t)!r}" for l, t in zip(lums, thrs)))
         threshold = tabulated_threshold(path)
         np.testing.assert_allclose(threshold(lums), thrs, rtol=1e-12)
         lut = build_pu_lut(threshold)
         assert float(pu_encode(0.8, lut)) == pytest.approx(0.0, abs=1e-6)
 
-    def test_tabulated_threshold_bad_rows(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("1.0\n", "missing columns"),
+        ("1.0,0.01\n10.0,0.1\n", "missing columns ['luminance', 'threshold']"),
+        ("luminance,threshold\n1.0,0.01\n10.0\n", "fewer than 2 fields"),
+        ("luminance,threshold\n1.0,0.01\n", "at least two rows"),
+    ])
+    def test_tabulated_threshold_bad_rows(self, tmp_path, text, message):
+        """A table without its header, with a short row or with one row."""
         path = tmp_path / "thr.csv"
-        path.write_text("1.0\n")
-        with pytest.raises(ParseError):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
             tabulated_threshold(path)
 
 

@@ -30,7 +30,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.special import log_ndtr, ndtr
 
-from jodscale import model
+from jodscale import csvio, model
 from jodscale.cli import main
 from jodscale.design import select_cross_dataset_pairs, select_gmad_pairs
 from jodscale.errors import DesignError, IntegrityError, JodscaleError, ParseError
@@ -202,15 +202,15 @@ def test_block_reader_matches_csv_reader(tmp_path_factory, text, block_chars, co
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     path.write_bytes(text.encode())
     index = {key: k for k, key in enumerate(_KEYS)}
-    parsers = {"key": model._indices(index, "row"), "count": model._cells(int, np.int64),
-               "name": model._cells(str, str)}
+    parsers = {"key": model._indices(index, "row"), "count": csvio._cells(int, np.int64),
+               "name": csvio._cells(str, str)}
     try:
         expected = _reference_read(path, columns, index)
     except (ParseError, IntegrityError) as exc:
         expected = type(exc)
-    with mock.patch.object(model, "_BLOCK_CHARS", block_chars):
+    with mock.patch.object(csvio, "_BLOCK_CHARS", block_chars):
         try:
-            result = model._read_csv(path, {col: parsers[col] for col in columns})
+            result = csvio._read_csv(path, {col: parsers[col] for col in columns})
             result = [column.tolist() for column in result]
         except (ParseError, IntegrityError) as exc:
             result = type(exc)
