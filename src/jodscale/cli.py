@@ -13,13 +13,14 @@ scale, simulate and recover, --strict to scale and pu-encode) and a value
 out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0
 (or NaN), ``simulate``/``recover --density`` below 0 or not finite,
 ``stats``/``select-pairs --bins`` or ``select-pairs --k`` below 1,
-``pu-encode --knots`` below 64. Flag ranges are checked at parse time,
-before any output directory exists, and so are the input files each
-``select-pairs`` mode needs; an ``--out`` that cannot be made a directory
-(it names an existing file, say) is a usage error too. An ``--alpha``
-outside (0, 1) with ``scale --bootstrap``, a non-finite ``select-pairs``
-score and a non-finite ``pu-encode``/``stats`` input value are data
-integrity errors.
+``pu-encode --knots`` below 64. Flag ranges are checked at parse time.
+``pu-encode --lut`` with a flag that builds a look-up table (``--threshold``,
+``--l-min``, ``--l-max``, ``--knots``), a ``select-pairs`` mode without the
+input files it needs and an ``--out`` that cannot be made a directory (it
+names an existing file, say) are usage errors too, the first two found before
+any output directory exists. An ``--alpha`` outside (0, 1) with ``scale
+--bootstrap``, a non-finite ``select-pairs`` score and a non-finite
+``pu-encode``/``stats`` input value are data integrity errors.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .linkfit import fit_report
 from .metricmap import correlation_metrics, eval_logistic, fit_logistic, pairwise_accuracy
-from .model import ComparisonGraph, ConditionId, DatasetCollection, load_collection
+from .model import ConditionId, DatasetCollection, load_collection
 from .photometry import (
     DisplayModel,
     PuLut,
@@ -238,22 +239,17 @@ def _cmd_recover(args, out: Path) -> None:
 
 def _accuracy_curve(mapped: dict[str, float], manifest_path) -> list[list[float]]:
     collection = load_collection(manifest_path)
-    scores = np.zeros(collection.n)
-    known = np.zeros(collection.n, dtype=bool)
+    # a pair with an unscored condition has a NaN gap and clears no threshold
+    scores = np.full(collection.n, np.nan)
     for key, value in mapped.items():
         try:
-            idx = collection.index_of(key)
+            scores[collection.index_of(key)] = value
         except IntegrityError:
             continue
-        scores[idx] = value
-        known[idx] = True
-    winners, losers, counts = collection.graph.observations()
-    kept = known[winners] & known[losers]
-    sub = ComparisonGraph(collection.n, winners[kept], losers[kept], counts[kept])
     curve = []
     for threshold in _ACCURACY_THRESHOLDS:
         try:
-            result = pairwise_accuracy(scores, sub, threshold)
+            result = pairwise_accuracy(scores, collection.graph, threshold)
         except (DesignError, IntegrityError):
             continue
         curve.append([threshold, result.accuracy])
@@ -318,6 +314,17 @@ def _cmd_pu_encode(args, out: Path) -> None:
     if args.save_lut:
         lut.to_csv(out / args.save_lut)
     print(f"encoded {encoded.size} values")
+
+
+def _check_pu_encode(args) -> None:
+    """``--lut`` excludes the options that build a look-up table, checked
+    before ``--out`` is made; then the unset ones take their defaults."""
+    for name, default in (("threshold", None), ("l_min", 1e-3), ("l_max", 1e6), ("knots", 4096)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.lut:
+            raise UsageError(f"--{name.replace('_', '-')} builds a look-up table, "
+                             "which --lut replaces; pass one or the other")
 
 
 def _check_select_pairs(args) -> None:
@@ -410,8 +417,7 @@ def _cmd_stats(args, out: Path) -> None:
     if positive.size == 0:
         raise DegenerateDataError("no positive luminance values to summarize")
     logs = np.log10(positive)
-    edges = np.linspace(logs.min(), logs.max(), args.bins + 1)
-    counts, _ = np.histogram(logs, bins=edges)
+    counts, edges = np.histogram(logs, bins=args.bins)
     payload = {
         "n": int(values.size),
         "excluded_nonpositive": excluded,
@@ -500,9 +506,9 @@ def build_parser() -> _Parser:
     p.add_argument("--lut", help="load the PU look-up table from a CSV, header 'luminance,pu'")
     p.add_argument("--save-lut", help="write the look-up table next to the output")
     p.add_argument("--threshold", help="detection threshold CSV, header 'luminance,threshold'")
-    p.add_argument("--l-min", type=float, default=1e-3)
-    p.add_argument("--l-max", type=float, default=1e6)
-    p.add_argument("--knots", type=_at_least(64), default=4096)
+    p.add_argument("--l-min", type=float, help="default 1e-3")
+    p.add_argument("--l-max", type=float, help="default 1e6")
+    p.add_argument("--knots", type=_at_least(64), help="default 4096")
     p.add_argument("--log-encode", action="store_true",
                    help="use the logarithmic alternative instead of PU")
     p.set_defaults(func=_cmd_pu_encode)
@@ -546,6 +552,8 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "select-pairs":
             _check_select_pairs(args)
+        if args.subcommand == "pu-encode":
+            _check_pu_encode(args)
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

@@ -169,7 +169,8 @@ def pairwise_accuracy(
 
     Ground truth is the majority direction of each measured pair (ties are
     excluded); a pair is considered when the absolute score gap is at least
-    the threshold. Fails when no pair clears the threshold.
+    the threshold, which a NaN gap never is, so a pair with a NaN score is
+    left out. Fails when no pair clears the threshold.
     """
     if threshold_jod < 0:
         raise IntegrityError(f"threshold must be non-negative, got {threshold_jod}")

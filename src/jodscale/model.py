@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.sparse import coo_matrix, csgraph
+from scipy.sparse import coo_matrix, csgraph, csr_matrix
 
 from .csvio import _cells, _read_csv
 from .errors import IntegrityError, ParseError, UndefinedPairError
@@ -108,29 +108,6 @@ def _same_columns(a, b) -> bool:
     )
 
 
-def _directed_rows(i: np.ndarray, j: np.ndarray):
-    """Both directions of the canonical pairs ``(i, j)`` as (winners,
-    losers, order): winners ``(j, i)``, losers ``(i, j)``, and the order
-    that sorts the rows by (winner, loser). One stable sort on the winner
-    is enough: for each winner, its rows in the first half (losers below
-    it) and those in the second half (losers above it) are each already
-    sorted by loser."""
-    winners = np.concatenate([j, i])
-    return winners, np.concatenate([i, j]), np.argsort(winners, kind="stable")
-
-
-@dataclass(frozen=True)
-class PairPattern:
-    """CSR sparsity pattern of a graph's symmetric pair adjacency: row a
-    lists, in ``indices[indptr[a]:indptr[a + 1]]``, the conditions measured
-    against a in increasing order, and ``pairs`` gives the measured pair of
-    each slot, so per-pair values ``w`` fill the pattern as ``w[pairs]``."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    pairs: np.ndarray
-
-
 class ComparisonGraph:
     """Pairwise win counts as canonical columnar arrays.
 
@@ -200,26 +177,30 @@ class ComparisonGraph:
     def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Non-zero directed counts as (winners, losers, counts), sorted by
         (winner, loser): the constructor's input form."""
-        winners, losers, order = _directed_rows(self.i, self.j)
+        winners = np.concatenate([self.j, self.i])
+        losers = np.concatenate([self.i, self.j])
         counts = np.concatenate([self.c_ji, self.c_ij])
+        # one stable sort on the winner is enough: per winner, each half's rows
+        # are sorted by loser, and the first half's losers lie below the second's
+        order = np.argsort(winners, kind="stable")
         order = order[counts[order] > 0]
         return winners[order], losers[order], counts[order]
 
-    def pattern(self) -> PairPattern:
-        """The CSR pattern of the measured pairs, built on first use and
-        shared with every ``recounted`` graph."""
+    def pattern(self) -> csr_matrix:
+        """The read-only n x n CSR adjacency of the measured pairs, all in
+        int32: row a lists the conditions measured against a in increasing
+        order, and ``data`` holds each slot's pair index, so per-pair values
+        ``w`` fill it as ``w[pattern.data]``. Built on first use and shared
+        with every ``recounted`` graph."""
         if self._pattern is None:
-            # int32 indices, as scipy.sparse keeps them, halve the temporaries
-            winners, losers, order = _directed_rows(self.i.astype(np.int32),
-                                                    self.j.astype(np.int32))
-            indptr = np.zeros(self.n + 1, dtype=np.int32)
-            np.cumsum(np.bincount(winners, minlength=self.n), out=indptr[1:])
-            indices = losers[order]
-            # directed rows k and P + k are both pair k
-            pairs = np.remainder(order, max(self.i.size, 1), out=order).astype(np.int32)
-            for array in (indptr, indices, pairs):
+            i, j = self.i.astype(np.int32), self.j.astype(np.int32)
+            # rows (j, i) then (i, j): the conversion keeps each row's entries
+            # in input order, which already increases by column
+            rows, cols = np.concatenate([j, i]), np.concatenate([i, j])
+            pairs = np.tile(np.arange(i.size, dtype=np.int32), 2)
+            self._pattern = coo_matrix((pairs, (rows, cols)), shape=(self.n, self.n)).tocsr()
+            for array in (self._pattern.indptr, self._pattern.indices, self._pattern.data):
                 array.flags.writeable = False
-            self._pattern = PairPattern(indptr, indices, pairs)
         return self._pattern
 
     def recounted(self, c_ij, c_ji) -> "ComparisonGraph":
@@ -381,28 +362,21 @@ def empirical_probability(graph: ComparisonGraph, i: int, j: int) -> float:
     return c_ij / total
 
 
-def connected_components(collection: DatasetCollection) -> list[list[int]]:
-    """Partition condition indices into joint-scaling components.
+def connected_components(collection: DatasetCollection) -> np.ndarray:
+    """Each condition's joint-scaling component label.
 
     Conditions are linked by any measured comparison; rating-bearing
     conditions of the same dataset are also linked, because shared link
-    parameters tie them together. Components are returned as sorted index
-    lists, ordered by their smallest member.
+    parameters tie them together. Labels are integers 0, 1, ..., numbered
+    in order of each component's smallest member; the component sizes are
+    ``np.bincount(labels)``.
     """
-    n = collection.n
-    if n == 0:
-        return []
-    rows, cols = [collection.graph.i], [collection.graph.j]
-    for table in collection.ratings.values():
-        rated = np.unique(table.condition_indices)
-        rows.append(rated[:-1])
-        cols.append(rated[1:])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    adjacency = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    _, labels = csgraph.connected_components(adjacency, directed=False)
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-    return sorted((members.tolist() for members in groups), key=lambda members: members[0])
+    chains = [np.unique(table.condition_indices) for table in collection.ratings.values()]
+    rows = np.concatenate([collection.graph.i, *(chain[:-1] for chain in chains)])
+    cols = np.concatenate([collection.graph.j, *(chain[1:] for chain in chains)])
+    adjacency = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(collection.n,) * 2)
+    # csgraph labels components in order of first visit, by increasing node
+    return csgraph.connected_components(adjacency, directed=False)[1]
 
 
 def _indices(index: Mapping[str, int], what: str) -> Callable:

@@ -156,14 +156,6 @@ def _rating_term(table: RatingTable, q: np.ndarray, log_a, b, log_c):
     return value, r_over_v, np.array([g_a, g_b, g_c]), hess, coupling
 
 
-def _component_labels(collection: DatasetCollection):
-    """Each condition's joint-scaling component, and the component sizes."""
-    labels = np.empty(collection.n, dtype=np.int64)
-    for k, members in enumerate(connected_components(collection)):
-        labels[members] = k
-    return labels, np.bincount(labels)
-
-
 def _center(v: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """v minus the mean of v over each entry's component."""
     return v - (np.bincount(labels, v, sizes.size) / sizes)[labels]
@@ -232,7 +224,8 @@ def log_posterior(
             raise IntegrityError(f"missing link parameters for dataset {name!r}")
         total += rating_log_likelihood(collection.ratings[name], q, links[name])
     if prior_enabled:
-        total += _prior_term(q, *_component_labels(collection))[0]
+        labels = connected_components(collection)
+        total += _prior_term(q, labels, np.bincount(labels))[0]
     return total
 
 
@@ -272,7 +265,8 @@ class PosteriorProblem:
         self.rating_names = sorted(collection.ratings)
         self.n_free = self.free_idx.size
         self.n_params = self.n_free + 3 * len(self.rating_names)
-        self.labels, self.sizes = _component_labels(collection)
+        self.labels = connected_components(collection)
+        self.sizes = np.bincount(self.labels)
         self._pairs = collection.graph.pair_arrays()
         self._pattern = collection.graph.pattern()
         self._log_coef = _log_binomial(self._pairs)
@@ -332,9 +326,7 @@ class PosteriorProblem:
         grad_q = self._net(slope)
         i_arr, j_arr = self._pairs[:2]
         pattern = self._pattern
-        adjacency = csr_matrix(
-            (weights[pattern.pairs], pattern.indices, pattern.indptr), shape=(n, n)
-        )
+        adjacency = csr_matrix((weights[pattern.data], pattern.indices, pattern.indptr), (n, n))
         degree = np.add(np.bincount(i_arr, weights, n), np.bincount(j_arr, weights, n), dtype=float)
         diagonal = -degree
 

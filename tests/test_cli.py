@@ -424,6 +424,24 @@ class TestPuEncodeCommand:
         assert float(lines[0]) == pytest.approx(0.0, abs=1e-6)
         assert float(lines[1]) == pytest.approx(255.0, abs=1e-6)
 
+    @pytest.mark.parametrize("flag", [["--threshold", "/nonexistent.csv"], ["--l-min", "5"],
+                                      ["--l-max", "1e4"], ["--knots", "4096"]])
+    def test_lut_excludes_the_options_that_build_one(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "values.csv").write_text("value\n0.8\n80.0\n")
+        argv = ["pu-encode", "--input", "values.csv", "--out", "enc"]
+        assert main([*argv, "--save-lut", "lut.csv"]) == 0
+        options = json.loads((tmp_path / "enc" / "run.json").read_text())["options"]
+        assert (options["threshold"], options["l_min"], options["l_max"], options["knots"]) \
+            == (None, 0.001, 1e6, 4096)
+        argv[-1] = "with-lut"
+        assert main([*argv, "--lut", "enc/lut.csv", *flag]) == 1
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "with-lut").exists()
+        assert main([*argv, "--lut", "enc/lut.csv"]) == 0
+        assert (tmp_path / "with-lut" / "encoded.csv").read_bytes() \
+            == (tmp_path / "enc" / "encoded.csv").read_bytes()
+
 
 class TestSelectPairsCommand:
     def test_cross_dataset_mode(self, tmp_path, monkeypatch):
@@ -504,6 +522,18 @@ class TestStatsCommand:
         assert report["n"] == 500
         assert sum(report["histogram"]["counts"]) == 500
         assert report["excluded_nonpositive"] == 0
+
+    def test_all_equal_values(self, tmp_path, monkeypatch):
+        """Equal values get unit-wide bins around their log, like numpy's
+        own histogram, instead of zero-width ones."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lum.csv").write_text("value\n5\n5\n")
+        assert main(["stats", "--input", "lum.csv", "--out", "st"]) == 0
+        histogram = json.loads((tmp_path / "st" / "stats.json").read_text())["histogram"]
+        edges = np.array(histogram["log10_edges"])
+        assert edges.size == 65 and np.all(np.diff(edges) > 0)
+        assert edges[[0, -1]] == pytest.approx(np.log10(5) + np.array([-0.5, 0.5]))
+        assert histogram["counts"] == [0] * 32 + [2] + [0] * 31
 
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_bins_below_one_is_usage_error(self, tmp_path, monkeypatch, bins):

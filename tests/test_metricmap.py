@@ -154,6 +154,9 @@ class TestPairwiseAccuracy:
         graph = graph_of(3, {(0, 1): 6, (1, 0): 4, (0, 2): 10})
         result = pairwise_accuracy(scores, graph, 1.0)
         assert result.considered_pairs == 1
+        # a NaN score clears no threshold, so the pairs it is in are left out
+        unscored = pairwise_accuracy(np.array([0.0, -0.5, np.nan]), graph, 0.0)
+        assert (unscored.considered_pairs, unscored.accuracy) == (1, 1.0)
 
     def test_threshold_too_high(self):
         scores = np.array([0.0, -0.5])

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from jodscale import csvio
 from jodscale.cli import main
@@ -100,16 +101,19 @@ class TestComparisonGraph:
         graph = ComparisonGraph(5, [3, 0, 2, 1, 4], [0, 3, 1, 4, 2], [2, 1, 5, 0, 3])
         i, j = graph.pair_arrays()[:2]
         pattern = graph.pattern()
-        assert pattern is graph.pattern()
-        assert pattern.indptr.dtype == pattern.indices.dtype == pattern.pairs.dtype == np.int32
+        assert isinstance(pattern, csr_matrix) and pattern.shape == (5, 5)
+        assert pattern is graph.pattern() and pattern is graph.recounted([1] * 3, [0] * 3).pattern()
+        for array in (pattern.indptr, pattern.indices, pattern.data):
+            assert array.dtype == np.int32 and not array.flags.writeable
         expected = np.full((5, 5), -1)
         expected[i, j] = expected[j, i] = np.arange(i.size)
         for row in range(5):
             slots = slice(pattern.indptr[row], pattern.indptr[row + 1])
             assert pattern.indices[slots].tolist() == np.flatnonzero(expected[row] >= 0).tolist()
-            assert pattern.pairs[slots].tolist() == expected[row][expected[row] >= 0].tolist()
+            assert pattern.data[slots].tolist() == expected[row][expected[row] >= 0].tolist()
         empty = ComparisonGraph(3).pattern()
         assert empty.indptr.tolist() == [0, 0, 0, 0] and empty.indices.size == 0
+        assert empty.indptr.dtype == empty.indices.dtype == empty.data.dtype == np.int32
 
     def test_recounted_graph_keeps_the_pairs(self):
         graph = ComparisonGraph(4, [3, 0, 2, 1], [0, 3, 1, 2], [2, 1, 5, 0])
@@ -191,7 +195,7 @@ class TestConnectedComponents:
     def test_single_comparison_links(self):
         conds = [ConditionId.reference("a"), ConditionId("a", "c0", "d", 1)]
         coll = _collection(conds, {(0, 1): 1})
-        assert connected_components(coll) == [[0, 1]]
+        assert connected_components(coll).tolist() == [0, 0]
 
     def test_two_datasets_without_links(self):
         conds = [
@@ -201,7 +205,7 @@ class TestConnectedComponents:
             ConditionId("b", "c0", "d", 1),
         ]
         coll = _collection(conds, {(0, 1): 1, (2, 3): 1})
-        assert connected_components(coll) == [[0, 1], [2, 3]]
+        assert connected_components(coll).tolist() == [0, 0, 1, 1]
 
     def test_cross_dataset_comparison_merges(self):
         conds = [
@@ -211,7 +215,7 @@ class TestConnectedComponents:
             ConditionId("b", "c0", "d", 1),
         ]
         coll = _collection(conds, {(0, 1): 1, (2, 3): 1, (1, 2): 1})
-        assert connected_components(coll) == [[0, 1, 2, 3]]
+        assert connected_components(coll).tolist() == [0, 0, 0, 0]
 
     def test_ratings_tie_a_dataset_together(self):
         conds = [
@@ -228,7 +232,7 @@ class TestConnectedComponents:
         )
         coll = _collection(conds, {}, ratings={"a": table},
                            experiments={"a": "rating"})
-        assert connected_components(coll) == [[0, 1, 2]]
+        assert connected_components(coll).tolist() == [0, 0, 0]
 
     def test_partition_property(self):
         rng = np.random.default_rng(5)
@@ -242,10 +246,15 @@ class TestConnectedComponents:
                 if i != j:
                     entries[(i, j)] = entries.get((i, j), 0) + 1
             coll = _collection(conds, entries)
-            comps = connected_components(coll)
-            flat = sorted(idx for comp in comps for idx in comp)
-            assert flat == list(range(n))
-            assert sum(len(c) for c in comps) == n
+            labels = connected_components(coll)
+            assert labels.shape == (n,) and labels.dtype.kind == "i"
+            # components are numbered 0, 1, ... by their smallest member
+            firsts = np.unique(labels, return_index=True)[1]
+            assert np.array_equal(labels[np.sort(firsts)], np.arange(firsts.size))
+
+    def test_empty_collection(self):
+        labels = connected_components(_collection([], {}))
+        assert labels.size == 0 and labels.dtype.kind == "i"
 
 
 class TestLoadCollection:
@@ -298,7 +307,7 @@ class TestLoadCollection:
         assert coll.n == 3
         assert coll.graph.c_ij.sum() + coll.graph.c_ji.sum() == 0
         assert len(coll.ratings["rd"]) == 3
-        assert connected_components(coll) == [[0, 1, 2]]
+        assert connected_components(coll).tolist() == [0, 0, 0]
 
     def test_unknown_condition_is_integrity_error(self, tmp_path):
         path = write_two_condition_fixture(tmp_path / "bad")

@@ -266,7 +266,14 @@ def _collections(draw):
 @given(_collections())
 def test_connected_components_match_bfs(case):
     collection, edges = case
-    assert connected_components(collection) == _bfs_components(collection.n, edges)
+    labels = connected_components(collection)
+    components = _bfs_components(collection.n, edges)
+    # the BFS components come ordered by their smallest member, so label k is the k-th
+    expected = np.empty(collection.n, dtype=np.int64)
+    for k, members in enumerate(components):
+        expected[members] = k
+    assert labels.dtype.kind == "i"
+    np.testing.assert_array_equal(labels, expected)
 
 
 @st.composite
@@ -300,7 +307,7 @@ def test_directed_rows_follow_the_lexsort_order(graph):
     pattern = graph.pattern()
     np.testing.assert_array_equal(pattern.indices, losers[order])
     weights = np.arange(1.0, i.size + 1)
-    adjacency = csr_matrix((weights[pattern.pairs], pattern.indices, pattern.indptr),
+    adjacency = csr_matrix((weights[pattern.data], pattern.indices, pattern.indptr),
                            shape=(graph.n, graph.n))
     dense = np.zeros((graph.n, graph.n))
     dense[i, j] = dense[j, i] = weights
@@ -538,9 +545,10 @@ def test_per_component_scale_is_the_components_scaled_alone(seed, prior):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "NOT comparable" across components
         whole = scale(collection, per_component=True, prior_enabled=prior, tol=1e-10)
+    labels = connected_components(collection)
     parts = [
         (members, scale(_subcollection(collection, members), prior_enabled=prior, tol=1e-10))
-        for members in connected_components(collection)
+        for members in (np.flatnonzero(labels == k) for k in range(labels.max() + 1))
     ]
     assert len(parts) == 2
     assert whole.converged == all(part.converged for _, part in parts)
