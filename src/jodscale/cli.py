@@ -51,6 +51,7 @@ from .photometry import (
     DisplayModel,
     PuLut,
     build_pu_lut,
+    default_threshold,
     display_forward,
     log_encode,
     pu_encode,
@@ -301,7 +302,7 @@ def _cmd_pu_encode(args, out: Path) -> None:
     if args.lut:
         lut = PuLut.from_csv(args.lut)
     else:
-        threshold = tabulated_threshold(args.threshold) if args.threshold else None
+        threshold = tabulated_threshold(args.threshold) if args.threshold else default_threshold
         lut = build_pu_lut(threshold, args.l_min, args.l_max, args.knots)
     if args.l_peak is not None:
         display = DisplayModel(args.l_peak, args.l_black, args.gamma)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import DegenerateDataError, IntegrityError
 
@@ -44,26 +45,12 @@ def adjusted_r_squared(r2: float, n: int, p: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
 
-def _expand_standardized(coeffs_std: np.ndarray, mean: float, std: float) -> np.ndarray:
-    """Map coefficients fitted on t = (x - mean)/std back to the raw domain."""
-    order = coeffs_std.size - 1
-    raw = np.zeros(order + 1)
-    # c_k * ((x - mean)/std)^k expanded with the binomial theorem
-    for k, c in enumerate(reversed(coeffs_std)):  # c multiplies t^k
-        poly = np.array([1.0])
-        base = np.array([1.0 / std, -mean / std])  # (x - mean)/std as a degree-1 poly
-        for _ in range(k):
-            poly = np.convolve(poly, base)
-        raw[-poly.size:] += c * poly
-    return raw
-
-
 def fit_polynomial_link(mos, jod, order: int) -> PolyFit:
     """Fit a polynomial of the given order mapping MOS to JOD.
 
-    The predictor is standardized internally for conditioning and the
-    coefficients are mapped back to the raw rating domain. Monotonicity is
-    checked by the sign of the derivative over [min(mos), max(mos)].
+    ``Polynomial.fit`` maps MOS onto [-1, 1] for conditioning; the reported
+    coefficients are in the raw rating domain. Monotonicity is checked by the
+    sign of the derivative over [min(mos), max(mos)].
     """
     mos = np.asarray(mos, dtype=float)
     jod = np.asarray(jod, dtype=float)
@@ -75,44 +62,36 @@ def fit_polynomial_link(mos, jod, order: int) -> PolyFit:
         raise IntegrityError(f"need at least {order + 2} points for order {order}")
     if not (np.all(np.isfinite(mos)) and np.all(np.isfinite(jod))):
         raise IntegrityError("inputs must be finite")
-    std = float(mos.std())
-    if std == 0.0:
+    if float(mos.std()) == 0.0:
         raise DegenerateDataError("all MOS values are equal; the fit is rank deficient")
 
-    mean = float(mos.mean())
-    t = (mos - mean) / std
-    design = np.vander(t, order + 1)
-    coeffs_std, *_ = np.linalg.lstsq(design, jod, rcond=None)
-    predicted = design @ coeffs_std
+    poly = Polynomial.fit(mos, jod, order)
+    predicted = poly(mos)
 
     ss_res = float(np.sum((jod - predicted) ** 2))
     ss_tot = float(np.sum((jod - jod.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     r2_adj = adjusted_r_squared(r2, mos.size, order)
 
-    coeffs = _expand_standardized(coeffs_std, mean, std)
+    # convert() drops vanishing leading terms; pad back to order + 1 entries
+    raw = poly.convert().coef[::-1]
+    coeffs = np.concatenate([np.zeros(order + 1 - raw.size), raw])
 
-    deriv = np.polyder(coeffs)
+    slope = poly.deriv()
     grid = np.linspace(mos.min(), mos.max(), 2049)
-    roots = np.roots(deriv) if deriv.size > 1 else np.array([])
-    real_roots = roots[np.isreal(roots)].real if roots.size else np.array([])
+    roots = slope.roots()
+    real_roots = roots[np.isreal(roots)].real
     inside = real_roots[(real_roots >= mos.min()) & (real_roots <= mos.max())]
-    samples = np.polyval(deriv, np.concatenate([grid, inside]))
+    samples = slope(np.concatenate([grid, inside]))
     tiny = 1e-12 * max(1.0, float(np.max(np.abs(samples))))
     all_zero = bool(np.all(np.abs(samples) <= tiny))
     monotone = (not all_zero) and (
         bool(np.all(samples >= -tiny)) or bool(np.all(samples <= tiny))
     )
 
-    return PolyFit(
-        order=order,
-        coeffs=coeffs,
-        r2=float(r2),
-        r2_adj=float(r2_adj),
-        monotone_on_range=monotone,
-    )
+    return PolyFit(order=order, coeffs=coeffs, r2=r2, r2_adj=r2_adj, monotone_on_range=monotone)
 
 
-def fit_report(mos, jod, orders=(1, 2, 3)) -> list[PolyFit]:
-    """Fit the standard set of polynomial orders for one dataset."""
-    return [fit_polynomial_link(mos, jod, order) for order in orders]
+def fit_report(mos, jod) -> list[PolyFit]:
+    """Fit polynomial orders 1, 2 and 3 for one dataset."""
+    return [fit_polynomial_link(mos, jod, order) for order in (1, 2, 3)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 from scipy.special import expit
-from scipy.stats import rankdata
+from scipy.stats import spearmanr
 
 from .errors import (
     DegenerateDataError,
@@ -131,17 +131,6 @@ def fit_logistic(scores, jod) -> LogisticFit:
     return LogisticFit(params=best_params, rmse=best_rmse, converged=solver_ok)
 
 
-def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    rx = rankdata(x, method="average")
-    ry = rankdata(y, method="average")
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    denom = np.sqrt(np.sum(rx**2) * np.sum(ry**2))
-    if denom == 0.0:
-        raise UndefinedCorrelationError("rank correlation undefined: constant ranks")
-    return float(np.sum(rx * ry) / denom)
-
-
 def correlation_metrics(pred, truth) -> CorrelationMetrics:
     """Spearman (average ranks), Pearson and RMSE between two vectors.
 
@@ -158,7 +147,7 @@ def correlation_metrics(pred, truth) -> CorrelationMetrics:
             "correlation undefined: an input has zero variance", rmse=rmse
         )
     plcc = float(np.corrcoef(pred, truth)[0, 1])
-    srocc = _spearman(pred, truth)
+    srocc = float(spearmanr(pred, truth).statistic)
     return CorrelationMetrics(srocc=srocc, plcc=plcc, rmse=rmse)
 
 

@@ -66,8 +66,10 @@ class ConditionId:
 
     def __post_init__(self):
         for part in (self.dataset, self.content, self.distortion):
-            if not part or "/" in part:
-                raise IntegrityError(f"bad condition id component {part!r}")
+            # "/" separates the parts; the others would break the CSV row
+            if not part or any(ch in part for ch in '/,"\r\n'):
+                raise IntegrityError(f"bad condition id component {part!r} (empty, or "
+                                     "holding '/', ',', '\"', CR or LF)")
         object.__setattr__(
             self,
             "is_reference",
@@ -346,9 +348,6 @@ class DatasetCollection:
 
     def reference_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.conditions) if c.is_reference]
-
-    def dataset_names(self) -> list[str]:
-        return sorted({c.dataset for c in self.conditions})
 
 
 def empirical_probability(graph: ComparisonGraph, i: int, j: int) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .csvio import _cells, _read_csv, _write_csv
 from .errors import IntegrityError, ParseError
@@ -88,34 +89,16 @@ def sdr_encode(relative) -> np.ndarray:
 _SENSITIVITY_PARAMS = (30.162, 4.0627, 1.6596, 0.2712)
 
 
-def _default_threshold(luminance):
+def default_threshold(luminance) -> np.ndarray:
+    """Detection threshold T(l) in cd/m^2 of a smooth parametric model, flat
+    in the Weber region."""
     peak, drop, trans, low = _SENSITIVITY_PARAMS
     lum = np.asarray(luminance, dtype=float)
     sensitivity = peak * ((drop / lum) ** trans + 1.0) ** (-low)
     return lum / sensitivity
 
 
-@dataclass(frozen=True)
-class ThresholdFunction:
-    """Detection threshold T(l) in cd/m^2 as a function of luminance.
-
-    The evaluator must be positive over the luminance range handed to
-    ``build_pu_lut``; that is validated at build time.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
-
-    def __call__(self, luminance):
-        return np.asarray(self.evaluator(luminance), dtype=float)
-
-
-def default_threshold() -> ThresholdFunction:
-    """Smooth parametric threshold model, flat in the Weber region."""
-    return ThresholdFunction(_default_threshold, name="default")
-
-
-def tabulated_threshold(path) -> ThresholdFunction:
+def tabulated_threshold(path) -> Callable[[np.ndarray], np.ndarray]:
     """Threshold interpolated from a CSV with header ``luminance,threshold``.
 
     Interpolation is linear in log-log space, clamped at the table ends.
@@ -133,7 +116,7 @@ def tabulated_threshold(path) -> ThresholdFunction:
     def evaluate(luminance):
         return np.exp(np.interp(np.log(np.asarray(luminance, dtype=float)), log_l, log_t))
 
-    return ThresholdFunction(evaluate, name=str(path))
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -171,7 +154,7 @@ class PuLut:
 
 
 def build_pu_lut(
-    threshold: ThresholdFunction | Callable | None = None,
+    threshold: Callable[[np.ndarray], np.ndarray] = default_threshold,
     l_min: float = DEFAULT_L_MIN,
     l_max: float = DEFAULT_L_MAX,
     n_knots: int = DEFAULT_KNOTS,
@@ -183,8 +166,6 @@ def build_pu_lut(
     trapezoid rule, and the result is affinely normalized so the anchors map
     to code values 0 and 255 exactly.
     """
-    if threshold is None:
-        threshold = default_threshold()
     if not (0.0 < l_min < PU_ANCHOR_LOW and PU_ANCHOR_HIGH < l_max):
         raise IntegrityError(
             f"luminance range must satisfy 0 < l_min < {PU_ANCHOR_LOW} and "
@@ -195,13 +176,10 @@ def build_pu_lut(
 
     knots = np.logspace(math.log10(l_min), math.log10(l_max), int(n_knots))
     knots = np.union1d(knots, np.array([PU_ANCHOR_LOW, PU_ANCHOR_HIGH]))
-    thresholds = threshold(knots)
+    thresholds = np.asarray(threshold(knots), dtype=float)
     if np.any(~np.isfinite(thresholds)) or np.any(thresholds <= 0.0):
         raise IntegrityError("detection threshold must be positive and finite on the range")
-    integrand = 1.0 / thresholds
-
-    steps = np.diff(knots) * 0.5 * (integrand[:-1] + integrand[1:])
-    raw = np.concatenate([[0.0], np.cumsum(steps)])
+    raw = cumulative_trapezoid(1.0 / thresholds, knots, initial=0.0)
 
     low = raw[np.searchsorted(knots, PU_ANCHOR_LOW)]
     high = raw[np.searchsorted(knots, PU_ANCHOR_HIGH)]
@@ -232,12 +210,13 @@ def pu_decode(values, lut: PuLut) -> np.ndarray:
     return np.interp(arr, lut.pu_values, lut.luminance_knots)
 
 
-def log_encode(values, l_min: float = PU_ANCHOR_LOW, l_max: float = PU_ANCHOR_HIGH) -> np.ndarray:
+def log_encode(values) -> np.ndarray:
     """Logarithmic alternative to the PU encoding, same anchor convention.
 
     Provided for comparison experiments only; it tracks thresholds worse
     than the PU encoding.
     """
-    arr = np.clip(np.asarray(values, dtype=float), l_min, None)
-    scale = (PU_CODE_HIGH - PU_CODE_LOW) / (math.log10(l_max) - math.log10(l_min))
-    return (np.log10(arr) - math.log10(l_min)) * scale + PU_CODE_LOW
+    log_low, log_high = math.log10(PU_ANCHOR_LOW), math.log10(PU_ANCHOR_HIGH)
+    arr = np.clip(np.asarray(values, dtype=float), PU_ANCHOR_LOW, None)
+    scale = (PU_CODE_HIGH - PU_CODE_LOW) / (log_high - log_low)
+    return (np.log10(arr) - log_low) * scale + PU_CODE_LOW

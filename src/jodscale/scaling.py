@@ -504,10 +504,7 @@ def scale(
     problem = PosteriorProblem(collection, prior_enabled)
     if problem.sizes.size > 1:
         if not per_component:
-            raise DisconnectedGraphError(
-                f"comparison data splits into {problem.sizes.size} components "
-                f"(sizes {problem.sizes.tolist()}); add cross links or pass per_component=True"
-            )
+            raise _disconnected(problem.sizes)
         warnings.warn(
             f"scaling {problem.sizes.size} disconnected components independently; "
             "scores are NOT comparable across components",
@@ -531,6 +528,13 @@ def scale(
         converged=converged,
         iterations=iterations,
         conditions=collection.conditions,
+    )
+
+
+def _disconnected(sizes: np.ndarray) -> DisconnectedGraphError:
+    return DisconnectedGraphError(
+        f"comparison data splits into {sizes.size} components "
+        f"(sizes {sizes.tolist()}); add cross links or pass per_component=True"
     )
 
 
@@ -563,16 +567,21 @@ def bootstrap_ci(
     Comparisons are resampled per pair (binomial with the empirical
     probability) and rating rows are resampled with replacement; each
     replicate is rescaled with ``scale_options`` (pass ``start``, the
-    full-data scale, to warm-start every replicate from it). Replicates that
-    fail to scale or do not converge are skipped and counted; more than 50%
-    failures is an error. Deterministic for a given seed. Returns an (n, 2) array of
-    (low, high) bounds at the 100*alpha/2 and 100*(1 - alpha/2) percentiles,
-    where 0 < alpha < 1.
+    full-data scale, to warm-start every replicate from it). A collection
+    that is disconnected without ``per_component`` is an error at once;
+    replicates that fail to scale (one that loses every rating of a condition
+    can split) or do not converge are skipped and counted, and more than 50%
+    failures is an error. Deterministic for a given seed. Returns an (n, 2)
+    array of (low, high) bounds at the 100*alpha/2 and 100*(1 - alpha/2)
+    percentiles, where 0 < alpha < 1.
     """
     if n_boot < 1:
         raise IntegrityError(f"n_boot must be at least 1, got {n_boot}")
     if not 0.0 < alpha < 1.0:
         raise IntegrityError(f"alpha must lie in (0, 1), got {alpha}")
+    sizes = np.bincount(connected_components(collection))
+    if sizes.size > 1 and not scale_options.get("per_component", False):
+        raise _disconnected(sizes)
 
     samples = []
     for index in range(n_boot):

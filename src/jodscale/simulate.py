@@ -176,10 +176,9 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
 
     n = len(conditions)
     rng_truth = _rng(config.seed, _STREAM_TRUTH)
+    free = np.array([not cond.is_reference for cond in conditions], dtype=bool)
     q_true = np.zeros(n)
-    for idx, cond in enumerate(conditions):
-        if not cond.is_reference:
-            q_true[idx] = rng_truth.uniform(_Q_LOW, _Q_HIGH)
+    q_true[free] = rng_truth.uniform(_Q_LOW, _Q_HIGH, int(free.sum()))
 
     rng_links = _rng(config.seed, _STREAM_LINKS)
     links_true: dict[str, LinkParams] = {}

@@ -87,6 +87,22 @@ class TestFitPolynomialLink:
         fit = fit_polynomial_link(mos, jod, 3)
         assert fit.monotone_on_range
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_exact_linear_data_keeps_every_coefficient(self, order):
+        # on this grid the fitted order-2 term is exactly zero
+        mos = np.linspace(0, 10, 12)
+        jod = 2.0 * mos + 1.0
+        fit = fit_polynomial_link(mos, jod, order)
+        assert fit.coeffs.shape == (order + 1,)
+        np.testing.assert_allclose(fit.coeffs[-2:], [2.0, 1.0], atol=1e-10)
+        np.testing.assert_allclose(fit.coeffs[:-2], 0.0, atol=1e-10)
+        np.testing.assert_allclose(fit.predict(mos), jod, atol=1e-10)
+
+    def test_cubic_whose_slope_only_touches_zero_is_monotone(self):
+        mos = np.linspace(-1, 1, 25)
+        fit = fit_polynomial_link(mos, mos**3, 3)
+        assert fit.monotone_on_range
+
     def test_constant_mos_rejected(self):
         with pytest.raises(DegenerateDataError):
             fit_polynomial_link(np.full(10, 2.0), np.arange(10.0), 1)

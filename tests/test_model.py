@@ -46,6 +46,11 @@ class TestConditionId:
             ConditionId.parse("live/img03/jpeg/notanint")
         with pytest.raises(IntegrityError):
             ConditionId("", "c", "d", 1)
+        # characters that would break the CSV row the id is written to
+        for text in ("ds/a,b/dist/1", 'ds/a"b/dist/1', "ds/a/di\rst/1", "ds/a/di\nst/1",
+                     "d,s/a/dist/1"):
+            with pytest.raises(IntegrityError, match="bad condition id component"):
+                ConditionId.parse(text)
 
 
 class TestComparisonGraph:

@@ -15,7 +15,6 @@ from jodscale.photometry import (
     pu_encode,
     sdr_encode,
     tabulated_threshold,
-    ThresholdFunction,
 )
 
 
@@ -76,9 +75,18 @@ class TestBuildPuLut:
         assert np.all(np.diff(lut.pu_values) > 0)
 
     def test_constant_threshold_gives_affine_map(self):
-        lut = build_pu_lut(ThresholdFunction(lambda l: np.full_like(np.asarray(l, float), 2.0)))
+        lut = build_pu_lut(lambda l: np.full_like(np.asarray(l, float), 2.0))
         midpoint = float(pu_encode(40.4, lut))
         assert midpoint == pytest.approx(127.5, abs=1e-9)
+
+    def test_matches_explicit_trapezoid_sum(self):
+        lut = build_pu_lut(n_knots=999)
+        knots = lut.luminance_knots
+        integrand = 1.0 / default_threshold(knots)
+        steps = np.diff(knots) * 0.5 * (integrand[:-1] + integrand[1:])
+        raw = np.concatenate([[0.0], np.cumsum(steps)])
+        low, high = raw[np.searchsorted(knots, [0.8, 80.0])]
+        np.testing.assert_array_equal(lut.pu_values, (raw - low) * (255.0 / (high - low)))
 
     def test_refinement_convergence(self):
         lut = build_pu_lut()
@@ -95,7 +103,7 @@ class TestBuildPuLut:
         assert float(diff.max()) < 0.5
 
     def test_nonpositive_threshold_rejected(self):
-        bad = ThresholdFunction(lambda l: np.asarray(l, float) - 1.0)
+        bad = lambda l: np.asarray(l, float) - 1.0
         with pytest.raises(IntegrityError):
             build_pu_lut(bad)
 
@@ -179,9 +187,8 @@ class TestPuEncode:
 
 class TestThresholds:
     def test_default_threshold_positive_and_weber_like(self):
-        threshold = default_threshold()
         lums = np.logspace(-3, 6, 200)
-        values = threshold(lums)
+        values = default_threshold(lums)
         assert np.all(values > 0)
         # contrast threshold T/l flattens at high luminance (Weber region)
         weber = values[-50:] / lums[-50:]

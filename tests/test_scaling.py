@@ -19,6 +19,7 @@ from jodscale.model import (
     ConditionId,
     DatasetCollection,
     DatasetMeta,
+    connected_components,
     load_collection,
 )
 from jodscale.scaling import (
@@ -505,6 +506,30 @@ class TestBootstrap:
         warm_calls, warm = kernel_calls(start=full)
         assert warm_calls < cold_calls
         np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-5)
+
+    def test_disconnected_collection_raises_its_own_error(self):
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
+        with pytest.raises(DisconnectedGraphError, match="splits into 2 components"):
+            bootstrap_ci(_within_datasets(coll), 4, seed=0)
+
+    def test_replicate_that_loses_a_conditions_ratings_is_skipped(self):
+        """Three ratings per condition and no comparison to the rated
+        distortions: a replicate that draws none of a condition's ratings
+        splits, though the collection itself is connected."""
+        conditions = [ConditionId.reference("p"), ConditionId("p", "c0", "dist", 1),
+                      ConditionId.reference("r")]
+        conditions += [ConditionId("r", f"c{k}", "dist", 1) for k in range(4)]
+        graph = graph_of(7, {(0, 1): 20, (1, 0): 5, (0, 2): 12, (2, 0): 10})
+        rows = [(c, f"o{o}", -0.5 * (c - 2) + 0.3 * ((7 * o + 3 * c) % 5 - 2))
+                for c in range(2, 7) for o in range(3)]
+        coll = DatasetCollection(conditions, graph, {"r": ratings_of(rows)},
+                                 {"p": DatasetMeta("p", "pwc"), "r": DatasetMeta("r", "rating")})
+        assert connected_components(coll).max() == 0
+        # the replicates bootstrap_ci(coll, 10, seed=1) draws
+        rngs = [np.random.default_rng(np.random.SeedSequence((1, 0xB007, k))) for k in range(10)]
+        replicates = [_resample_collection(coll, rng) for rng in rngs]
+        assert any(connected_components(rep).max() > 0 for rep in replicates)
+        assert bootstrap_ci(coll, 10, seed=1).shape == (7, 2)
 
     def test_n_boot_validation(self, two_condition_collection):
         with pytest.raises(IntegrityError):

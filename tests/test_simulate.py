@@ -220,7 +220,7 @@ class TestSynthesizeCollection:
         config = RecoveryConfig(n_conditions=21, n_datasets=3, seed=1)
         truth, coll = synthesize_collection(config)
         assert coll.n == 21
-        assert len(coll.dataset_names()) == 3
+        assert len(coll.manifest) == 3
         assert len(coll.reference_indices()) == 3
         assert set(coll.ratings) == {"ds1", "ds2"}
         assert coll.manifest["ds0"].experiment == "pwc"
