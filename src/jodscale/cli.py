@@ -19,7 +19,8 @@ out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0
 input files it needs and an ``--out`` that cannot be made a directory (it
 names an existing file, say) are usage errors too, the first two found before
 any output directory exists. An ``--alpha`` outside (0, 1) with ``scale
---bootstrap``, a non-finite ``select-pairs`` score and a non-finite
+--bootstrap``, a non-finite value in a keyed input (``--scores``,
+``--scale``, ``--metric-test``, ``--metric-bench``) and a non-finite
 ``pu-encode``/``stats`` input value are data integrity errors.
 """
 
@@ -104,6 +105,9 @@ def _read_keyed_csv(path, value_column: str) -> dict[str, float]:
         path, {"condition": _cells(str.strip, str), value_column: _cells(float, float)}
     )
     keys = keys.tolist()
+    if not np.all(np.isfinite(values)):
+        key = keys[int(np.argmin(np.isfinite(values)))]
+        raise IntegrityError(f"{value_column} of condition {key!r} in {path} must be finite")
     out = dict(zip(keys, values.tolist()))
     if len(out) < len(keys):
         key = next(key for key, count in Counter(keys).items() if count > 1)

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import expit
-from scipy.stats import spearmanr
 
 from .errors import (
     DegenerateDataError,
@@ -82,6 +80,8 @@ def fit_logistic(scores, jod) -> LogisticFit:
     the nonlinear solver is reported via the flag with best-effort
     parameters returned.
     """
+    from scipy import optimize
+
     scores = np.asarray(scores, dtype=float)
     jod = np.asarray(jod, dtype=float)
     if scores.shape != jod.shape or scores.ndim != 1:
@@ -137,6 +137,8 @@ def correlation_metrics(pred, truth) -> CorrelationMetrics:
     Zero variance in either vector leaves the correlations undefined; the
     raised error still carries the RMSE.
     """
+    from scipy.stats import spearmanr
+
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape or pred.ndim != 1 or pred.size < 2:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .csvio import _cells, _read_csv, _write_csv
 from .errors import IntegrityError, ParseError
@@ -166,6 +165,8 @@ def build_pu_lut(
     trapezoid rule, and the result is affinely normalized so the anchors map
     to code values 0 and 255 exactly.
     """
+    from scipy.integrate import cumulative_trapezoid
+
     if not (0.0 < l_min < PU_ANCHOR_LOW and PU_ANCHOR_HIGH < l_max):
         raise IntegrityError(
             f"luminance range must satisfy 0 < l_min < {PU_ANCHOR_LOW} and "

@@ -510,13 +510,8 @@ def scale(
             "scores are NOT comparable across components",
             stacklevel=2,
         )
-    # every dataset needs a reference condition in each component it is in
-    parts = list(zip([c.dataset for c in collection.conditions], problem.labels.tolist()))
-    anchors = {part for part, c in zip(parts, collection.conditions) if c.is_reference}
-    unanchored = sorted(set(parts) - anchors)
-    if unanchored:
-        name = unanchored[0][0]
-        raise IntegrityError(f"dataset {name!r} has no reference condition to anchor it")
+    if (error := _unanchored(collection, problem.labels)) is not None:
+        raise error
 
     x0 = problem.initial_point() if start is None else problem.pack(start.q, start.links)
     x, value, converged, iterations = _solve(problem, x0, tol, max_iter)
@@ -536,6 +531,19 @@ def _disconnected(sizes: np.ndarray) -> DisconnectedGraphError:
         f"comparison data splits into {sizes.size} components "
         f"(sizes {sizes.tolist()}); add cross links or pass per_component=True"
     )
+
+
+def _unanchored(collection: DatasetCollection, labels: np.ndarray) -> IntegrityError | None:
+    """The error for a dataset with no reference condition in some component
+    it is in (components given by ``labels``), or ``None``: every dataset
+    needs a reference in each of its components."""
+    parts = list(zip([c.dataset for c in collection.conditions], labels.tolist()))
+    anchors = {part for part, c in zip(parts, collection.conditions) if c.is_reference}
+    unanchored = sorted(set(parts) - anchors)
+    if not unanchored:
+        return None
+    name = unanchored[0][0]
+    return IntegrityError(f"dataset {name!r} has no reference condition to anchor it")
 
 
 def _resample_collection(
@@ -568,20 +576,26 @@ def bootstrap_ci(
     probability) and rating rows are resampled with replacement; each
     replicate is rescaled with ``scale_options`` (pass ``start``, the
     full-data scale, to warm-start every replicate from it). A collection
-    that is disconnected without ``per_component`` is an error at once;
-    replicates that fail to scale (one that loses every rating of a condition
-    can split) or do not converge are skipped and counted, and more than 50%
-    failures is an error. Deterministic for a given seed. Returns an (n, 2)
-    array of (low, high) bounds at the 100*alpha/2 and 100*(1 - alpha/2)
-    percentiles, where 0 < alpha < 1.
+    that is disconnected without ``per_component``, or has a dataset with no
+    reference in one of its components, is an error at once. Replicates that
+    fail to scale or do not converge are skipped and counted, and more than
+    50% failures is an error. A replicate that loses every rating of a
+    condition can split: without ``per_component`` it is disconnected, and
+    with it a split-off piece can lack a reference; both count as failed.
+    Deterministic for a given seed. Returns an (n, 2) array of (low, high)
+    bounds at the 100*alpha/2 and 100*(1 - alpha/2) percentiles, where
+    0 < alpha < 1.
     """
     if n_boot < 1:
         raise IntegrityError(f"n_boot must be at least 1, got {n_boot}")
     if not 0.0 < alpha < 1.0:
         raise IntegrityError(f"alpha must lie in (0, 1), got {alpha}")
-    sizes = np.bincount(connected_components(collection))
+    labels = connected_components(collection)
+    sizes = np.bincount(labels)
     if sizes.size > 1 and not scale_options.get("per_component", False):
         raise _disconnected(sizes)
+    if (error := _unanchored(collection, labels)) is not None:
+        raise error
 
     samples = []
     for index in range(n_boot):
@@ -590,6 +604,10 @@ def bootstrap_ci(
         try:
             result = scale(replicate, **scale_options)
         except (DisconnectedGraphError, DegenerateDataError):
+            continue
+        except IntegrityError:
+            if _unanchored(replicate, connected_components(replicate)) is None:
+                raise
             continue
         if result.converged:
             samples.append(result.q)

@@ -160,6 +160,30 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "out" / "scale.csv").exists()
 
+    def test_scale_path_leaves_optimize_stats_and_integrate_unloaded(self, tmp_path):
+        """``simulate``, ``scale`` and ``select-pairs`` never call
+        scipy.optimize, scipy.stats or scipy.integrate, so a fresh process
+        running them never pays for importing those."""
+        package_root = str(Path(jodscale.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
+        child = "\n".join([
+            "import sys",
+            "import jodscale, jodscale.cli",
+            "main = jodscale.cli.main",
+            "assert main(['simulate', '--conditions', '30', '--out', 'sim']) == 0",
+            "assert main(['scale', '--manifest', 'sim/manifest.json', '--out', 'scaled',"
+            " '--strict', '--bootstrap', '3']) == 0",
+            "assert main(['select-pairs', '--mode', 'cross-dataset',"
+            " '--scale', 'scaled/scale.csv', '--out', 'sel']) == 0",
+            "print(sorted({'scipy.stats', 'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))",
+        ])
+        result = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -490,6 +514,32 @@ class TestSelectPairsCommand:
                   ["--metric-test", "scores.csv", "--metric-bench", "scores.csv"])
         assert main(["select-pairs", "--mode", mode, *inputs, "--out", "sel"]) == 2
         assert not (tmp_path / "sel" / "selection.json").exists()
+
+
+_FIT = ["fit-logistic", "--scores", "scores.csv", "--scale", "scale.csv"]
+_VALIDATE = ["validate", "--scores", "scores.csv", "--scale", "scale.csv"]
+_LINKFIT = ["linkfit", "--manifest", "sim/manifest.json", "--scale", "scale.csv"]
+
+
+@pytest.mark.parametrize("argv, column, bad", [
+    (_FIT, "score", "nan"), (_FIT, "jod", "inf"),
+    (_VALIDATE, "score", "nan"), (_VALIDATE, "jod", "inf"),
+    (_LINKFIT, "jod", "inf"),  # linkfit reads no --scores
+])
+def test_non_finite_keyed_value_is_data_error(tmp_path, monkeypatch, capsys, argv, column, bad):
+    """One non-finite score or JOD among 20 conditions, on a rated one:
+    exit 2 naming the condition, not a solver failure."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--out", "sim", "--conditions", "20", "--datasets", "2"]) == 0
+    keys = [key for name in ("conditions_ds0.csv", "conditions_ds1.csv")
+            for key in (tmp_path / "sim" / name).read_text().split()[1:]]
+    for name, value_column in (("scores.csv", "score"), ("scale.csv", "jod")):
+        values = [bad if value_column == column and k == 17 else str(-0.1 * k)
+                  for k in range(len(keys))]
+        (tmp_path / name).write_text(f"condition,{value_column}\n" + "".join(
+            f"{key},{value}\n" for key, value in zip(keys, values)))
+    assert main([*argv, "--out", "out"]) == 2
+    assert f"{column} of condition {keys[17]!r}" in capsys.readouterr().err
 
 
 class TestLinkfitCommand:

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import binom, norm
 
+from jodscale import scaling
 from jodscale.cli import main
 from jodscale.errors import (
     DegenerateDataError,
@@ -512,7 +513,8 @@ class TestBootstrap:
         with pytest.raises(DisconnectedGraphError, match="splits into 2 components"):
             bootstrap_ci(_within_datasets(coll), 4, seed=0)
 
-    def test_replicate_that_loses_a_conditions_ratings_is_skipped(self):
+    @staticmethod
+    def _loosely_rated_collection():
         """Three ratings per condition and no comparison to the rated
         distortions: a replicate that draws none of a condition's ratings
         splits, though the collection itself is connected."""
@@ -522,14 +524,40 @@ class TestBootstrap:
         graph = graph_of(7, {(0, 1): 20, (1, 0): 5, (0, 2): 12, (2, 0): 10})
         rows = [(c, f"o{o}", -0.5 * (c - 2) + 0.3 * ((7 * o + 3 * c) % 5 - 2))
                 for c in range(2, 7) for o in range(3)]
-        coll = DatasetCollection(conditions, graph, {"r": ratings_of(rows)},
+        return DatasetCollection(conditions, graph, {"r": ratings_of(rows)},
                                  {"p": DatasetMeta("p", "pwc"), "r": DatasetMeta("r", "rating")})
-        assert connected_components(coll).max() == 0
-        # the replicates bootstrap_ci(coll, 10, seed=1) draws
+
+    @staticmethod
+    def _split_replicates(coll):
+        """The split ones among the replicates ``bootstrap_ci(coll, 10, seed=1)`` draws."""
         rngs = [np.random.default_rng(np.random.SeedSequence((1, 0xB007, k))) for k in range(10)]
         replicates = [_resample_collection(coll, rng) for rng in rngs]
-        assert any(connected_components(rep).max() > 0 for rep in replicates)
+        return [rep for rep in replicates if connected_components(rep).max() > 0]
+
+    def test_replicate_that_loses_a_conditions_ratings_is_skipped(self):
+        coll = self._loosely_rated_collection()
+        assert connected_components(coll).max() == 0
+        assert self._split_replicates(coll)
         assert bootstrap_ci(coll, 10, seed=1).shape == (7, 2)
+
+    def test_per_component_replicate_with_an_unanchored_piece_is_skipped(self):
+        """With ``per_component`` the split-off piece of a replicate is
+        scaled on its own, and has no reference condition to anchor it."""
+        coll = self._loosely_rated_collection()
+        assert scale(coll, per_component=True).converged
+        with pytest.raises(IntegrityError, match="'r' has no reference condition"):
+            scale(self._split_replicates(coll)[0], per_component=True)
+        intervals = bootstrap_ci(coll, 10, seed=1, per_component=True)
+        assert intervals.shape == (7, 2)
+        assert np.all(np.isfinite(intervals))
+
+    def test_unanchored_collection_raises_before_any_replicate(self, monkeypatch):
+        # demo/c1 is compared with nothing: a piece of dataset demo with no reference
+        coll = _demo_collection({(0, 1): 30, (1, 0): 10}, n=3)
+        monkeypatch.setattr(scaling, "_resample_collection",
+                            lambda *args: pytest.fail("a replicate was drawn"))
+        with pytest.raises(IntegrityError, match="'demo' has no reference condition"):
+            bootstrap_ci(coll, 4, seed=0, per_component=True)
 
     def test_n_boot_validation(self, two_condition_collection):
         with pytest.raises(IntegrityError):
