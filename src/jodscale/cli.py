@@ -11,7 +11,8 @@ failure (non-convergence under --strict). Usage errors include an unknown
 flag (each subcommand takes only the flags it reads: --seed belongs to
 scale, simulate and recover, --strict to scale and pu-encode) and a value
 out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0
-(or NaN), ``simulate``/``recover --density`` below 0 or not finite,
+(or NaN), ``scale --tol`` not above 0 or not finite, ``scale --max-iter``
+below 0, ``simulate``/``recover --density`` below 0 or not finite,
 ``stats``/``select-pairs --bins`` or ``select-pairs --k`` below 1,
 ``pu-encode --knots`` below 64. Flag ranges are checked at parse time.
 ``pu-encode --lut`` with a flag that builds a look-up table (``--threshold``,
@@ -49,6 +50,9 @@ from .linkfit import fit_report
 from .metricmap import correlation_metrics, eval_logistic, fit_logistic, pairwise_accuracy
 from .model import ConditionId, DatasetCollection, load_collection
 from .photometry import (
+    DEFAULT_KNOTS,
+    DEFAULT_L_MAX,
+    DEFAULT_L_MIN,
     DisplayModel,
     PuLut,
     build_pu_lut,
@@ -85,15 +89,18 @@ def _write_run_config(out_dir: Path, args: argparse.Namespace) -> None:
     )
 
 
-def _at_least(minimum, convert=int, finite=False):
+def _at_least(minimum, convert=int, finite=False, above=False):
     """An argparse ``type`` converting the text with ``convert`` and
-    accepting values of at least ``minimum`` (never NaN, and with ``finite``
-    no infinity), so that a flag out of range fails at parse time."""
+    accepting values of at least ``minimum``, or only above it with
+    ``above`` (never NaN, and with ``finite`` no infinity), so that a flag
+    out of range fails at parse time."""
     def parse(text):
         value = convert(text)
-        if not value >= minimum or (finite and not math.isfinite(value)):
+        if not (value > minimum if above else value >= minimum) or (
+                finite and not math.isfinite(value)):
             raise argparse.ArgumentTypeError(
-                f"must be {'a finite number of ' if finite else ''}at least {minimum}, got {text}")
+                f"must be {'above' if above else 'at least'} {minimum}"
+                f"{' and finite' if finite else ''}, got {text}")
         return value
 
     parse.__name__ = convert.__name__  # for argparse's "invalid int value" message
@@ -324,7 +331,8 @@ def _cmd_pu_encode(args, out: Path) -> None:
 def _check_pu_encode(args) -> None:
     """``--lut`` excludes the options that build a look-up table, checked
     before ``--out`` is made; then the unset ones take their defaults."""
-    for name, default in (("threshold", None), ("l_min", 1e-3), ("l_max", 1e6), ("knots", 4096)):
+    for name, default in (("threshold", None), ("l_min", DEFAULT_L_MIN),
+                          ("l_max", DEFAULT_L_MAX), ("knots", DEFAULT_KNOTS)):
         if getattr(args, name) is None:
             setattr(args, name, default)
         elif args.lut:
@@ -465,10 +473,10 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--prior", action=argparse.BooleanOptionalAction, default=True,
                    help="Gaussian score prior (default on; disable for oracle checks)")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=_at_least(0.0, float, finite=True, above=True), default=1e-6,
                    help="converged when the largest absolute gradient entry of the log "
                         "posterior over the free parameters is below this (default 1e-6)")
-    p.add_argument("--max-iter", type=int, default=2000,
+    p.add_argument("--max-iter", type=_at_least(0), default=2000,
                    help="maximum number of Newton iterations (default 2000)")
     p.add_argument("--per-component", action="store_true")
     p.add_argument("--bootstrap", type=_at_least(0), default=0, metavar="N",
@@ -511,9 +519,9 @@ def build_parser() -> _Parser:
     p.add_argument("--lut", help="load the PU look-up table from a CSV, header 'luminance,pu'")
     p.add_argument("--save-lut", help="write the look-up table next to the output")
     p.add_argument("--threshold", help="detection threshold CSV, header 'luminance,threshold'")
-    p.add_argument("--l-min", type=float, help="default 1e-3")
-    p.add_argument("--l-max", type=float, help="default 1e6")
-    p.add_argument("--knots", type=_at_least(64), help="default 4096")
+    p.add_argument("--l-min", type=float, help=f"default {DEFAULT_L_MIN:g}")
+    p.add_argument("--l-max", type=float, help=f"default {DEFAULT_L_MAX:g}")
+    p.add_argument("--knots", type=_at_least(64), help=f"default {DEFAULT_KNOTS}")
     p.add_argument("--log-encode", action="store_true",
                    help="use the logarithmic alternative instead of PU")
     p.set_defaults(func=_cmd_pu_encode)

@@ -71,6 +71,12 @@ def _rmse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
+def _check_finite(*vectors: np.ndarray) -> None:
+    for finite in map(np.isfinite, vectors):
+        if not finite.all():
+            raise IntegrityError(f"input holds a non-finite value at index {np.argmin(finite)}")
+
+
 def fit_logistic(scores, jod) -> LogisticFit:
     """Nonlinear least-squares fit of the five-parameter mapping.
 
@@ -86,6 +92,7 @@ def fit_logistic(scores, jod) -> LogisticFit:
     jod = np.asarray(jod, dtype=float)
     if scores.shape != jod.shape or scores.ndim != 1:
         raise IntegrityError("scores and jod must be 1-D vectors of equal length")
+    _check_finite(scores, jod)
     if scores.size < 6:
         raise IntegrityError(f"need at least 6 points to fit, got {scores.size}")
     if float(scores.std()) == 0.0:
@@ -143,6 +150,7 @@ def correlation_metrics(pred, truth) -> CorrelationMetrics:
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape or pred.ndim != 1 or pred.size < 2:
         raise IntegrityError("need two 1-D vectors of equal length >= 2")
+    _check_finite(pred, truth)
     rmse = _rmse(pred, truth)
     if float(pred.std()) == 0.0 or float(truth.std()) == 0.0:
         raise UndefinedCorrelationError(

@@ -24,7 +24,6 @@ ratings CSV
 
 from __future__ import annotations
 
-import copy
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -192,8 +191,7 @@ class ComparisonGraph:
         """The read-only n x n CSR adjacency of the measured pairs, all in
         int32: row a lists the conditions measured against a in increasing
         order, and ``data`` holds each slot's pair index, so per-pair values
-        ``w`` fill it as ``w[pattern.data]``. Built on first use and shared
-        with every ``recounted`` graph."""
+        ``w`` fill it as ``w[pattern.data]``. Built on first use."""
         if self._pattern is None:
             i, j = self.i.astype(np.int32), self.j.astype(np.int32)
             # rows (j, i) then (i, j): the conversion keeps each row's entries
@@ -204,19 +202,6 @@ class ComparisonGraph:
             for array in (self._pattern.indptr, self._pattern.indices, self._pattern.data):
                 array.flags.writeable = False
         return self._pattern
-
-    def recounted(self, c_ij, c_ji) -> "ComparisonGraph":
-        """The same measured pairs with new integer counts ``c_ij[k]`` and
-        ``c_ji[k]`` for pair k, sharing this graph's pair arrays and pattern.
-        Every pair must keep a positive total, so it stays measured."""
-        c_ij, c_ji = _frozen(c_ij, np.int64), _frozen(c_ji, np.int64)
-        if c_ij.shape != self.c_ij.shape or c_ji.shape != self.c_ji.shape:
-            raise IntegrityError(f"recounting needs two counts per measured pair ({self.i.size})")
-        if np.any((c_ij < 0) | (c_ji < 0) | (c_ij + c_ji == 0)):
-            raise IntegrityError("recounted pairs need non-negative counts with a positive total")
-        graph = copy.copy(self)
-        graph.c_ij, graph.c_ji, graph._pattern = c_ij, c_ji, self.pattern()
-        return graph
 
     __eq__ = _same_columns
 
@@ -317,24 +302,6 @@ class DatasetCollection:
                 )
             if name not in anchored:
                 raise IntegrityError(f"rating dataset {name!r} has no reference condition")
-
-    def recounted(self, c_ij, c_ji, picks: Mapping[str, np.ndarray]) -> "DatasetCollection":
-        """This collection with new counts on its measured pairs (see
-        ``ComparisonGraph.recounted``) and each rating table replaced by the
-        rows ``picks[name]`` of itself. Conditions, manifest and index are
-        shared, and nothing is revalidated: picked rows are valid rows."""
-        if sorted(picks) != sorted(self.ratings):
-            raise IntegrityError("recounting needs row picks for exactly the rating datasets")
-        collection = copy.copy(self)
-        collection.graph = self.graph.recounted(c_ij, c_ji)
-        ratings = {}
-        for name, rows in picks.items():
-            table = self.ratings[name]
-            ratings[name] = RatingTable(
-                table.condition_indices[rows], table.observers[rows], table.scores[rows]
-            )
-        collection.ratings = MappingProxyType(ratings)
-        return collection
 
     @property
     def n(self) -> int:

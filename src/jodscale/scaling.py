@@ -19,6 +19,7 @@ units. All reference conditions are pinned at q = 0.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -258,11 +259,11 @@ class PosteriorProblem:
     """
 
     def __init__(self, collection: DatasetCollection, prior_enabled: bool = True):
-        self.collection = collection
         self.prior_enabled = prior_enabled
         self.n = collection.n
         self.free_idx = np.setdiff1d(np.arange(self.n), collection.reference_indices())
         self.rating_names = sorted(collection.ratings)
+        self.tables = [collection.ratings[name] for name in self.rating_names]
         self.n_free = self.free_idx.size
         self.n_params = self.n_free + 3 * len(self.rating_names)
         self.labels = connected_components(collection)
@@ -271,11 +272,30 @@ class PosteriorProblem:
         self._pattern = collection.graph.pattern()
         self._log_coef = _log_binomial(self._pairs)
 
+    def resampled(self, rng: np.random.Generator, rows: list) -> "PosteriorProblem":
+        """One bootstrap replicate of this problem: every pair's count drawn
+        binomially with its total kept, then every rating row replaced by a
+        row of the same condition drawn with replacement, one dataset after
+        the other in ``rating_names`` order. ``rows`` holds each table's
+        ``_rows_by_condition``. The replicate shares everything else, so it
+        keeps this problem's pairs, pattern, components and anchors."""
+        i, j, c_ij, c_ji = self._pairs
+        total = c_ij + c_ji
+        new_c_ij = rng.binomial(total, c_ij / total)
+        replicate = copy.copy(self)
+        replicate._pairs = (i, j, new_c_ij, total - new_c_ij)
+        replicate._log_coef = _log_binomial(replicate._pairs)
+        replicate.tables = []
+        for table, (order, first, count) in zip(self.tables, rows):
+            picks = order[first + rng.integers(0, count)]
+            replicate.tables.append(RatingTable(table.condition_indices, table.observers[picks],
+                                                table.scores[picks]))
+        return replicate
+
     def initial_point(self) -> np.ndarray:
         """q = 0 everywhere; per-dataset a = 1/std(scores), b = -a*mean, c = 1."""
         x = np.zeros(self.n_params)
-        for d, name in enumerate(self.rating_names):
-            scores = self.collection.ratings[name].scores
+        for d, scores in enumerate(table.scores for table in self.tables):
             spread = float(scores.std()) if scores.size else 0.0
             a0 = 1.0 / spread if spread > 0 else 1.0
             b0 = -a0 * float(scores.mean()) if scores.size else 0.0
@@ -334,8 +354,7 @@ class PosteriorProblem:
         n_links = 3 * len(self.rating_names)
         coupling = np.zeros((n, n_links))
         link_hessian = np.zeros((n_links, n_links))
-        for d, name in enumerate(self.rating_names):
-            table = self.collection.ratings[name]
+        for d, table in enumerate(self.tables):
             k, at = 3 * d, self.n_free + 3 * d
             term_value, r_over_v, term_grad, term_hess, record_coupling = _rating_term(
                 table, q, *x[at : at + 3]
@@ -382,9 +401,8 @@ class PosteriorProblem:
         return np.concatenate([diag_q[self.free_idx], np.diag(curvature.link_hessian)])
 
 
-def _check_rating_variance(collection: DatasetCollection) -> None:
-    for name in sorted(collection.ratings):
-        table = collection.ratings[name]
+def _check_rating_variance(problem: PosteriorProblem) -> None:
+    for name, table in zip(problem.rating_names, problem.tables):
         if len(table) and float(table.scores.std()) == 0.0:
             raise DegenerateDataError(
                 f"dataset {name!r} has zero rating variance; its link cannot be estimated"
@@ -476,6 +494,44 @@ def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
         value, grad, curvature = trial
 
 
+def _checked_problem(collection: DatasetCollection, prior_enabled: bool, per_component: bool,
+                     start: UnifiedScale | None) -> PosteriorProblem:
+    """The posterior of ``collection``, once its start scale, rating
+    variance, components and anchors pass: every dataset needs a reference
+    condition in each component it is in."""
+    if start is not None and start.conditions != collection.conditions:
+        raise IntegrityError("the start scale is of other conditions than the collection")
+    problem = PosteriorProblem(collection, prior_enabled)
+    _check_rating_variance(problem)
+    if (sizes := problem.sizes).size > 1:
+        if not per_component:
+            raise DisconnectedGraphError(
+                f"comparison data splits into {sizes.size} components "
+                f"(sizes {sizes.tolist()}); add cross links or pass per_component=True"
+            )
+        warnings.warn(
+            f"scaling {sizes.size} disconnected components independently; "
+            "scores are NOT comparable across components",
+            stacklevel=3,
+        )
+    conditions = collection.conditions
+    parts = list(zip([c.dataset for c in conditions], problem.labels.tolist()))
+    anchors = {part for part, c in zip(parts, conditions) if c.is_reference}
+    if unanchored := sorted(set(parts) - anchors):
+        name = unanchored[0][0]
+        raise IntegrityError(f"dataset {name!r} has no reference condition to anchor it")
+    return problem
+
+
+def _fit(problem: PosteriorProblem, conditions: tuple[ConditionId, ...],
+         start: UnifiedScale | None, tol: float, max_iter: int) -> UnifiedScale:
+    """Solve ``problem`` from ``start``, or from its initial point without one."""
+    x0 = problem.initial_point() if start is None else problem.pack(start.q, start.links)
+    x, value, converged, iterations = _solve(problem, x0, tol, max_iter)
+    q, links = problem.unpack(x)
+    return UnifiedScale(q, links, float(value), converged, iterations, conditions)
+
+
 def scale(
     collection: DatasetCollection,
     *,
@@ -498,68 +554,17 @@ def scale(
     replicate), is the point the solver starts from; links it lacks start
     from the default guess.
     """
-    if start is not None and start.conditions != collection.conditions:
-        raise IntegrityError("the start scale is of other conditions than the collection")
-    _check_rating_variance(collection)
-    problem = PosteriorProblem(collection, prior_enabled)
-    if problem.sizes.size > 1:
-        if not per_component:
-            raise _disconnected(problem.sizes)
-        warnings.warn(
-            f"scaling {problem.sizes.size} disconnected components independently; "
-            "scores are NOT comparable across components",
-            stacklevel=2,
-        )
-    if (error := _unanchored(collection, problem.labels)) is not None:
-        raise error
-
-    x0 = problem.initial_point() if start is None else problem.pack(start.q, start.links)
-    x, value, converged, iterations = _solve(problem, x0, tol, max_iter)
-    q, links = problem.unpack(x)
-    return UnifiedScale(
-        q=q,
-        links=links,
-        log_posterior=float(value),
-        converged=converged,
-        iterations=iterations,
-        conditions=collection.conditions,
-    )
+    problem = _checked_problem(collection, prior_enabled, per_component, start)
+    return _fit(problem, collection.conditions, start, tol, max_iter)
 
 
-def _disconnected(sizes: np.ndarray) -> DisconnectedGraphError:
-    return DisconnectedGraphError(
-        f"comparison data splits into {sizes.size} components "
-        f"(sizes {sizes.tolist()}); add cross links or pass per_component=True"
-    )
-
-
-def _unanchored(collection: DatasetCollection, labels: np.ndarray) -> IntegrityError | None:
-    """The error for a dataset with no reference condition in some component
-    it is in (components given by ``labels``), or ``None``: every dataset
-    needs a reference in each of its components."""
-    parts = list(zip([c.dataset for c in collection.conditions], labels.tolist()))
-    anchors = {part for part, c in zip(parts, collection.conditions) if c.is_reference}
-    unanchored = sorted(set(parts) - anchors)
-    if not unanchored:
-        return None
-    name = unanchored[0][0]
-    return IntegrityError(f"dataset {name!r} has no reference condition to anchor it")
-
-
-def _resample_collection(
-    collection: DatasetCollection, rng: np.random.Generator
-) -> DatasetCollection:
-    """One bootstrap replicate: binomial counts on the measured pairs, whose
-    totals stay as they are, and rating rows drawn with replacement; the
-    replicate shares the collection's pairs and their pattern."""
-    _, _, c_ij, c_ji = collection.graph.pair_arrays()
-    total = c_ij + c_ji
-    new_c_ij = rng.binomial(total, c_ij / total)
-    picks = {}
-    for name in sorted(collection.ratings):
-        rows = len(collection.ratings[name])
-        picks[name] = rng.integers(0, rows, size=rows)
-    return collection.recounted(new_c_ij, total - new_c_ij, picks)
+def _rows_by_condition(table: RatingTable):
+    """For each row of ``table``: ``order`` (the rows sorted by condition),
+    where its condition's rows start in ``order``, and how many there are."""
+    _, group, count = np.unique(table.condition_indices, return_inverse=True, return_counts=True)
+    order = np.argsort(table.condition_indices, kind="stable")
+    first = np.cumsum(count) - count
+    return order, first[group], count[group]
 
 
 def bootstrap_ci(
@@ -568,47 +573,41 @@ def bootstrap_ci(
     seed: int = 0,
     *,
     alpha: float = 0.05,
-    **scale_options,
+    prior_enabled: bool = True,
+    tol: float = 1e-6,
+    max_iter: int = 2000,
+    per_component: bool = False,
+    start: UnifiedScale | None = None,
 ) -> np.ndarray:
     """Percentile bootstrap intervals for the JOD score of every condition.
 
-    Comparisons are resampled per pair (binomial with the empirical
-    probability) and rating rows are resampled with replacement; each
-    replicate is rescaled with ``scale_options`` (pass ``start``, the
-    full-data scale, to warm-start every replicate from it). A collection
-    that is disconnected without ``per_component``, or has a dataset with no
-    reference in one of its components, is an error at once. Replicates that
-    fail to scale or do not converge are skipped and counted, and more than
-    50% failures is an error. A replicate that loses every rating of a
-    condition can split: without ``per_component`` it is disconnected, and
-    with it a split-off piece can lack a reference; both count as failed.
-    Deterministic for a given seed. Returns an (n, 2) array of (low, high)
-    bounds at the 100*alpha/2 and 100*(1 - alpha/2) percentiles, where
-    0 < alpha < 1.
+    The collection is checked as ``scale`` checks it. A replicate draws
+    every pair's count binomially, keeping its total, and replaces every
+    rating row by a row of the same condition drawn with replacement, so it
+    keeps the collection's pairs, components and anchors; it is solved on
+    the full data's problem from ``start`` (say, the full-data scale) or
+    from the default guess. A replicate with zero rating variance in a
+    dataset, or whose solve does not converge, counts as failed; more than
+    50% failures is an error. Deterministic for a given seed. Returns an
+    (n, 2) array of (low, high) bounds at the 100*alpha/2 and
+    100*(1 - alpha/2) percentiles, where 0 < alpha < 1.
     """
     if n_boot < 1:
         raise IntegrityError(f"n_boot must be at least 1, got {n_boot}")
     if not 0.0 < alpha < 1.0:
         raise IntegrityError(f"alpha must lie in (0, 1), got {alpha}")
-    labels = connected_components(collection)
-    sizes = np.bincount(labels)
-    if sizes.size > 1 and not scale_options.get("per_component", False):
-        raise _disconnected(sizes)
-    if (error := _unanchored(collection, labels)) is not None:
-        raise error
+    problem = _checked_problem(collection, prior_enabled, per_component, start)
+    rows = [_rows_by_condition(table) for table in problem.tables]
 
     samples = []
     for index in range(n_boot):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007, index)))
-        replicate = _resample_collection(collection, rng)
+        replicate = problem.resampled(rng, rows)
         try:
-            result = scale(replicate, **scale_options)
-        except (DisconnectedGraphError, DegenerateDataError):
+            _check_rating_variance(replicate)
+        except DegenerateDataError:
             continue
-        except IntegrityError:
-            if _unanchored(replicate, connected_components(replicate)) is None:
-                raise
-            continue
+        result = _fit(replicate, collection.conditions, start, tol, max_iter)
         if result.converged:
             samples.append(result.q)
     failures = n_boot - len(samples)

@@ -221,6 +221,9 @@ class TestUsageErrors:
         ["simulate", "--conditions", "6", "--datasets", "2", "--density", "nan"],
         ["simulate", "--conditions", "6", "--datasets", "2", "--density", "inf"],
         ["recover", "--conditions", "6", "--datasets", "2", "--density", "-1"],
+        *(["scale", "--manifest", "missing.json", "--tol", tol]
+          for tol in ("-1", "0", "nan", "inf")),
+        ["scale", "--manifest", "missing.json", "--max-iter", "-3"],
     ])
     def test_flag_value_out_of_range(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -657,6 +660,19 @@ _PINNED = {
             "demo/c0/dist/1,-0.999658,-1.036416,-0.696304\n"
         ),
     }),
+    # on the "simulate" case's output (in sim/): a rated collection
+    "scale-bootstrap-rated": (["scale", "--manifest", "sim/manifest.json",
+                               "--bootstrap", "10", "--seed", "3"], {
+        "scale.csv": (
+            "condition,jod,ci_low,ci_high\n"
+            "ds0/ref/reference/0,0.000000,0.000000,0.000000\n"
+            "ds0/c000/dist/1,-1.734978,-1.887093,-1.529275\n"
+            "ds0/c001/dist/1,-3.516153,-4.023864,-3.375259\n"
+            "ds1/ref/reference/0,0.000000,0.000000,0.000000\n"
+            "ds1/c000/dist/1,-4.640555,-5.356079,-4.605551\n"
+            "ds1/c001/dist/1,-4.874999,-5.573461,-4.514289\n"
+        ),
+    }),
     "simulate": (["simulate", "--conditions", "6", "--datasets", "2"], {
         "comparisons.csv": (
             "cond_a,cond_b,count_a_over_b\n"
@@ -787,6 +803,8 @@ class TestPinnedOutputs:
         (tmp_path / "bench.csv").write_text(_BENCH)
         (tmp_path / "values.csv").write_text("value\n0.8\n80.0\n10.0\n1000.0\n")
         monkeypatch.chdir(tmp_path)
+        if "sim/manifest.json" in argv:
+            assert main([*_PINNED["simulate"][0], "--out", "sim"]) == 0
         assert main([*argv, "--out", "out"]) == 0
         written = {path.name: path.read_bytes().decode()
                    for path in (tmp_path / "out").glob("*.csv")}

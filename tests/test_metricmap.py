@@ -86,6 +86,17 @@ class TestFitLogistic:
             fit_logistic(np.arange(5.0), np.arange(5.0))
 
 
+@pytest.mark.parametrize("function", [fit_logistic, correlation_metrics])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_non_finite_input_rejected(capfd, function, bad, side):
+    vectors = [np.linspace(0.0, 10.0, 20), np.linspace(-3.0, 0.0, 20)]
+    vectors[side][7] = bad
+    with pytest.raises(IntegrityError, match="non-finite value at index 7"):
+        function(*vectors)
+    assert capfd.readouterr().err == ""  # no LAPACK complaint on the way
+
+
 class TestCorrelationMetrics:
     def test_perfect_agreement(self):
         x = np.array([0.0, 1.0, 2.0, 5.0])

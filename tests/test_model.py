@@ -107,7 +107,7 @@ class TestComparisonGraph:
         i, j = graph.pair_arrays()[:2]
         pattern = graph.pattern()
         assert isinstance(pattern, csr_matrix) and pattern.shape == (5, 5)
-        assert pattern is graph.pattern() and pattern is graph.recounted([1] * 3, [0] * 3).pattern()
+        assert pattern is graph.pattern()
         for array in (pattern.indptr, pattern.indices, pattern.data):
             assert array.dtype == np.int32 and not array.flags.writeable
         expected = np.full((5, 5), -1)
@@ -119,17 +119,6 @@ class TestComparisonGraph:
         empty = ComparisonGraph(3).pattern()
         assert empty.indptr.tolist() == [0, 0, 0, 0] and empty.indices.size == 0
         assert empty.indptr.dtype == empty.indices.dtype == empty.data.dtype == np.int32
-
-    def test_recounted_graph_keeps_the_pairs(self):
-        graph = ComparisonGraph(4, [3, 0, 2, 1], [0, 3, 1, 2], [2, 1, 5, 0])
-        recounted = graph.recounted([3, 0], [0, 5])
-        assert recounted == ComparisonGraph(4, [0, 2], [3, 1], [3, 5])
-        assert recounted.i is graph.i and recounted.pattern() is graph.pattern()
-        assert graph.count(0, 3) == 1  # the source is unchanged
-        assert not recounted.c_ij.flags.writeable
-        for c_ij, c_ji in (([3], [0]), ([3, -1], [0, 5]), ([0, 2], [0, 3])):
-            with pytest.raises(IntegrityError, match="count"):
-                graph.recounted(c_ij, c_ji)
 
 
 class TestEmpiricalProbability:
@@ -169,31 +158,6 @@ def _collection(conditions, entries, ratings=None, experiments=None):
     }
     graph = graph_of(len(conditions), entries)
     return DatasetCollection(conditions, graph, ratings or {}, manifest)
-
-
-class TestRecountedCollection:
-    def _rated(self):
-        conds = [ConditionId.reference("a"), ConditionId("a", "c0", "d", 1),
-                 ConditionId.reference("b"), ConditionId("b", "c0", "d", 1)]
-        table = ratings_of(((2, "o1", 3.0), (3, "o1", 2.0), (3, "o2", 1.0)))
-        return _collection(conds, {(0, 1): 4, (1, 0): 1, (1, 2): 2},
-                           ratings={"b": table}, experiments={"b": "rating"})
-
-    def test_new_counts_and_picked_rows_without_revalidation(self, monkeypatch):
-        coll = self._rated()
-        monkeypatch.setattr(DatasetCollection, "_validate", lambda self: pytest.fail())
-        replicate = coll.recounted([2, 0], [3, 2], {"b": np.array([2, 2, 0])})
-        assert replicate.graph == graph_of(4, {(0, 1): 2, (1, 0): 3, (2, 1): 2})
-        assert replicate.ratings["b"] == ratings_of(((3, "o2", 1.0),) * 2 + ((2, "o1", 3.0),))
-        assert replicate.conditions is coll.conditions and replicate.manifest is coll.manifest
-        assert replicate.index_of("b/c0/d/1") == 3
-        assert coll.graph.count(0, 1) == 4 and len(coll.ratings["b"]) == 3
-
-    def test_picks_must_name_exactly_the_rating_datasets(self):
-        coll = self._rated()
-        for picks in ({}, {"b": [0], "a": [0]}):
-            with pytest.raises(IntegrityError, match="row picks"):
-                coll.recounted([4, 2], [1, 0], picks)
 
 
 class TestConnectedComponents:

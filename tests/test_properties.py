@@ -7,12 +7,13 @@ block-split CSV reader must return what one plain ``csv.reader`` returns; the
 likelihood kernel's gradient, cached curvature and Jacobi diagonal must
 match central differences, and its one-``log_ndtr`` pair of log
 probabilities must match two ``log_ndtr`` calls; a graph's directed rows and
-CSR pattern must follow the two-key ``lexsort`` order; a bootstrap replicate,
-which shares its collection's pairs, must scale exactly as the collection
-rebuilt from its rows; a solve started anywhere near the maximum (or at it)
-must reach the maximum a cold solve reaches; a disconnected collection
-scaled per component must be its components scaled alone; and both pair
-selectors must return exactly what a double loop over all pairs returns.
+CSR pattern must follow the two-key ``lexsort`` order; a bootstrap replicate
+must keep its collection's pairs, components and per-condition rating
+counts, and solve exactly as the collection rebuilt from its rows; a solve
+started anywhere near the maximum (or at it) must reach the maximum a cold
+solve reaches; a disconnected collection scaled per component must be its
+components scaled alone; and both pair selectors must return exactly what a
+double loop over all pairs returns.
 """
 
 import csv
@@ -30,10 +31,12 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.special import log_ndtr, ndtr
 
-from jodscale import csvio, model
+from jodscale import csvio, model, scaling
 from jodscale.cli import main
 from jodscale.design import select_cross_dataset_pairs, select_gmad_pairs
-from jodscale.errors import DesignError, IntegrityError, JodscaleError, ParseError
+from jodscale.errors import (
+    DegenerateDataError, DesignError, IntegrityError, JodscaleError, ParseError,
+)
 from jodscale.model import (
     ComparisonGraph,
     ConditionId,
@@ -44,7 +47,7 @@ from jodscale.model import (
 )
 from jodscale.scaling import (
     SIGMA_JOD, LinkParams, PosteriorProblem, UnifiedScale, _log_ndtr_pair,
-    _resample_collection, bootstrap_ci, log_posterior, scale,
+    _rows_by_condition, bootstrap_ci, log_posterior, scale,
 )
 
 _HEADER = "cond_a,cond_b,count_a_over_b"
@@ -476,36 +479,88 @@ def _outcome(collection, **options):
             return type(exc), str(exc)
 
 
-# A replicate shares its collection's pair arrays and CSR pattern and skips
-# revalidation; rebuilt from its own rows, it must scale bit for bit alike,
-# whether it splits into components (cross=False), fails to scale or not.
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["observer", "rated", "unrated"]),
-       cross=st.booleans(), per_component=st.booleans(), prior=st.booleans())
-def test_replicate_scales_as_its_rebuilt_collection(seed, kind, cross, per_component, prior):
+def _replicate(problem, seed):
+    """A bootstrap replicate of ``problem``, drawn as ``bootstrap_ci`` draws it."""
+    rows = [_rows_by_condition(table) for table in problem.tables]
+    return problem.resampled(np.random.default_rng(seed), rows)
+
+
+def _rebuilt(collection, replicate):
+    """The collection of a replicate's counts and rating rows, built and
+    validated anew."""
+    i, j, c_ij, c_ji = replicate._pairs
+    graph = ComparisonGraph(collection.n, np.concatenate([i, j]), np.concatenate([j, i]),
+                            np.concatenate([c_ij, c_ji]))
+    ratings = {name: RatingTable(table.condition_indices, table.observers, table.scores)
+               for name, table in zip(replicate.rating_names, replicate.tables)}
+    return DatasetCollection(collection.conditions, graph, ratings, collection.manifest)
+
+
+def _collection_of_kind(seed, kind, cross):
     make = _observer_collection if kind == "observer" else _rated_collection
     collection, _ = make(seed, cross)
     if kind == "unrated":
         collection = DatasetCollection(collection.conditions, collection.graph, {},
                                        collection.manifest)
-    replicate = _resample_collection(collection, np.random.default_rng(seed))
-    rebuilt = DatasetCollection(
-        collection.conditions, ComparisonGraph(collection.n, *replicate.graph.observations()),
-        {name: RatingTable(table.condition_indices, table.observers, table.scores)
-         for name, table in replicate.ratings.items()},
-        collection.manifest,
-    )
-    assert replicate.graph == rebuilt.graph
-    assert dict(replicate.ratings) == dict(rebuilt.ratings)
-    options = {"per_component": per_component, "prior_enabled": prior}
-    got, expected = _outcome(replicate, **options), _outcome(rebuilt, **options)
-    assert isinstance(got, UnifiedScale) == isinstance(expected, UnifiedScale)
-    if isinstance(expected, UnifiedScale):
-        np.testing.assert_array_equal(got.q, expected.q)
-        assert (got.links, got.log_posterior, got.converged, got.iterations) == (
-            expected.links, expected.log_posterior, expected.converged, expected.iterations)
-    else:
-        assert got == expected
+    return collection
+
+
+# Ratings are drawn within each condition and every pair keeps its total, so
+# a replicate has the collection's measured pairs, components and rating rows
+# per condition, each row one of that condition's own.
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["observer", "rated"]),
+       cross=st.booleans())
+def test_replicate_keeps_labels_and_rating_counts(seed, kind, cross):
+    collection = _collection_of_kind(seed, kind, cross)
+    problem = PosteriorProblem(collection)
+    for index in range(5):
+        replicate = _replicate(problem, [seed, index])
+        rebuilt = _rebuilt(collection, replicate)
+        np.testing.assert_array_equal(rebuilt.graph.pair_arrays()[:2],
+                                      collection.graph.pair_arrays()[:2])
+        np.testing.assert_array_equal(connected_components(rebuilt),
+                                      connected_components(collection))
+        for name, table in rebuilt.ratings.items():
+            original = collection.ratings[name]
+            np.testing.assert_array_equal(np.bincount(table.condition_indices, minlength=rebuilt.n),
+                                          np.bincount(original.condition_indices,
+                                                      minlength=collection.n))
+            rows = set(zip(*(col.tolist() for col in (
+                original.condition_indices, original.observers, original.scores))))
+            assert set(zip(*(col.tolist() for col in (
+                table.condition_indices, table.observers, table.scores)))) <= rows
+
+
+# A replicate is solved on its collection's problem, sharing its pair
+# arrays, pattern and components; it must solve bit for bit as ``scale``
+# solves the collection rebuilt from its counts and rows, cold or warm. Few
+# iterations suffice to tell, and keep unconverging draws cheap.
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["observer", "rated", "unrated"]),
+       cross=st.booleans(), per_component=st.booleans(), prior=st.booleans(),
+       warm=st.booleans())
+def test_replicate_scales_as_its_rebuilt_collection(seed, kind, cross, per_component, prior,
+                                                    warm):
+    collection = _collection_of_kind(seed, kind, cross)
+    options = {"per_component": per_component, "prior_enabled": prior, "max_iter": 100}
+    full = _outcome(collection, **options)
+    assume(isinstance(full, UnifiedScale))
+    start = full if warm else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "NOT comparable" across components
+        problem = scaling._checked_problem(collection, prior, per_component, start)
+    replicate = _replicate(problem, seed)
+    expected = _outcome(_rebuilt(collection, replicate), start=start, **options)
+    try:
+        scaling._check_rating_variance(replicate)
+    except DegenerateDataError as exc:
+        assert expected == (DegenerateDataError, str(exc))
+        return
+    got = scaling._fit(replicate, collection.conditions, start, 1e-6, 100)
+    np.testing.assert_array_equal(got.q, expected.q)
+    assert (got.links, got.log_posterior, got.converged, got.iterations) == (
+        expected.links, expected.log_posterior, expected.converged, expected.iterations)
 
 
 def _subcollection(collection, members):

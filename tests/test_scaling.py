@@ -27,7 +27,7 @@ from jodscale.scaling import (
     SIGMA_JOD,
     LinkParams,
     PosteriorProblem,
-    _resample_collection,
+    _rows_by_condition,
     bootstrap_ci,
     log_posterior,
     preference_probability,
@@ -468,23 +468,34 @@ class TestBootstrap:
 
     def test_resample_matches_per_pair_draws(self):
         # reference: one scalar binomial per measured pair in (i, j) order,
-        # then one integer draw per rating dataset in sorted name order
+        # then per rating dataset in sorted name order one integer draw per
+        # row, below its condition's number of rows, that picks among them
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=30, n_datasets=3, seed=2))
-        replicate = _resample_collection(coll, np.random.default_rng(41))
+        problem = PosteriorProblem(coll)
+        rows = [_rows_by_condition(table) for table in problem.tables]
+        replicate = problem.resampled(np.random.default_rng(41), rows)
         rng = np.random.default_rng(41)
         i_arr, j_arr, c_ij, c_ji = (col.tolist() for col in coll.graph.pair_arrays())
-        for i, j, cij, cji in zip(i_arr, j_arr, c_ij, c_ji):
-            new_cij = int(rng.binomial(cij + cji, cij / (cij + cji)))
-            assert replicate.graph.count(i, j) == new_cij
-            assert replicate.graph.count(j, i) == cij + cji - new_cij
-        assert sorted(coll.ratings) == ["ds1", "ds2"]
-        for name in sorted(coll.ratings):
-            table = coll.ratings[name]
-            picks = rng.integers(0, len(table), size=len(table))
-            np.testing.assert_array_equal(
-                replicate.ratings[name].scores, table.scores[picks])
-            np.testing.assert_array_equal(
-                replicate.ratings[name].condition_indices, table.condition_indices[picks])
+        new_i, new_j, new_c_ij, new_c_ji = replicate._pairs
+        assert new_i is coll.graph.i and new_j is coll.graph.j
+        for k, (cij, cji) in enumerate(zip(c_ij, c_ji)):
+            assert new_c_ij[k] == int(rng.binomial(cij + cji, cij / (cij + cji)))
+            assert new_c_ji[k] == cij + cji - new_c_ij[k]
+        assert replicate.rating_names == sorted(coll.ratings) == ["ds1", "ds2"]
+        for name, table in zip(replicate.rating_names, replicate.tables):
+            original = coll.ratings[name]
+            by_condition = {}
+            for row, cond in enumerate(original.condition_indices.tolist()):
+                by_condition.setdefault(cond, []).append(row)
+            sizes = [len(by_condition[c]) for c in original.condition_indices.tolist()]
+            draws = rng.integers(0, sizes)
+            picks = [by_condition[c][d] for c, d in
+                     zip(original.condition_indices.tolist(), draws.tolist())]
+            np.testing.assert_array_equal(table.condition_indices, original.condition_indices)
+            np.testing.assert_array_equal(table.scores, original.scores[picks])
+            np.testing.assert_array_equal(table.observers, original.observers[picks])
+        assert replicate.labels is problem.labels and replicate._pattern is problem._pattern
+        assert coll.graph.c_ij.tolist() == c_ij  # the source is unchanged
 
     @pytest.mark.filterwarnings("ignore:scaling .* disconnected components")
     @pytest.mark.parametrize("per_component", [False, True])
@@ -516,8 +527,8 @@ class TestBootstrap:
     @staticmethod
     def _loosely_rated_collection():
         """Three ratings per condition and no comparison to the rated
-        distortions: a replicate that draws none of a condition's ratings
-        splits, though the collection itself is connected."""
+        distortions: a condition left with none of its ratings would split
+        off, though the collection itself is connected."""
         conditions = [ConditionId.reference("p"), ConditionId("p", "c0", "dist", 1),
                       ConditionId.reference("r")]
         conditions += [ConditionId("r", f"c{k}", "dist", 1) for k in range(4)]
@@ -527,37 +538,32 @@ class TestBootstrap:
         return DatasetCollection(conditions, graph, {"r": ratings_of(rows)},
                                  {"p": DatasetMeta("p", "pwc"), "r": DatasetMeta("r", "rating")})
 
-    @staticmethod
-    def _split_replicates(coll):
-        """The split ones among the replicates ``bootstrap_ci(coll, 10, seed=1)`` draws."""
-        rngs = [np.random.default_rng(np.random.SeedSequence((1, 0xB007, k))) for k in range(10)]
-        replicates = [_resample_collection(coll, rng) for rng in rngs]
-        return [rep for rep in replicates if connected_components(rep).max() > 0]
-
-    def test_replicate_that_loses_a_conditions_ratings_is_skipped(self):
+    @pytest.mark.parametrize("per_component", [False, True])
+    def test_a_replicate_keeps_every_conditions_ratings(self, monkeypatch, per_component):
+        """Rows are drawn within each condition, so no replicate splits off
+        a rated condition and every one of the 10 is solved and kept."""
         coll = self._loosely_rated_collection()
         assert connected_components(coll).max() == 0
-        assert self._split_replicates(coll)
-        assert bootstrap_ci(coll, 10, seed=1).shape == (7, 2)
+        outcomes = []
+        solve = scaling._solve
 
-    def test_per_component_replicate_with_an_unanchored_piece_is_skipped(self):
-        """With ``per_component`` the split-off piece of a replicate is
-        scaled on its own, and has no reference condition to anchor it."""
-        coll = self._loosely_rated_collection()
-        assert scale(coll, per_component=True).converged
-        with pytest.raises(IntegrityError, match="'r' has no reference condition"):
-            scale(self._split_replicates(coll)[0], per_component=True)
-        intervals = bootstrap_ci(coll, 10, seed=1, per_component=True)
-        assert intervals.shape == (7, 2)
-        assert np.all(np.isfinite(intervals))
+        def recorded(*args):
+            outcomes.append(solve(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(scaling, "_solve", recorded)
+        intervals = bootstrap_ci(coll, 10, seed=1, per_component=per_component)
+        assert [converged for _, _, converged, _ in outcomes] == [True] * 10
+        assert intervals.shape == (7, 2) and np.all(np.isfinite(intervals))
 
     def test_unanchored_collection_raises_before_any_replicate(self, monkeypatch):
         # demo/c1 is compared with nothing: a piece of dataset demo with no reference
         coll = _demo_collection({(0, 1): 30, (1, 0): 10}, n=3)
-        monkeypatch.setattr(scaling, "_resample_collection",
+        monkeypatch.setattr(PosteriorProblem, "resampled",
                             lambda *args: pytest.fail("a replicate was drawn"))
-        with pytest.raises(IntegrityError, match="'demo' has no reference condition"):
-            bootstrap_ci(coll, 4, seed=0, per_component=True)
+        with pytest.warns(UserWarning, match="NOT comparable"):
+            with pytest.raises(IntegrityError, match="'demo' has no reference condition"):
+                bootstrap_ci(coll, 4, seed=0, per_component=True)
 
     def test_n_boot_validation(self, two_condition_collection):
         with pytest.raises(IntegrityError):
