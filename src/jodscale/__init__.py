@@ -24,11 +24,11 @@ from .model import (
     ComparisonGraph,
     ConditionId,
     DatasetCollection,
-    DatasetMeta,
     RatingTable,
     connected_components,
     empirical_probability,
     load_collection,
+    save_collection,
 )
 from .scaling import (
     SIGMA_JOD,
@@ -49,7 +49,6 @@ __all__ = [
     "ConditionId",
     "ConvergenceError",
     "DatasetCollection",
-    "DatasetMeta",
     "DegenerateDataError",
     "DesignError",
     "DisconnectedGraphError",
@@ -71,5 +70,6 @@ __all__ = [
     "preference_probability",
     "pwc_log_likelihood",
     "rating_log_likelihood",
+    "save_collection",
     "scale",
 ]

@@ -13,6 +13,7 @@ scale, simulate and recover, --strict to scale and pu-encode) and a value
 out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0
 (or NaN), ``scale --tol`` not above 0 or not finite, ``scale --max-iter``
 below 0, ``simulate``/``recover --density`` below 0 or not finite,
+``simulate``/``recover --trials`` or ``--observers`` below 0,
 ``stats``/``select-pairs --bins`` or ``select-pairs --k`` below 1,
 ``pu-encode --knots`` below 64. Flag ranges are checked at parse time.
 ``pu-encode --lut`` with a flag that builds a look-up table (``--threshold``,
@@ -31,6 +32,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .linkfit import fit_report
 from .metricmap import correlation_metrics, eval_logistic, fit_logistic, pairwise_accuracy
-from .model import ConditionId, DatasetCollection, load_collection
+from .model import ConditionId, load_collection, save_collection
 from .photometry import (
     DEFAULT_KNOTS,
     DEFAULT_L_MAX,
@@ -159,17 +161,20 @@ def _cmd_scale(args, out: Path) -> None:
     row_format = "{},{:.6f},,\n"
     columns = [[cond.key for cond in result.conditions], result.q.tolist()]
     if args.bootstrap > 0:
-        intervals = bootstrap_ci(
-            collection,
-            args.bootstrap,
-            seed=args.seed,
-            alpha=args.alpha,
-            prior_enabled=args.prior,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            per_component=args.per_component,
-            start=result,
-        )
+        with warnings.catch_warnings():
+            # ``scale`` has already warned that it scaled components independently
+            warnings.filterwarnings("ignore", "scaling .* disconnected components")
+            intervals = bootstrap_ci(
+                collection,
+                args.bootstrap,
+                seed=args.seed,
+                alpha=args.alpha,
+                prior_enabled=args.prior,
+                tol=args.tol,
+                max_iter=args.max_iter,
+                per_component=args.per_component,
+                start=result,
+            )
         row_format = "{},{:.6f},{:.6f},{:.6f}\n"
         columns += [intervals[:, 0].tolist(), intervals[:, 1].tolist()]
     _write_csv(out / "scale.csv", "condition,jod,ci_low,ci_high", row_format, *columns)
@@ -189,41 +194,6 @@ def _cmd_scale(args, out: Path) -> None:
     print(f"scaled {collection.n} conditions; log posterior {result.log_posterior:.4f}")
 
 
-def _write_collection_files(collection: DatasetCollection, out: Path) -> None:
-    keys = np.array([cond.key for cond in collection.conditions], dtype=object)
-    datasets = []
-    for name in sorted(collection.manifest):
-        meta = collection.manifest[name]
-        cond_file = f"conditions_{name}.csv"
-        _write_csv(out / cond_file, "condition", "{}\n",
-                   [cond.key for cond in collection.conditions if cond.dataset == name])
-        entry = {
-            "name": name,
-            "experiment": meta.experiment,
-            "conditions": cond_file,
-        }
-        if meta.display is not None:
-            entry["display"] = {
-                "L_peak": meta.display.l_peak,
-                "L_black": meta.display.l_black,
-                "gamma": meta.display.gamma,
-            }
-        if name in collection.ratings:
-            rating_file = f"ratings_{name}.csv"
-            entry["ratings"] = rating_file
-            table = collection.ratings[name]
-            _write_csv(out / rating_file, "condition,observer,score", "{},{},{!r}\n",
-                       keys[table.condition_indices].tolist(), table.observers.tolist(),
-                       table.scores.tolist())
-        datasets.append(entry)
-    winners, losers, counts = collection.graph.observations()
-    values, inverse = np.unique(counts, return_inverse=True)  # format each count once
-    _write_csv(out / "comparisons.csv", "cond_a,cond_b,count_a_over_b", "{},{},{}\n",
-               keys[winners].tolist(), keys[losers].tolist(),
-               values.astype(str).astype(object)[inverse].tolist())
-    _write_json(out / "manifest.json", {"datasets": datasets, "comparisons": "comparisons.csv"})
-
-
 def _recovery_config(args) -> RecoveryConfig:
     return RecoveryConfig(
         n_conditions=args.conditions,
@@ -237,7 +207,7 @@ def _recovery_config(args) -> RecoveryConfig:
 
 def _cmd_simulate(args, out: Path) -> None:
     _, collection = synthesize_collection(_recovery_config(args))
-    _write_collection_files(collection, out)
+    save_collection(collection, out)
     print(f"simulated {collection.n} conditions into {out}")
 
 
@@ -460,8 +430,8 @@ def build_parser() -> _Parser:
     def add_study(p):
         p.add_argument("--conditions", type=int, default=50)
         p.add_argument("--datasets", type=int, default=3)
-        p.add_argument("--trials", type=int, default=30)
-        p.add_argument("--observers", type=int, default=15)
+        p.add_argument("--trials", type=_at_least(0), default=30)
+        p.add_argument("--observers", type=_at_least(0), default=15)
         p.add_argument("--density", type=_at_least(0.0, float, finite=True), default=0.5)
         p.add_argument("--seed", type=int, default=0)
 

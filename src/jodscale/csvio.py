@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Mapping
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import ParseError
 
 _BLOCK_CHARS = 1 << 20
+_SPECIAL = re.compile(r'[,"\r\n]')  # characters that make a written field need quotes
 _CHUNK_ROWS = 256  # rows per write: larger blocks leave more heap behind
 
 
@@ -107,6 +109,14 @@ def _split_rows(block: str, width: int, handle, path: Path) -> list:
 def _cells(convert, dtype) -> Callable:
     """A ``_read_csv`` parser that converts every cell of a column."""
     return lambda texts: np.array(list(map(convert, texts)), dtype=dtype)
+
+
+def _quoted(texts: list[str]) -> list[str]:
+    """Each text as a field for a ``{}`` cell of ``_write_csv``: quoted,
+    with each quote inside doubled, when it holds a comma, a quote, a CR or
+    an LF."""
+    return ['"' + text.replace('"', '""') + '"' if _SPECIAL.search(text) else text
+            for text in texts]
 
 
 def _write_csv(path: Path, header: str, row_format: str, *columns) -> None:

@@ -193,7 +193,7 @@ def iterate_selection(
                 np.concatenate([old, new[:, 0], new[:, 1]]),
             )
             current = DatasetCollection(
-                current.conditions, graph, current.ratings, current.manifest
+                current.conditions, graph, current.ratings, current.displays
             )
             result = scale(current, **scale_options)
             audit.append({"batch": batch, "counts": counts})

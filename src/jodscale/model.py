@@ -1,24 +1,27 @@
-"""Domain types and ingestion for comparison and rating datasets.
+"""Domain types and the study layout on disk.
 
 A collection bundles the conditions of every source dataset together with
 the pairwise win counts and per-dataset rating tables, both held as
-columnar numpy arrays. Collections are immutable after construction and
-safe to share read-only across threads.
+columnar numpy arrays, and per-dataset display models. Dataset names come
+from the conditions, and a dataset is rated exactly when it has ratings.
+Collections are immutable after construction and safe to share read-only
+across threads. ``load_collection`` reads and ``save_collection`` writes
+this layout:
 
-File formats
-------------
 manifest JSON
     ``{"datasets": [...], "comparisons": "comparisons.csv"}`` where each
     dataset entry carries ``name``, ``experiment`` ("pwc" or "rating"),
     ``display`` (``{"L_peak": .., "L_black": .., "gamma": ..}``),
     ``conditions`` (CSV path or inline list of condition ids) and, for
-    rating datasets, ``ratings`` (CSV path). Paths are resolved relative to
-    the manifest. Unknown fields are ignored with a warning.
-conditions CSV
+    rated datasets, ``ratings`` (CSV path). Paths are resolved relative to
+    the manifest. Unknown fields are ignored with a warning. ``experiment``
+    is written "rating" exactly for a rated dataset; on read, a "rating"
+    dataset needs ``ratings``, and a "pwc" one with ``ratings`` is rated.
+conditions CSV (``conditions_<name>.csv``)
     header ``condition``; ids are ``dataset/content/distortion/level``.
-comparisons CSV
+comparisons CSV (``comparisons.csv``)
     header ``cond_a,cond_b,count_a_over_b``.
-ratings CSV
+ratings CSV (``ratings_<name>.csv``)
     header ``condition,observer,score``.
 """
 
@@ -35,7 +38,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph, csr_matrix
 
-from .csvio import _cells, _read_csv
+from .csvio import _cells, _quoted, _read_csv, _write_csv
 from .errors import IntegrityError, ParseError, UndefinedPairError
 from .photometry import DisplayModel
 
@@ -43,10 +46,8 @@ REFERENCE_DISTORTION = "reference"
 
 _KNOWN_MANIFEST_KEYS = {"datasets", "comparisons"}
 _KNOWN_DATASET_KEYS = {"name", "experiment", "display", "conditions", "ratings"}
-_KNOWN_DISPLAY_KEYS = {"L_peak", "L_black", "gamma"}
-
-EXPERIMENT_PWC = "pwc"
-EXPERIMENT_RATING = "rating"
+# manifest display key -> DisplayModel attribute
+_DISPLAY_KEYS = {"L_peak": "l_peak", "L_black": "l_black", "gamma": "gamma"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,36 +233,21 @@ class RatingTable:
     __eq__ = _same_columns
 
 
-@dataclass(frozen=True)
-class DatasetMeta:
-    """Per-dataset manifest metadata."""
-
-    name: str
-    experiment: str
-    display: DisplayModel | None = None
-
-    def __post_init__(self):
-        if self.experiment not in (EXPERIMENT_PWC, EXPERIMENT_RATING):
-            raise IntegrityError(
-                f"dataset {self.name!r}: experiment must be "
-                f"'{EXPERIMENT_PWC}' or '{EXPERIMENT_RATING}', got {self.experiment!r}"
-            )
-
-
 class DatasetCollection:
-    """Validated, immutable bundle of conditions, comparisons and ratings."""
+    """Validated, immutable bundle of conditions, comparisons, ratings and
+    displays; ``ratings`` and ``displays`` are keyed by dataset name."""
 
     def __init__(
         self,
         conditions: Iterable[ConditionId],
         graph: ComparisonGraph,
         ratings: Mapping[str, RatingTable] | None = None,
-        manifest: Mapping[str, DatasetMeta] | None = None,
+        displays: Mapping[str, DisplayModel] | None = None,
     ):
         self.conditions: tuple[ConditionId, ...] = tuple(conditions)
         self.graph = graph
         self.ratings: Mapping[str, RatingTable] = MappingProxyType(dict(ratings or {}))
-        self.manifest: Mapping[str, DatasetMeta] = MappingProxyType(dict(manifest or {}))
+        self.displays: Mapping[str, DisplayModel] = MappingProxyType(dict(displays or {}))
         self._index = {}
         for idx, cond in enumerate(self.conditions):
             if cond.key in self._index:
@@ -276,13 +262,14 @@ class DatasetCollection:
                 f"collection has {len(self.conditions)}"
             )
         datasets = np.array([cond.dataset for cond in self.conditions], dtype=str)
-        missing = set(datasets.tolist()) - set(self.manifest)
-        if missing:
-            raise IntegrityError(f"manifest does not cover datasets: {sorted(missing)}")
+        names = set(datasets.tolist())
+        for what, keyed in (("ratings", self.ratings), ("a display", self.displays)):
+            if unknown := sorted(set(keyed) - names):
+                raise IntegrityError(
+                    f"{what} given for dataset {unknown[0]!r}, which has no condition"
+                )
         anchored = {cond.dataset for cond in self.conditions if cond.is_reference}
         for name, table in self.ratings.items():
-            if name not in self.manifest:
-                raise IntegrityError(f"ratings reference unknown dataset {name!r}")
             idx = table.condition_indices
             outside = (idx < 0) | (idx >= self.n)
             if outside.any():
@@ -404,37 +391,38 @@ def load_collection(manifest_path) -> DatasetCollection:
         warnings.warn(f"ignoring unknown manifest field {key!r}", stacklevel=2)
 
     conditions: list[ConditionId] = []
-    metas: dict[str, DatasetMeta] = {}
+    seen: set[str] = set()
+    displays: dict[str, DisplayModel] = {}
     rating_paths: dict[str, Path] = {}
 
     for entry in raw["datasets"]:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ParseError("each dataset entry must be an object with a 'name'")
         name = str(entry["name"])
-        if name in metas:
+        if name in seen:
             raise IntegrityError(f"duplicate dataset {name!r} in manifest")
+        seen.add(name)
         for key in sorted(set(entry) - _KNOWN_DATASET_KEYS):
             warnings.warn(f"dataset {name!r}: ignoring unknown field {key!r}", stacklevel=2)
-        display = None
         if "display" in entry:
             dd = entry["display"]
-            for key in sorted(set(dd) - _KNOWN_DISPLAY_KEYS):
+            for key in sorted(set(dd) - _DISPLAY_KEYS.keys()):
                 warnings.warn(f"dataset {name!r}: ignoring unknown display field {key!r}",
                               stacklevel=2)
             try:
-                display = DisplayModel(
-                    l_peak=float(dd["L_peak"]),
-                    l_black=float(dd["L_black"]),
-                    gamma=float(dd.get("gamma", 2.2)),
-                )
+                displays[name] = DisplayModel(float(dd["L_peak"]), float(dd["L_black"]),
+                                              float(dd.get("gamma", 2.2)))
             except KeyError as exc:
                 raise ParseError(f"dataset {name!r}: display needs L_peak and L_black") from exc
-        experiment = str(entry.get("experiment", EXPERIMENT_PWC))
-        metas[name] = DatasetMeta(name=name, experiment=experiment, display=display)
+        experiment = str(entry.get("experiment", "pwc"))
+        if experiment not in ("pwc", "rating"):
+            raise IntegrityError(
+                f"dataset {name!r}: experiment must be 'pwc' or 'rating', got {experiment!r}"
+            )
         if "conditions" not in entry:
             raise ParseError(f"dataset {name!r} has no 'conditions'")
         conditions.extend(_load_conditions(entry["conditions"], base, name))
-        if experiment == EXPERIMENT_RATING and "ratings" not in entry:
+        if experiment == "rating" and "ratings" not in entry:
             raise ParseError(f"rating dataset {name!r} has no 'ratings' file")
         if "ratings" in entry:
             rating_paths[name] = base / str(entry["ratings"])
@@ -457,4 +445,38 @@ def load_collection(manifest_path) -> DatasetCollection:
         }))
 
     graph = ComparisonGraph(len(conditions), winners, losers, counts)
-    return DatasetCollection(conditions, graph, ratings, metas)
+    return DatasetCollection(conditions, graph, ratings, displays)
+
+
+def save_collection(collection: DatasetCollection, directory) -> Path:
+    """Write ``collection`` into the existing ``directory`` as the manifest
+    and CSV files ``load_collection`` reads, one conditions file (and, for a
+    rated dataset, one ratings file) per dataset in name order; return the
+    manifest path."""
+    directory = Path(directory)
+    keys = np.array([cond.key for cond in collection.conditions], dtype=object)
+    datasets = []
+    for name in sorted({cond.dataset for cond in collection.conditions}):
+        entry = {"name": name, "experiment": "rating" if name in collection.ratings else "pwc",
+                 "conditions": f"conditions_{name}.csv"}
+        _write_csv(directory / entry["conditions"], "condition", "{}\n",
+                   [cond.key for cond in collection.conditions if cond.dataset == name])
+        if name in collection.displays:
+            display = collection.displays[name]
+            entry["display"] = {key: getattr(display, attr) for key, attr in _DISPLAY_KEYS.items()}
+        if name in collection.ratings:
+            table = collection.ratings[name]
+            entry["ratings"] = f"ratings_{name}.csv"
+            _write_csv(directory / entry["ratings"], "condition,observer,score", "{},{},{!r}\n",
+                       keys[table.condition_indices].tolist(), _quoted(table.observers.tolist()),
+                       table.scores.tolist())
+        datasets.append(entry)
+    winners, losers, counts = collection.graph.observations()
+    values, inverse = np.unique(counts, return_inverse=True)  # format each count once
+    _write_csv(directory / "comparisons.csv", "cond_a,cond_b,count_a_over_b", "{},{},{}\n",
+               keys[winners].tolist(), keys[losers].tolist(),
+               values.astype(str).astype(object)[inverse].tolist())
+    manifest = directory / "manifest.json"
+    manifest.write_text(json.dumps({"datasets": datasets, "comparisons": "comparisons.csv"},
+                                   sort_keys=True, indent=2) + "\n")
+    return manifest

@@ -24,13 +24,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .metricmap import correlation_metrics
-from .model import (
-    ComparisonGraph,
-    ConditionId,
-    DatasetCollection,
-    DatasetMeta,
-    RatingTable,
-)
+from .model import ComparisonGraph, ConditionId, DatasetCollection, RatingTable
 from .photometry import DisplayModel
 from .scaling import SIGMA_JOD, LinkParams, UnifiedScale, preference_probability, scale
 
@@ -149,15 +143,19 @@ class RecoveryConfig:
             )
         if self.seed < 0:
             raise IntegrityError(f"seed must be non-negative, got {self.seed}")
+        for name in ("trials_per_pair", "observers"):
+            if getattr(self, name) < 0:
+                raise IntegrityError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetCollection]:
     """Build ground truth and a simulated collection for a recovery run.
 
-    The first dataset is comparison-based, the remaining ones are
-    rating-based. Every dataset gets one reference and a dense set of
-    within-dataset comparisons; datasets are connected by a spanning chain
-    of cross-dataset pairs plus ``graph_density * n_conditions`` random
+    The first dataset is comparison-based; with ``observers`` above 0 the
+    others are also rated, one rating per observer and condition. Every
+    dataset gets one reference and a dense set of within-dataset
+    comparisons; datasets are connected by a spanning chain of
+    cross-dataset pairs plus ``graph_density * n_conditions`` random
     extras.
     """
     sizes = [
@@ -221,16 +219,9 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
         for name in dataset_names[1:]:
             ratings[name] = simulate_ratings(truth, name, config.observers)
 
-    manifest = {
-        name: DatasetMeta(
-            name=name,
-            experiment="pwc" if d == 0 else "rating",
-            display=DisplayModel(100.0, 0.5, 2.2),
-        )
-        for d, name in enumerate(dataset_names)
-    }
+    displays = dict.fromkeys(dataset_names, DisplayModel(100.0, 0.5, 2.2))
     graph = ComparisonGraph(n, pairs.ravel(), pairs[:, ::-1].ravel(), counts.ravel())
-    collection = DatasetCollection(conditions, graph, ratings, manifest)
+    collection = DatasetCollection(conditions, graph, ratings, displays)
     return truth, collection
 
 
@@ -254,7 +245,8 @@ def build_recovery_report(truth: GroundTruth, result: UnifiedScale, runtime: flo
     free = [i for i, c in enumerate(truth.conditions) if not c.is_reference]
     stats = correlation_metrics(result.q[free], truth.q_true[free])
     link_errors = {}
-    for name in sorted(truth.links_true):
+    # the scale has links only for the datasets that were rated
+    for name in sorted(result.links):
         true_link = truth.links_true[name]
         fit_link = result.links[name]
         link_errors[name] = {

@@ -7,7 +7,6 @@ from jodscale.model import (
     ComparisonGraph,
     ConditionId,
     DatasetCollection,
-    DatasetMeta,
     RatingTable,
 )
 
@@ -33,9 +32,7 @@ def two_condition_collection():
     ref = ConditionId.reference("demo")
     test = ConditionId("demo", "c0", "dist", 1)
     graph = graph_of(2, {(1, 0): 25, (0, 1): 75})
-    return DatasetCollection(
-        [ref, test], graph, {}, {"demo": DatasetMeta("demo", "pwc")}
-    )
+    return DatasetCollection([ref, test], graph)
 
 
 def write_two_condition_fixture(root: Path) -> Path:

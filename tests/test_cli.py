@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +65,9 @@ class TestScaleCommand:
         cells = lines[2].split(",")
         assert float(cells[2]) <= float(cells[1]) <= float(cells[3])
 
-    def test_per_component_bootstrap(self, tmp_path, monkeypatch):
-        # two pairwise datasets without a cross pair: two components
-        root = tmp_path / "two"
+    @staticmethod
+    def _two_components(root):
+        """Two pairwise datasets without a cross pair: two components."""
         root.mkdir()
         datasets = []
         rows = ["cond_a,cond_b,count_a_over_b"]
@@ -79,6 +80,9 @@ class TestScaleCommand:
         (root / "comparisons.csv").write_text("\n".join(rows) + "\n")
         (root / "manifest.json").write_text(
             json.dumps({"datasets": datasets, "comparisons": "comparisons.csv"}))
+
+    def test_per_component_bootstrap(self, tmp_path, monkeypatch):
+        self._two_components(tmp_path / "two")
         monkeypatch.chdir(tmp_path)
         code = main([
             "scale", "--manifest", "two/manifest.json", "--out", "out",
@@ -91,6 +95,19 @@ class TestScaleCommand:
             jod, low, high = (float(cell) for cell in line.split(",")[1:])
             assert np.isfinite([jod, low, high]).all()
             assert low <= high
+
+    def test_per_component_warning_once_per_run(self, tmp_path, monkeypatch):
+        """``scale`` and ``bootstrap_ci`` each check the components; the run
+        warns once that it scales them independently."""
+        self._two_components(tmp_path / "two")
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["scale", "--manifest", "two/manifest.json", "--out", "out",
+                         "--per-component", "--bootstrap", "5", "--seed", "1"]) == 0
+        assert [str(w.message) for w in caught] == [
+            "scaling 2 disconnected components independently; "
+            "scores are NOT comparable across components"]
 
     def test_integrity_error_exit_code(self, tmp_path, monkeypatch):
         write_two_condition_fixture(tmp_path / "fx")
@@ -131,12 +148,39 @@ class TestScaleCommand:
         rows = (tmp_path / "zero" / "scale.csv").read_text().strip().splitlines()[1:]
         assert all(row.endswith(",,") for row in rows)
 
-    def test_disconnected_error_exit_code(self, tmp_path, monkeypatch):
+    def test_disconnected_error_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--out", "sim", "--conditions", "12",
                      "--datasets", "2", "--trials", "0", "--observers", "0"]) == 0
+        capsys.readouterr()
         code = main(["scale", "--manifest", "sim/manifest.json", "--out", "out"])
         assert code == 2
+        assert "comparison data splits into 12 components" in capsys.readouterr().err
+
+    def test_unrated_simulation_scales(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--out", "sim", "--conditions", "30",
+                     "--observers", "0", "--seed", "3"]) == 0
+        manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+        assert {entry["experiment"] for entry in manifest["datasets"]} == {"pwc"}
+        assert main(["scale", "--strict", "--manifest", "sim/manifest.json",
+                     "--out", "out"]) == 0
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "recover"])
+    @pytest.mark.parametrize("flag", ["--observers", "--trials"])
+    def test_negative_count_is_usage_error(self, tmp_path, monkeypatch, subcommand, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main([subcommand, "--out", "neg", "--conditions", "12", flag, "-1"]) == 1
+        assert not (tmp_path / "neg").exists()
+
+    def test_unrated_recovery_reports_no_links(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["recover", "--out", "rec", "--conditions", "30",
+                     "--observers", "0", "--seed", "1"]) == 0
+        report = json.loads((tmp_path / "rec" / "report.json").read_text())
+        assert report["link_errors"] == {}
+        assert report["link_error_summary"] == {"a_rel_max": 0.0, "b_abs_max": 0.0,
+                                                "c_rel_max": 0.0}
 
 
 class TestEntryPoint:

@@ -12,11 +12,12 @@ from jodscale.model import (
     ComparisonGraph,
     ConditionId,
     DatasetCollection,
-    DatasetMeta,
     connected_components,
     empirical_probability,
     load_collection,
+    save_collection,
 )
+from jodscale.photometry import DisplayModel
 
 from conftest import graph_of, ratings_of, write_two_condition_fixture
 
@@ -150,14 +151,8 @@ class TestEmpiricalProbability:
             assert total == pytest.approx(1.0)
 
 
-def _collection(conditions, entries, ratings=None, experiments=None):
-    names = sorted({c.dataset for c in conditions})
-    manifest = {
-        name: DatasetMeta(name, (experiments or {}).get(name, "pwc"))
-        for name in names
-    }
-    graph = graph_of(len(conditions), entries)
-    return DatasetCollection(conditions, graph, ratings or {}, manifest)
+def _collection(conditions, entries, ratings=None):
+    return DatasetCollection(conditions, graph_of(len(conditions), entries), ratings)
 
 
 class TestConnectedComponents:
@@ -199,8 +194,7 @@ class TestConnectedComponents:
                 (2, "o1", 1.0),
             )
         )
-        coll = _collection(conds, {}, ratings={"a": table},
-                           experiments={"a": "rating"})
+        coll = _collection(conds, {}, ratings={"a": table})
         assert connected_components(coll).tolist() == [0, 0, 0]
 
     def test_partition_property(self):
@@ -232,7 +226,8 @@ class TestLoadCollection:
         assert coll.n == 2
         assert coll.graph.count(1, 0) == 25
         assert coll.graph.count(0, 1) == 75
-        assert coll.manifest["demo"].display.l_peak == 100.0
+        assert coll.displays["demo"].l_peak == 100.0
+        assert dict(coll.ratings) == {}
 
     def test_deterministic(self, two_condition_manifest):
         first = load_collection(two_condition_manifest)
@@ -459,3 +454,94 @@ class TestLoadCollection:
         assert coll.n == 4159
         for name, size in sizes.items():
             assert sum(cond.dataset == name for cond in coll.conditions) == size
+
+
+def _study(root, datasets, files):
+    """A manifest listing ``datasets``, written with ``files`` ({name: text})
+    into ``root``; returns the manifest path."""
+    root.mkdir(parents=True)
+    for name, text in files.items():
+        (root / name).write_text(text)
+    path = root / "manifest.json"
+    path.write_text(json.dumps({"datasets": datasets}))
+    return path
+
+
+_RATED_FILES = {
+    "conditions.csv": "condition\nrd/ref/reference/0\nrd/c0/dist/1\n",
+    "ratings.csv": "condition,observer,score\nrd/ref/reference/0,o1,3.0\nrd/c0/dist/1,o1,2.0\n",
+    "empty.csv": "condition,observer,score\n",
+}
+_RATED = {"name": "rd", "experiment": "rating", "conditions": "conditions.csv",
+          "ratings": "ratings.csv"}
+
+
+class TestManifestChecks:
+    def test_duplicate_dataset_name(self, tmp_path):
+        path = _study(tmp_path / "dup", [_RATED, _RATED], _RATED_FILES)
+        with pytest.raises(IntegrityError, match="duplicate dataset 'rd'"):
+            load_collection(path)
+
+    def test_unknown_experiment(self, tmp_path):
+        path = _study(tmp_path / "mos", [{**_RATED, "experiment": "mos"}], _RATED_FILES)
+        with pytest.raises(IntegrityError, match="must be 'pwc' or 'rating', got 'mos'"):
+            load_collection(path)
+
+    def test_rating_dataset_without_ratings(self, tmp_path):
+        entry = {key: value for key, value in _RATED.items() if key != "ratings"}
+        path = _study(tmp_path / "unrated", [entry], _RATED_FILES)
+        with pytest.raises(ParseError, match="rating dataset 'rd' has no 'ratings' file"):
+            load_collection(path)
+
+    def test_pwc_dataset_with_ratings_is_rated(self, tmp_path):
+        path = _study(tmp_path / "pwc", [{**_RATED, "experiment": "pwc"}], _RATED_FILES)
+        assert len(load_collection(path).ratings["rd"]) == 2
+
+    @pytest.mark.parametrize("what, extra", [
+        ("ratings", {"experiment": "rating", "ratings": "empty.csv"}),
+        ("a display", {"display": {"L_peak": 100.0, "L_black": 0.5}}),
+    ])
+    def test_keyed_by_a_dataset_without_conditions(self, tmp_path, monkeypatch, what, extra):
+        path = _study(tmp_path / "ghost", [_RATED], _RATED_FILES)
+        monkeypatch.chdir(tmp_path)
+        assert main(["scale", "--manifest", "ghost/manifest.json", "--out", "out"]) == 0
+        path.write_text(json.dumps(
+            {"datasets": [_RATED, {"name": "ghost", "conditions": [], **extra}]}))
+        with pytest.raises(IntegrityError, match=f"{what} given for dataset 'ghost', "
+                                                 "which has no condition"):
+            load_collection(path)
+        assert main(["scale", "--manifest", "ghost/manifest.json", "--out", "out"]) == 2
+
+    def test_collection_rejects_ratings_or_display_of_an_unknown_dataset(self):
+        conds = [ConditionId.reference("a"), ConditionId("a", "c0", "d", 1)]
+        graph = graph_of(2, {(0, 1): 3})
+        with pytest.raises(IntegrityError, match="ratings given for dataset 'b'"):
+            DatasetCollection(conds, graph, {"b": ratings_of(())})
+        with pytest.raises(IntegrityError, match="a display given for dataset 'b'"):
+            DatasetCollection(conds, graph, displays={"b": DisplayModel(100.0, 0.5)})
+
+
+class TestSaveCollection:
+    def test_layout_and_quoted_observers(self, tmp_path):
+        conds = [ConditionId.reference("a"), ConditionId("a", "c0", "d", 1),
+                 ConditionId.reference("b")]
+        table = ratings_of(((0, "x,y", 1.5), (1, 'say "hi"', -0.25)))
+        coll = DatasetCollection(conds, graph_of(3, {(0, 2): 4, (2, 0): 1}), {"a": table},
+                                 {"b": DisplayModel(200.0, 0.1, 2.4)})
+        path = save_collection(coll, tmp_path)
+        assert path == tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest == {"comparisons": "comparisons.csv", "datasets": [
+            {"name": "a", "experiment": "rating", "conditions": "conditions_a.csv",
+             "ratings": "ratings_a.csv"},
+            {"name": "b", "experiment": "pwc", "conditions": "conditions_b.csv",
+             "display": {"L_peak": 200.0, "L_black": 0.1, "gamma": 2.4}},
+        ]}
+        assert (tmp_path / "ratings_a.csv").read_text() == (
+            "condition,observer,score\n"
+            'a/ref/reference/0,"x,y",1.5\n'
+            'a/c0/d/1,"say ""hi""",-0.25\n'
+        )
+        again = load_collection(path)
+        assert again.conditions == coll.conditions and again.graph == coll.graph
+        assert again.ratings["a"] == table and dict(again.displays) == dict(coll.displays)

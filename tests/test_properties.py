@@ -12,13 +12,15 @@ must keep its collection's pairs, components and per-condition rating
 counts, and solve exactly as the collection rebuilt from its rows; a solve
 started anywhere near the maximum (or at it) must reach the maximum a cold
 solve reaches; a disconnected collection scaled per component must be its
-components scaled alone; and both pair selectors must return exactly what a
-double loop over all pairs returns.
+components scaled alone; both pair selectors must return exactly what a
+double loop over all pairs returns; and a saved collection must load back as
+itself, up to the order of its conditions.
 """
 
 import csv
 import json
 import math
+import tempfile
 import warnings
 from collections import deque
 from dataclasses import replace
@@ -41,14 +43,16 @@ from jodscale.model import (
     ComparisonGraph,
     ConditionId,
     DatasetCollection,
-    DatasetMeta,
     RatingTable,
     connected_components,
+    load_collection,
+    save_collection,
 )
 from jodscale.scaling import (
     SIGMA_JOD, LinkParams, PosteriorProblem, UnifiedScale, _log_ndtr_pair,
     _rows_by_condition, bootstrap_ci, log_posterior, scale,
 )
+from jodscale.simulate import RecoveryConfig, synthesize_collection
 
 _HEADER = "cond_a,cond_b,count_a_over_b"
 
@@ -259,10 +263,9 @@ def _collections(draw):
     graph = ComparisonGraph(n, *(list(column) for column in zip(*observations))) \
         if observations else ComparisonGraph(n)
     ratings = {"b": RatingTable(rated, ["o"] * len(rated), [1.0] * len(rated))} if rated else {}
-    manifest = {"a": DatasetMeta("a", "pwc"), "b": DatasetMeta("b", "rating")}
     edges = [(w, l) for w, l, count in observations if count > 0]
     edges += [(a, b) for a in rated for b in rated if a != b]
-    return DatasetCollection(conditions, graph, ratings, manifest), edges
+    return DatasetCollection(conditions, graph, ratings), edges
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,8 +341,7 @@ def _rated_collection(seed, cross=True):
     rated = np.repeat(np.arange(n_p, n_p + n_r), rng.integers(2, 5, size=n_r))
     table = RatingTable(rated, [f"o{k}" for k in range(rated.size)],
                         rng.normal(0.0, 1.5, rated.size))
-    manifest = {"p": DatasetMeta("p", "pwc"), "r": DatasetMeta("r", "rating")}
-    return DatasetCollection(conditions, graph, {"r": table}, manifest), rng
+    return DatasetCollection(conditions, graph, {"r": table}), rng
 
 
 @settings(max_examples=40, deadline=None)
@@ -405,8 +407,7 @@ def _observer_collection(seed, cross=True):
     a, b = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
     scores = (quality[rated] - b) / a + rng.normal(0.0, 0.7 * SIGMA_JOD / a, rated.size)
     table = RatingTable(rated, [f"o{k % 4}" for k in range(rated.size)], scores)
-    manifest = {"p": DatasetMeta("p", "pwc"), "r": DatasetMeta("r", "rating")}
-    return DatasetCollection(conditions, graph, {"r": table}, manifest), rng
+    return DatasetCollection(conditions, graph, {"r": table}), rng
 
 
 def _assert_same_scale(result, expected, atol):
@@ -493,7 +494,7 @@ def _rebuilt(collection, replicate):
                             np.concatenate([c_ij, c_ji]))
     ratings = {name: RatingTable(table.condition_indices, table.observers, table.scores)
                for name, table in zip(replicate.rating_names, replicate.tables)}
-    return DatasetCollection(collection.conditions, graph, ratings, collection.manifest)
+    return DatasetCollection(collection.conditions, graph, ratings, collection.displays)
 
 
 def _collection_of_kind(seed, kind, cross):
@@ -501,7 +502,7 @@ def _collection_of_kind(seed, kind, cross):
     collection, _ = make(seed, cross)
     if kind == "unrated":
         collection = DatasetCollection(collection.conditions, collection.graph, {},
-                                       collection.manifest)
+                                       collection.displays)
     return collection
 
 
@@ -565,8 +566,8 @@ def test_replicate_scales_as_its_rebuilt_collection(seed, kind, cross, per_compo
 
 def _subcollection(collection, members):
     """The conditions ``members`` of ``collection`` as a collection of their
-    own: the comparisons among them, their ratings and the manifest entries
-    of their datasets."""
+    own: the comparisons among them, their ratings and the displays of their
+    datasets."""
     members = np.asarray(members, dtype=np.int64)
     remap = np.full(collection.n, -1, dtype=np.int64)
     remap[members] = np.arange(members.size)
@@ -583,8 +584,8 @@ def _subcollection(collection, members):
                 remap[table.condition_indices[rows]], table.observers[rows], table.scores[rows]
             )
     names = {c.dataset for c in conditions}
-    manifest = {name: meta for name, meta in collection.manifest.items() if name in names}
-    return DatasetCollection(conditions, graph, ratings, manifest)
+    displays = {name: d for name, d in collection.displays.items() if name in names}
+    return DatasetCollection(conditions, graph, ratings, displays)
 
 
 # The one solve over all components against each component scaled alone.
@@ -748,3 +749,46 @@ def test_cross_dataset_bins_far_above_the_candidates():
         batch = select_cross_dataset_pairs(q, conditions, k, 0.5, 10**12)
         assert (list(batch.pairs), list(batch.rationale)) == \
             _cross_dataset_loop(q, conditions, k, 0.5, 10**12)
+
+
+def _by_key(collection):
+    """What a saved collection must load back as, keyed by condition so that
+    the order of the conditions does not count: the conditions, the directed
+    counts, each dataset's rating rows in order, and the displays."""
+    keys = [c.key for c in collection.conditions]
+    winners, losers, counts = (col.tolist() for col in collection.graph.observations())
+    return (
+        sorted(keys),
+        sorted((keys[w], keys[l], c) for w, l, c in zip(winners, losers, counts)),
+        {name: [(keys[i], o, s) for i, o, s in zip(table.condition_indices.tolist(),
+                                                    table.observers.tolist(),
+                                                    table.scores.tolist())]
+         for name, table in collection.ratings.items()},
+        dict(collection.displays),
+    )
+
+
+# Observer ids as ``load_collection`` returns them: stripped, and holding the
+# characters that must be quoted when written.
+_OBSERVER_IDS = st.lists(st.text(alphabet='ab é,"\n\r', max_size=6).map(str.strip),
+                         min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_datasets=st.integers(1, 3), extra=st.integers(0, 6), trials=st.integers(0, 4),
+       observers=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), ids=_OBSERVER_IDS,
+       data=st.data())
+def test_saved_collection_loads_back(n_datasets, extra, trials, observers, seed, ids, data):
+    config = RecoveryConfig(n_conditions=2 * n_datasets + extra, n_datasets=n_datasets,
+                            trials_per_pair=trials, observers=observers, seed=seed)
+    _, collection = synthesize_collection(config)
+    ratings = {}
+    for name, table in collection.ratings.items():
+        picks = data.draw(st.lists(st.sampled_from(ids), min_size=len(table),
+                                   max_size=len(table)))
+        ratings[name] = RatingTable(table.condition_indices, picks, table.scores)
+    collection = DatasetCollection(collection.conditions, collection.graph, ratings,
+                                   collection.displays)
+    with tempfile.TemporaryDirectory() as directory:
+        loaded = load_collection(save_collection(collection, directory))
+    assert _by_key(loaded) == _by_key(collection)

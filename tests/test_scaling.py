@@ -19,7 +19,6 @@ from jodscale.model import (
     ComparisonGraph,
     ConditionId,
     DatasetCollection,
-    DatasetMeta,
     connected_components,
     load_collection,
 )
@@ -141,14 +140,10 @@ class TestRatingLogLikelihood:
             assert moved == pytest.approx(base, rel=1e-12)
 
 
-def _demo_collection(entries, ratings=None, n=2, experiments=None):
+def _demo_collection(entries, ratings=None, n=2):
     conds = [ConditionId.reference("demo")]
     conds += [ConditionId("demo", f"c{i}", "dist", 1) for i in range(n - 1)]
-    names = {"demo"}
-    manifest = {
-        name: DatasetMeta(name, (experiments or {}).get(name, "pwc")) for name in names
-    }
-    return DatasetCollection(conds, graph_of(n, entries), ratings or {}, manifest)
+    return DatasetCollection(conds, graph_of(n, entries), ratings)
 
 
 def _within_datasets(coll):
@@ -157,7 +152,7 @@ def _within_datasets(coll):
     datasets = np.array([c.dataset for c in coll.conditions])
     inside = datasets[winners] == datasets[losers]
     graph = ComparisonGraph(coll.n, winners[inside], losers[inside], counts[inside])
-    return DatasetCollection(coll.conditions, graph, coll.ratings, coll.manifest)
+    return DatasetCollection(coll.conditions, graph, coll.ratings)
 
 
 class TestLogPosterior:
@@ -176,7 +171,6 @@ class TestLogPosterior:
         coll = _demo_collection(
             {(0, 1): 2, (1, 0): 1},
             ratings={"demo": table},
-            experiments={"demo": "rating"},
         )
         q = np.array([0.0, -0.9])
         link = LinkParams(a=1.2, b=0.1, c=0.9)
@@ -223,8 +217,7 @@ class TestScale:
                     (idx, f"o{k}", float(mos_means[idx] + rng.normal(0, 0.3)))
                 )
         table = ratings_of(tuple(records))
-        coll = _demo_collection({}, ratings={"demo": table}, n=n,
-                                experiments={"demo": "rating"})
+        coll = _demo_collection({}, ratings={"demo": table}, n=n)
         result = scale(coll, prior_enabled=False)
         assert result.q[0] == 0.0
 
@@ -291,8 +284,7 @@ class TestScale:
 
     def test_degenerate_ratings_rejected_by_name(self):
         table = ratings_of(tuple((i, "o1", 3.0) for i in range(2)))
-        coll = _demo_collection({(0, 1): 1, (1, 0): 1}, ratings={"demo": table},
-                                experiments={"demo": "rating"})
+        coll = _demo_collection({(0, 1): 1, (1, 0): 1}, ratings={"demo": table})
         with pytest.raises(DegenerateDataError, match="demo"):
             scale(coll)
 
@@ -301,8 +293,6 @@ class TestScale:
         coll = DatasetCollection(
             conds,
             graph_of(2, {(0, 1): 3, (1, 0): 5}),
-            {},
-            {"x": DatasetMeta("x", "pwc")},
         )
         with pytest.raises(IntegrityError, match="reference"):
             scale(coll)
@@ -314,12 +304,9 @@ class TestScale:
             ConditionId.reference("b"),
             ConditionId("b", "c0", "d", 1),
         ]
-        manifest = {"a": DatasetMeta("a", "pwc"), "b": DatasetMeta("b", "pwc")}
         coll = DatasetCollection(
             conds,
             graph_of(4, {(0, 1): 5, (1, 0): 5, (2, 3): 2, (3, 2): 8}),
-            {},
-            manifest,
         )
         with pytest.raises(DisconnectedGraphError):
             scale(coll)
@@ -335,8 +322,6 @@ class TestScale:
         coll = DatasetCollection(
             conds,
             graph_of(4, {(0, 1): 5, (1, 0): 5, (2, 3): 2, (3, 2): 8}),
-            {},
-            {"a": DatasetMeta("a", "pwc")},
         )
         with pytest.raises(DisconnectedGraphError):
             scale(coll)
@@ -365,7 +350,6 @@ class TestScale:
             {(0, 1): 7, (1, 0): 3, (1, 2): 4, (2, 1): 6},
             ratings={"demo": table},
             n=3,
-            experiments={"demo": "rating"},
         )
         problem = PosteriorProblem(coll, prior_enabled=True)
         rng = np.random.default_rng(9)
@@ -391,7 +375,6 @@ class TestScale:
             {(0, 1): 5, (1, 0): 5, (1, 2): 8, (2, 1): 2, (2, 3): 6, (3, 2): 4},
             ratings={"demo": table},
             n=4,
-            experiments={"demo": "rating"},
         )
         for prior in (False, True):
             problem = PosteriorProblem(coll, prior_enabled=prior)
@@ -535,8 +518,7 @@ class TestBootstrap:
         graph = graph_of(7, {(0, 1): 20, (1, 0): 5, (0, 2): 12, (2, 0): 10})
         rows = [(c, f"o{o}", -0.5 * (c - 2) + 0.3 * ((7 * o + 3 * c) % 5 - 2))
                 for c in range(2, 7) for o in range(3)]
-        return DatasetCollection(conditions, graph, {"r": ratings_of(rows)},
-                                 {"p": DatasetMeta("p", "pwc"), "r": DatasetMeta("r", "rating")})
+        return DatasetCollection(conditions, graph, {"r": ratings_of(rows)})
 
     @pytest.mark.parametrize("per_component", [False, True])
     def test_a_replicate_keeps_every_conditions_ratings(self, monkeypatch, per_component):

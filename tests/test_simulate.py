@@ -220,11 +220,10 @@ class TestSynthesizeCollection:
         config = RecoveryConfig(n_conditions=21, n_datasets=3, seed=1)
         truth, coll = synthesize_collection(config)
         assert coll.n == 21
-        assert len(coll.manifest) == 3
+        assert set(coll.displays) == {"ds0", "ds1", "ds2"}
         assert len(coll.reference_indices()) == 3
+        # ds0 is the comparison dataset; the others are rated
         assert set(coll.ratings) == {"ds1", "ds2"}
-        assert coll.manifest["ds0"].experiment == "pwc"
-        assert coll.manifest["ds1"].experiment == "rating"
 
 
 class TestRecoveryExperiment:
@@ -262,6 +261,17 @@ class TestRecoveryExperiment:
             RecoveryConfig(n_conditions=3, n_datasets=2)
         with pytest.raises(IntegrityError):
             RecoveryConfig(seed=-1)
+
+    @pytest.mark.parametrize("field", ["observers", "trials_per_pair"])
+    def test_counts_must_be_non_negative(self, field):
+        with pytest.raises(IntegrityError, match=f"{field} must be non-negative, got -2"):
+            RecoveryConfig(**{field: -2})
+
+    def test_unrated_instance_reports_links_of_rated_datasets_only(self):
+        config = RecoveryConfig(n_conditions=12, n_datasets=2, observers=0, seed=0)
+        report = recovery_experiment(config)
+        assert report["converged"] and report["link_errors"] == {}
+        assert set(report["link_error_summary"].values()) == {0.0}
 
     @pytest.mark.parametrize("density", [float("nan"), float("inf"), -1.0])
     def test_graph_density_must_be_finite_and_non_negative(self, density):
