@@ -18,7 +18,6 @@ from .errors import (
     JodscaleError,
     ParseError,
     UndefinedCorrelationError,
-    UndefinedPairError,
 )
 from .model import (
     ComparisonGraph,
@@ -26,7 +25,6 @@ from .model import (
     DatasetCollection,
     RatingTable,
     connected_components,
-    empirical_probability,
     load_collection,
     save_collection,
 )
@@ -60,11 +58,9 @@ __all__ = [
     "RatingTable",
     "SIGMA_JOD",
     "UndefinedCorrelationError",
-    "UndefinedPairError",
     "UnifiedScale",
     "bootstrap_ci",
     "connected_components",
-    "empirical_probability",
     "load_collection",
     "log_posterior",
     "preference_probability",

@@ -14,7 +14,8 @@ out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0
 (or NaN), ``scale --tol`` not above 0 or not finite, ``scale --max-iter``
 below 0, ``simulate``/``recover --density`` below 0 or not finite,
 ``simulate``/``recover --trials`` or ``--observers`` below 0,
-``stats``/``select-pairs --bins`` or ``select-pairs --k`` below 1,
+``simulate``/``recover --datasets``, ``stats``/``select-pairs --bins`` or
+``select-pairs --k`` below 1,
 ``pu-encode --knots`` below 64. Flag ranges are checked at parse time.
 ``pu-encode --lut`` with a flag that builds a look-up table (``--threshold``,
 ``--l-min``, ``--l-max``, ``--knots``), a ``select-pairs`` mode without the
@@ -155,8 +156,11 @@ def _cmd_scale(args, out: Path) -> None:
         per_component=args.per_component,
     )
     if args.strict and not result.converged:
+        unlinked = sorted(name for name, table in collection.ratings.items()
+                          if len(table) and name not in result.links)
         raise ConvergenceError(
-            f"optimizer did not reach tolerance {args.tol} within {args.max_iter} iterations"
+            f"rating datasets {unlinked} have no link: their fitted slope is 0" if unlinked
+            else f"optimizer did not reach tolerance {args.tol} within {args.max_iter} iterations"
         )
     row_format = "{},{:.6f},,\n"
     columns = [[cond.key for cond in result.conditions], result.q.tolist()]
@@ -429,7 +433,7 @@ def build_parser() -> _Parser:
 
     def add_study(p):
         p.add_argument("--conditions", type=int, default=50)
-        p.add_argument("--datasets", type=int, default=3)
+        p.add_argument("--datasets", type=_at_least(1), default=3)
         p.add_argument("--trials", type=_at_least(0), default=30)
         p.add_argument("--observers", type=_at_least(0), default=15)
         p.add_argument("--density", type=_at_least(0.0, float, finite=True), default=0.5)
@@ -444,8 +448,9 @@ def build_parser() -> _Parser:
     p.add_argument("--prior", action=argparse.BooleanOptionalAction, default=True,
                    help="Gaussian score prior (default on; disable for oracle checks)")
     p.add_argument("--tol", type=_at_least(0.0, float, finite=True, above=True), default=1e-6,
-                   help="converged when the largest absolute gradient entry of the log "
-                        "posterior over the free parameters is below this (default 1e-6)")
+                   help="converged once the largest absolute gradient entry of the log "
+                        "posterior over the free scores is below this at two consecutive "
+                        "iterates, or at the start (default 1e-6)")
     p.add_argument("--max-iter", type=_at_least(0), default=2000,
                    help="maximum number of Newton iterations (default 2000)")
     p.add_argument("--per-component", action="store_true")

@@ -2,8 +2,7 @@
 
 Two selection strategies are provided. Cross-dataset selection picks pairs
 of similar-quality conditions from different datasets, spread evenly over
-the quality range, to stitch disjoint scales together; collection proceeds
-iteratively, rescaling after each measured batch. Adversarial (gMAD-style)
+the quality range, to stitch disjoint scales together. Adversarial (gMAD-style)
 selection picks pairs on which a tested metric disagrees most strongly
 with a benchmark metric while the benchmark considers them similar.
 
@@ -19,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignError, IntegrityError
-from .model import ComparisonGraph, ConditionId, DatasetCollection
-from .scaling import UnifiedScale, scale
+from .model import ConditionId
 
 
 @dataclass(frozen=True)
@@ -135,82 +133,6 @@ def select_cross_dataset_pairs(
     return PairBatch(
         pairs=tuple(zip(i[chosen].tolist(), j[chosen].tolist())),
         rationale=tuple(gap[chosen].tolist()),
-    )
-
-
-@dataclass(frozen=True)
-class IterationResult:
-    """Outcome of iterative batch collection."""
-
-    final_scale: UnifiedScale
-    collection: DatasetCollection
-    audit: tuple[dict, ...]
-    completed_batches: int
-    error: str | None = None
-
-
-def iterate_selection(
-    collection: DatasetCollection,
-    callback,
-    batches: int,
-    batch_size: int,
-    window_jod: float = 1.0,
-    *,
-    coverage_bins: int = 10,
-    **scale_options,
-) -> IterationResult:
-    """Alternate scaling, cross-dataset pair selection and data collection.
-
-    ``callback(batch, collection)`` must return one (count_ij, count_ji)
-    tuple per selected pair; the counts are added to the collection's
-    observations and the collection is rescaled before the next batch. A
-    callback failure aborts the loop and the partial results are returned
-    with the error recorded.
-    """
-    current = collection
-    result = scale(current, **scale_options)
-    audit: list[dict] = []
-    for index in range(batches):
-        if batch_size == 0:
-            audit.append({"batch": PairBatch(pairs=()), "counts": []})
-            continue
-        try:
-            batch = select_cross_dataset_pairs(
-                result.q, result.conditions, batch_size, window_jod, coverage_bins
-            )
-            counts = list(callback(batch, current))
-            if len(counts) != len(batch):
-                raise DesignError(
-                    f"callback returned {len(counts)} results for {len(batch)} pairs"
-                )
-            pairs = np.asarray(batch.pairs).reshape(-1, 2)
-            new = np.asarray(counts).reshape(-1, 2)
-            winners, losers, old = current.graph.observations()
-            graph = ComparisonGraph(
-                current.n,
-                np.concatenate([winners, pairs[:, 0], pairs[:, 1]]),
-                np.concatenate([losers, pairs[:, 1], pairs[:, 0]]),
-                np.concatenate([old, new[:, 0], new[:, 1]]),
-            )
-            current = DatasetCollection(
-                current.conditions, graph, current.ratings, current.displays
-            )
-            result = scale(current, **scale_options)
-            audit.append({"batch": batch, "counts": counts})
-        except Exception as exc:  # abort, keep partial results
-            return IterationResult(
-                final_scale=result,
-                collection=current,
-                audit=tuple(audit),
-                completed_batches=index,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-    return IterationResult(
-        final_scale=result,
-        collection=current,
-        audit=tuple(audit),
-        completed_batches=batches,
-        error=None,
     )
 
 

@@ -14,17 +14,14 @@ class IntegrityError(JodscaleError):
     duplicate condition, negative count, missing reference, ...)."""
 
 
-class UndefinedPairError(JodscaleError):
-    """A pair has no recorded comparisons in either direction."""
-
-
 class DisconnectedGraphError(JodscaleError):
     """The comparison graph (plus rating linkage) splits into more than one
     component, so a joint scale would be meaningless."""
 
 
 class DegenerateDataError(JodscaleError):
-    """A dataset carries no usable signal, e.g. zero rating variance."""
+    """A dataset carries no usable signal or has an unbounded likelihood,
+    e.g. ratings that never differ within a condition."""
 
 
 class ConvergenceError(JodscaleError):

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csgraph, csr_matrix
 
 from .csvio import _cells, _quoted, _read_csv, _write_csv
-from .errors import IntegrityError, ParseError, UndefinedPairError
+from .errors import IntegrityError, ParseError
 from .photometry import DisplayModel
 
 REFERENCE_DISTORTION = "reference"
@@ -304,17 +304,6 @@ class DatasetCollection:
         return [i for i, c in enumerate(self.conditions) if c.is_reference]
 
 
-def empirical_probability(graph: ComparisonGraph, i: int, j: int) -> float:
-    """Empirical probability that condition i beats condition j."""
-    if i == j:
-        raise IntegrityError("empirical probability needs two distinct conditions")
-    c_ij = graph.count(i, j)
-    total = c_ij + graph.count(j, i)
-    if total == 0:
-        raise UndefinedPairError(f"pair ({i}, {j}) has no recorded comparisons")
-    return c_ij / total
-
-
 def connected_components(collection: DatasetCollection) -> np.ndarray:
     """Each condition's joint-scaling component label.
 
@@ -406,6 +395,8 @@ def load_collection(manifest_path) -> DatasetCollection:
             warnings.warn(f"dataset {name!r}: ignoring unknown field {key!r}", stacklevel=2)
         if "display" in entry:
             dd = entry["display"]
+            if not isinstance(dd, dict):
+                raise ParseError(f"dataset {name!r}: display must be an object")
             for key in sorted(set(dd) - _DISPLAY_KEYS.keys()):
                 warnings.warn(f"dataset {name!r}: ignoring unknown display field {key!r}",
                               stacklevel=2)
@@ -414,6 +405,8 @@ def load_collection(manifest_path) -> DatasetCollection:
                                               float(dd.get("gamma", 2.2)))
             except KeyError as exc:
                 raise ParseError(f"dataset {name!r}: display needs L_peak and L_black") from exc
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"dataset {name!r}: display values must be numbers") from exc
         experiment = str(entry.get("experiment", "pwc"))
         if experiment not in ("pwc", "rating"):
             raise IntegrityError(

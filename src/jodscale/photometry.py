@@ -46,13 +46,13 @@ class DisplayModel:
     gamma: float = SDR_GAMMA
 
     def __post_init__(self):
-        if not (self.l_peak > self.l_black >= 0.0):
+        if not (math.isfinite(self.l_peak) and self.l_peak > self.l_black >= 0.0):
             raise IntegrityError(
-                f"display requires L_peak > L_black >= 0, "
+                f"display requires a finite L_peak > L_black >= 0, "
                 f"got L_peak={self.l_peak}, L_black={self.l_black}"
             )
-        if not self.gamma > 0.0:
-            raise IntegrityError(f"display gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise IntegrityError(f"display gamma must be positive and finite, got {self.gamma}")
 
 
 def display_forward(c_srgb, display: DisplayModel, strict: bool = False) -> np.ndarray:
@@ -68,17 +68,6 @@ def display_forward(c_srgb, display: DisplayModel, strict: bool = False) -> np.n
         warnings.warn("encoded values outside [0, 1] were clamped", stacklevel=2)
         values = np.clip(values, 0.0, 1.0)
     return (display.l_peak - display.l_black) * values**display.gamma + display.l_black
-
-
-def sdr_encode(relative) -> np.ndarray:
-    """Encode linear values in [0, 1] (relative to peak) as 8-bit SDR codes.
-
-    Applies the inverse display gamma and rounds to the nearest integer;
-    inputs are clamped to [0, 1].
-    """
-    values = np.clip(np.asarray(relative, dtype=float), 0.0, 1.0)
-    codes = np.rint(PU_CODE_HIGH * values ** (1.0 / SDR_GAMMA))
-    return codes.astype(np.int64)
 
 
 # Parameters of the smooth luminance-sensitivity curve used as the default
@@ -203,12 +192,6 @@ def pu_encode(values, lut: PuLut, strict: bool = False) -> np.ndarray:
         warnings.warn("luminance outside the LUT range was clamped", stacklevel=2)
         arr = np.clip(arr, lut.l_min, lut.l_max)
     return np.interp(arr, lut.luminance_knots, lut.pu_values)
-
-
-def pu_decode(values, lut: PuLut) -> np.ndarray:
-    """Invert the PU encoding (monotone inverse interpolation)."""
-    arr = np.asarray(values, dtype=float)
-    return np.interp(arr, lut.pu_values, lut.luminance_knots)
 
 
 def log_encode(values) -> np.ndarray:

@@ -7,10 +7,18 @@ sigma)). Observed win counts per pair are binomial in that probability.
 
 Ratings are tied to the common scale by a per-dataset affine link: a rating
 m maps to the quality domain as a*m + b, with residual spread a*c*sigma.
-Equivalently, the rating itself is Gaussian with mean (q_i - b) / a and
-standard deviation c*sigma; the log-density used here is the normalized one
-(its normalizer is 1/(c*sigma*sqrt(2*pi))), which keeps the maximum
-likelihood estimates of a, b and c consistent.
+Equivalently, the rating itself is Gaussian with mean s*q_i + t, where
+s = 1/a and t = -b/a, and standard deviation c*sigma; the log-density used
+here is the normalized one (its normalizer is 1/(c*sigma*sqrt(2*pi))).
+
+For fixed scores the best link is closed form: (s, t) is the least-squares
+fit of the dataset's ratings on their conditions' scores, with s clipped at
+0 so that a > 0 keeps the orientation, and (c*sigma)^2 = RSS/N. The solver
+therefore maximizes over the scores alone, with each rating dataset's term
+profiled to R(q) = -(N/2) log(2 pi RSS(q)/N) - N/2 (variable projection;
+Golub and Pereyra 1973), and reads the links off the fit at the maximum.
+A dataset whose fitted slope ends at 0 (a = infinity) says nothing about
+the scores; it gets no link and the scale is not converged.
 
 sigma is fixed at 1.048 so that a score distance of 1 corresponds to a 75%
 preference rate; scores are then in just-objectionable-difference (JOD)
@@ -125,36 +133,25 @@ def _pair_term(pairs, q: np.ndarray):
     return value, slope, weight
 
 
-def _rating_term(table: RatingTable, q: np.ndarray, log_a, b, log_c):
-    """One rating dataset's Gaussian term in (q, log a, b, log c).
-
-    Each record contributes log N(m; (q_i - b)/a, c*sigma), written in the
-    quality domain with residual r = a m + b - q_i and variance (a c sigma)^2.
-    Returns the value, the per-record gradient with respect to its q_i, the
-    gradient and 3x3 Hessian in (log a, b, log c), and the per-record
-    Hessian entries between q_i and (log a, b, log c).
-    """
+def _rating_fit(table: RatingTable, q: np.ndarray):
+    """One rating dataset's best link at scores q: the least-squares fit of
+    its ratings m on their conditions' scores u = q_i, m ~ s u + t, with the
+    slope s clipped at 0. Returns s, t, the residual sum of squares, the
+    per-record residuals and the centred scores u - mean(u)."""
     scores = table.scores
-    am = np.exp(log_a) * scores
-    r = am + b - q[table.condition_indices]
-    var = np.exp(2.0 * (log_a + log_c)) * SIGMA_JOD**2
-    r_over_v = r / var
-    shift = r - am  # b - q_i
-    value = float(
-        -scores.size * (log_c + math.log(SIGMA_JOD * _SQRT_2PI)) - 0.5 * np.sum(r * r_over_v)
-    )
-    g_a, g_b, g_c = np.sum(r_over_v * shift), -np.sum(r_over_v), np.sum(r * r_over_v) - scores.size
-    h_ab = np.sum(shift + r) / var
-    # log c enters only through var, so its derivatives are -2 times the gradient's
-    hess = np.array([
-        [np.sum(shift * (am - 2.0 * r)) / var, h_ab, -2.0 * g_a],
-        [h_ab, -scores.size / var, -2.0 * g_b],
-        [-2.0 * g_a, -2.0 * g_b, -2.0 * (g_c + scores.size)],
-    ])
-    coupling = np.column_stack([
-        (am - 2.0 * r) / var, np.full(scores.size, 1.0 / var), -2.0 * r_over_v
-    ])
-    return value, r_over_v, np.array([g_a, g_b, g_c]), hess, coupling
+    u = q[table.condition_indices]
+    u_mean, m_mean = float(u.mean()), float(scores.mean())
+    centered = u - u_mean
+    cross = float(centered @ (scores - m_mean))
+    # a positive cross-product implies a positive spread of u
+    slope = cross / float(centered @ centered) if cross > 0.0 else 0.0
+    residual = scores - m_mean - slope * centered
+    return slope, m_mean - slope * u_mean, float(residual @ residual), residual, centered
+
+
+def _profiled_value(n_ratings: int, rss: float) -> float:
+    """A rating dataset's Gaussian log-likelihood at its best link."""
+    return -0.5 * n_ratings * (math.log(2.0 * math.pi * rss / n_ratings) + 1.0)
 
 
 def _center(v: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -201,7 +198,11 @@ def rating_log_likelihood(ratings: RatingTable, q, link: LinkParams) -> float:
     q = _finite_q(q)
     if not np.all(np.isfinite(ratings.scores)):
         raise IntegrityError("ratings contain non-finite scores")
-    return _rating_term(ratings, q, math.log(link.a), link.b, math.log(link.c))[0]
+    r = link.a * ratings.scores + link.b - q[ratings.condition_indices]
+    var = (link.a * link.c * SIGMA_JOD) ** 2
+    return float(
+        -ratings.scores.size * math.log(link.c * SIGMA_JOD * _SQRT_2PI) - 0.5 * np.sum(r * r) / var
+    )
 
 
 def log_posterior(
@@ -214,16 +215,19 @@ def log_posterior(
 
     The prior treats each q_i as Gaussian around the mean score of its
     joint-scaling component with standard deviation sigma; it bounds score
-    differences when answers are unanimous. This is the function ``scale``
-    maximizes, so at a scale's q and links it equals its ``log_posterior``.
+    differences when answers are unanimous. A rated dataset without an
+    entry in ``links`` is evaluated at its best link for q. This is the
+    function ``scale`` maximizes, so at a scale's q and links it equals its
+    ``log_posterior``.
     """
     q = np.asarray(q, dtype=float)
     total = pwc_log_likelihood(collection.graph, q)
     links = links or {}
-    for name in sorted(collection.ratings):
-        if name not in links:
-            raise IntegrityError(f"missing link parameters for dataset {name!r}")
-        total += rating_log_likelihood(collection.ratings[name], q, links[name])
+    for name, table in sorted(collection.ratings.items()):
+        if name in links:
+            total += rating_log_likelihood(table, q, links[name])
+        elif len(table):
+            total += _profiled_value(len(table), _rating_fit(table, q)[2])
     if prior_enabled:
         labels = connected_components(collection)
         total += _prior_term(q, labels, np.bincount(labels))[0]
@@ -232,40 +236,43 @@ def log_posterior(
 
 @dataclass(frozen=True)
 class Curvature:
-    """Second derivatives of the log-posterior at one point.
+    """Second derivatives of the log-posterior in q at one point.
 
     ``adjacency`` is the n x n matrix of the per-pair curvature weights of
-    the comparison terms, on the graph's CSR pattern; ``diagonal`` holds the
-    per-condition d^2/dq_i^2 of the comparison and rating terms (the rating
-    part minus the weighted degree); ``coupling`` (n x 3 per rating dataset)
-    the d^2/dq_i d(link) entries and ``link_hessian`` the block-diagonal
-    Hessian of the link parameters. The prior's part is left out.
+    the comparison terms, on the graph's CSR pattern, and ``diagonal`` holds
+    the diagonal part of d^2/dq_i^2: minus the weighted degree, plus each
+    rating dataset's diagonal. Each rating dataset adds a term of rank
+    three on top, ``weights[k] * outer(factors[:, k], factors[:, k])`` for
+    its three columns k of ``factors``. The prior's part is left out.
     """
 
     adjacency: csr_matrix
     diagonal: np.ndarray
-    coupling: np.ndarray
-    link_hessian: np.ndarray
+    factors: np.ndarray
+    weights: np.ndarray
 
 
 class PosteriorProblem:
-    """Packed free-parameter view of the joint posterior.
+    """The joint posterior as a function of the free scores alone.
 
-    The parameter vector is [q at non-reference conditions, then per rating
-    dataset (log a, b, log c) in sorted dataset order]. Reference conditions
-    stay pinned at q = 0. ``value_and_grad`` is the likelihood kernel: it
-    returns the log-posterior, its analytic gradient with respect to that
-    vector and the curvature that ``hess_vec`` and ``hess_diag`` reuse.
+    The parameter vector is q at the non-reference conditions; reference
+    conditions stay pinned at q = 0, and each rating dataset's term is
+    profiled over its link (see the module docstring). ``value_and_grad``
+    is the likelihood kernel: it returns the log-posterior, its analytic
+    gradient and the curvature that ``hess_vec`` and ``hess_diag`` reuse.
+    A dataset's profiled term is once continuously differentiable: where
+    its fitted slope is clipped at 0 the term is flat, and ``Curvature``
+    holds its second derivatives on the side where the slope is positive.
     """
 
     def __init__(self, collection: DatasetCollection, prior_enabled: bool = True):
         self.prior_enabled = prior_enabled
         self.n = collection.n
         self.free_idx = np.setdiff1d(np.arange(self.n), collection.reference_indices())
-        self.rating_names = sorted(collection.ratings)
+        self.rating_names = sorted(name for name, table in collection.ratings.items()
+                                   if len(table))
         self.tables = [collection.ratings[name] for name in self.rating_names]
-        self.n_free = self.free_idx.size
-        self.n_params = self.n_free + 3 * len(self.rating_names)
+        self.n_params = self.free_idx.size
         self.labels = connected_components(collection)
         self.sizes = np.bincount(self.labels)
         self._pairs = collection.graph.pair_arrays()
@@ -293,42 +300,31 @@ class PosteriorProblem:
         return replicate
 
     def initial_point(self) -> np.ndarray:
-        """q = 0 everywhere; per-dataset a = 1/std(scores), b = -a*mean, c = 1."""
-        x = np.zeros(self.n_params)
-        for d, scores in enumerate(table.scores for table in self.tables):
-            spread = float(scores.std()) if scores.size else 0.0
-            a0 = 1.0 / spread if spread > 0 else 1.0
-            b0 = -a0 * float(scores.mean()) if scores.size else 0.0
-            at = self.n_free + 3 * d
-            x[at : at + 2] = math.log(a0), b0
-        return x
-
-    def pack(self, q, links: dict[str, LinkParams]) -> np.ndarray:
-        """The parameter vector of scores q and ``links``; reference entries
-        of q are ignored, and a dataset without a link keeps its
-        ``initial_point`` guess."""
-        x = self.initial_point()
-        x[: self.n_free] = _finite_q(q)[self.free_idx]
-        for d, name in enumerate(self.rating_names):
-            if name in links:
-                link = links[name]
-                at = self.n_free + 3 * d
-                x[at : at + 3] = math.log(link.a), link.b, math.log(link.c)
-        return x
+        """Each rated condition at its mean rating, standardized over its
+        dataset (the link a = 1/std, b = -a*mean applied to it); every other
+        free score at 0. At q = 0 a profiled rating term has no gradient."""
+        q = np.zeros(self.n)
+        for table in self.tables:
+            idx, scores = table.condition_indices, table.scores
+            counts = np.bincount(idx, minlength=self.n)
+            rated = counts > 0
+            means = np.bincount(idx, scores, self.n)[rated] / counts[rated]
+            q[rated] = (means - scores.mean()) / scores.std()
+        return q[self.free_idx]
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, dict[str, LinkParams]]:
+        """Scores q and the best link of every dataset whose fitted slope is positive."""
         q = self._full_q(x)
         links = {}
-        offset = self.n_free
-        for name in self.rating_names:
-            alpha, b, gamma = x[offset : offset + 3]
-            links[name] = LinkParams(a=math.exp(alpha), b=float(b), c=math.exp(gamma))
-            offset += 3
+        for name, table in zip(self.rating_names, self.tables):
+            s, t, rss, _, _ = _rating_fit(table, q)
+            if s > 0.0:
+                links[name] = LinkParams(1.0 / s, -t / s, math.sqrt(rss / len(table)) / SIGMA_JOD)
         return q, links
 
     def _full_q(self, x: np.ndarray) -> np.ndarray:
         q = np.zeros(self.n)
-        q[self.free_idx] = x[: self.n_free]
+        q[self.free_idx] = x
         return q
 
     def _net(self, flow: np.ndarray) -> np.ndarray:
@@ -347,65 +343,71 @@ class PosteriorProblem:
         i_arr, j_arr = self._pairs[:2]
         pattern = self._pattern
         adjacency = csr_matrix((weights[pattern.data], pattern.indices, pattern.indptr), (n, n))
-        degree = np.add(np.bincount(i_arr, weights, n), np.bincount(j_arr, weights, n), dtype=float)
-        diagonal = -degree
+        diagonal = -np.add(np.bincount(i_arr, weights, n), np.bincount(j_arr, weights, n),
+                           dtype=float)
 
-        grad = np.empty(self.n_params)
-        n_links = 3 * len(self.rating_names)
-        coupling = np.zeros((n, n_links))
-        link_hessian = np.zeros((n_links, n_links))
+        # With u_k = q at record k's condition, centred u~, residuals e and
+        # w = e - s u~, the profiled term's derivatives in u are
+        #   grad = N s e / RSS,
+        #   hess = -(N s^2 / RSS) (I - 1 1'/N) + N w w' / (RSS Sxx) + 2 N s^2 e e' / RSS^2,
+        # which summed per condition give a diagonal and three outer products.
+        factors = np.zeros((n, 3 * len(self.tables)))
+        coefs = np.zeros(3 * len(self.tables))
         for d, table in enumerate(self.tables):
-            k, at = 3 * d, self.n_free + 3 * d
-            term_value, r_over_v, term_grad, term_hess, record_coupling = _rating_term(
-                table, q, *x[at : at + 3]
-            )
-            value += term_value
-            grad[at : at + 3] = term_grad
-            link_hessian[k : k + 3, k : k + 3] = term_hess
-            idx = table.condition_indices
-            grad_q += np.bincount(idx, r_over_v, n)
-            for col in range(3):
-                coupling[:, k + col] = np.bincount(idx, record_coupling[:, col], n)
-            diagonal -= coupling[:, k + 1]  # d^2/dq_i^2 = -d^2/dq_i db
+            s, _, rss, residual, centered = _rating_fit(table, q)
+            size, idx = len(table), table.condition_indices
+            value += _profiled_value(size, rss)
+            if s > 0.0:
+                counts = np.bincount(idx, minlength=n).astype(float)
+                sums = np.bincount(idx, residual, n)
+                grad_q += (size * s / rss) * sums
+                diagonal -= (size * s * s / rss) * counts
+                factors[:, 3 * d : 3 * d + 3] = np.column_stack(
+                    [counts, np.bincount(idx, residual - s * centered, n), sums])
+                coefs[3 * d : 3 * d + 3] = (s * s / rss, size / (rss * float(centered @ centered)),
+                                            2.0 * size * s * s / rss**2)
 
         if self.prior_enabled:
             prior_value, prior_grad = _prior_term(q, self.labels, self.sizes)
             value += prior_value
             grad_q += prior_grad
 
-        grad[: self.n_free] = grad_q[self.free_idx]
-        return value, grad, Curvature(adjacency, diagonal, coupling, link_hessian)
+        return value, grad_q[self.free_idx], Curvature(adjacency, diagonal, factors, coefs)
 
     def hess_vec(self, curvature: Curvature, vec: np.ndarray) -> np.ndarray:
         """Product of the log-posterior Hessian with a vector.
 
         Uses the curvature cached by ``value_and_grad``: one sparse product
-        with the weighted adjacency, no special functions.
+        with the weighted adjacency and three dot products per rating
+        dataset, no special functions.
         """
         v_q = self._full_q(vec)
-        v_links = vec[self.n_free :]
         out_q = curvature.adjacency @ v_q
-        out_q += curvature.diagonal * v_q + curvature.coupling @ v_links
+        out_q += curvature.diagonal * v_q
+        out_q += curvature.factors @ (curvature.weights * (v_q @ curvature.factors))
         if self.prior_enabled:
             out_q -= _center(v_q, self.labels, self.sizes) / SIGMA_JOD**2
-        return np.concatenate([
-            out_q[self.free_idx],
-            curvature.coupling.T @ v_q + curvature.link_hessian @ v_links,
-        ])
+        return out_q[self.free_idx]
 
     def hess_diag(self, curvature: Curvature) -> np.ndarray:
         """Diagonal of the log-posterior Hessian, for Jacobi preconditioning."""
-        diag_q = curvature.diagonal
+        diag_q = curvature.diagonal + curvature.factors**2 @ curvature.weights
         if self.prior_enabled:
             diag_q = diag_q - (1.0 - 1.0 / self.sizes[self.labels]) / SIGMA_JOD**2
-        return np.concatenate([diag_q[self.free_idx], np.diag(curvature.link_hessian)])
+        return diag_q[self.free_idx]
 
 
-def _check_rating_variance(problem: PosteriorProblem) -> None:
+def _check_rating_spread(problem: PosteriorProblem) -> None:
+    """A dataset whose ratings never differ within a condition has an
+    unbounded likelihood: with q affine in the condition means, RSS and so
+    c go to 0."""
     for name, table in zip(problem.rating_names, problem.tables):
-        if len(table) and float(table.scores.std()) == 0.0:
+        order = np.lexsort((table.scores, table.condition_indices))
+        idx, scores = table.condition_indices[order], table.scores[order]
+        if not np.any((idx[1:] == idx[:-1]) & (scores[1:] != scores[:-1])):
             raise DegenerateDataError(
-                f"dataset {name!r} has zero rating variance; its link cannot be estimated"
+                f"dataset {name!r} has no rating spread within any condition; "
+                "its likelihood is unbounded"
             )
 
 
@@ -463,17 +465,24 @@ def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
     Armijo condition holds. Where the log-posterior no longer changes in
     floating point, a step that lowers max|grad| is accepted instead, so the
     absolute gradient tolerance stays reachable at large |f|. Converged means
-    max|grad| < tol; returns (x, value, converged, iterations).
+    max|grad| < tol at the start point or at two consecutive iterates, so
+    that the second, one Newton step on from the first, lies well inside the
+    tolerance; a line search that fails from a point inside it still counts
+    as converged. Returns (x, value, converged, iterations).
     """
     value, grad, curvature = problem.value_and_grad(x)
     # a zero first gradient never changes (the solve stays put), so any
     # positive norm serves
     first_norm = float(np.linalg.norm(grad)) or 1.0
     iterations = 0
+    inside = False
     while True:
         grad_norm = float(np.max(np.abs(grad), initial=0.0))
-        if grad_norm < tol or iterations >= max_iter:
-            return x, value, grad_norm < tol, iterations
+        if grad_norm < tol and (inside or iterations == 0):
+            return x, value, True, iterations
+        inside = grad_norm < tol
+        if iterations >= max_iter:
+            return x, value, False, iterations
         iterations += 1
         step = _newton_direction(problem, curvature, grad, first_norm)
         gain = float(grad @ step)
@@ -489,7 +498,7 @@ def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
                 break
             t *= 0.5
         else:
-            return x, value, False, iterations
+            return x, value, inside, iterations
         x = x + t * step
         value, grad, curvature = trial
 
@@ -497,12 +506,12 @@ def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
 def _checked_problem(collection: DatasetCollection, prior_enabled: bool, per_component: bool,
                      start: UnifiedScale | None) -> PosteriorProblem:
     """The posterior of ``collection``, once its start scale, rating
-    variance, components and anchors pass: every dataset needs a reference
+    spread, components and anchors pass: every dataset needs a reference
     condition in each component it is in."""
     if start is not None and start.conditions != collection.conditions:
         raise IntegrityError("the start scale is of other conditions than the collection")
     problem = PosteriorProblem(collection, prior_enabled)
-    _check_rating_variance(problem)
+    _check_rating_spread(problem)
     if (sizes := problem.sizes).size > 1:
         if not per_component:
             raise DisconnectedGraphError(
@@ -525,10 +534,12 @@ def _checked_problem(collection: DatasetCollection, prior_enabled: bool, per_com
 
 def _fit(problem: PosteriorProblem, conditions: tuple[ConditionId, ...],
          start: UnifiedScale | None, tol: float, max_iter: int) -> UnifiedScale:
-    """Solve ``problem`` from ``start``, or from its initial point without one."""
-    x0 = problem.initial_point() if start is None else problem.pack(start.q, start.links)
+    """Solve ``problem`` from the scores of ``start``, or from its initial
+    point without one. Converged also needs a link for every rated dataset."""
+    x0 = problem.initial_point() if start is None else start.q[problem.free_idx]
     x, value, converged, iterations = _solve(problem, x0, tol, max_iter)
     q, links = problem.unpack(x)
+    converged = converged and len(links) == len(problem.rating_names)
     return UnifiedScale(q, links, float(value), converged, iterations, conditions)
 
 
@@ -551,8 +562,10 @@ def scale(
     own mean, so the per-component solves run in lock-step, under one line
     search and one iteration count. ``start``, a scale of the same
     conditions (for instance the full-data scale when solving a bootstrap
-    replicate), is the point the solver starts from; links it lacks start
-    from the default guess.
+    replicate), supplies the scores the solver starts from; its links are
+    not used, since the solver fits them in closed form. A rated dataset
+    whose fitted slope ends at 0 has no entry in ``links``, and the scale
+    is then not converged.
     """
     problem = _checked_problem(collection, prior_enabled, per_component, start)
     return _fit(problem, collection.conditions, start, tol, max_iter)
@@ -586,10 +599,10 @@ def bootstrap_ci(
     rating row by a row of the same condition drawn with replacement, so it
     keeps the collection's pairs, components and anchors; it is solved on
     the full data's problem from ``start`` (say, the full-data scale) or
-    from the default guess. A replicate with zero rating variance in a
-    dataset, or whose solve does not converge, counts as failed; more than
-    50% failures is an error. Deterministic for a given seed. Returns an
-    (n, 2) array of (low, high) bounds at the 100*alpha/2 and
+    from the default guess. A replicate whose ratings in some dataset never
+    differ within a condition, or whose solve does not converge, counts as
+    failed; more than 50% failures is an error. Deterministic for a given
+    seed. Returns an (n, 2) array of (low, high) bounds at the 100*alpha/2 and
     100*(1 - alpha/2) percentiles, where 0 < alpha < 1.
     """
     if n_boot < 1:
@@ -604,7 +617,7 @@ def bootstrap_ci(
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007, index)))
         replicate = problem.resampled(rng, rows)
         try:
-            _check_rating_variance(replicate)
+            _check_rating_spread(replicate)
         except DegenerateDataError:
             continue
         result = _fit(replicate, collection.conditions, start, tol, max_iter)

@@ -16,7 +16,6 @@ configuration is byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -102,23 +101,6 @@ def simulate_ratings(truth: GroundTruth, dataset: str, n_observers: int) -> Rati
         [f"o{k:03d}" for k in range(n_observers)] * len(members),
         np.concatenate(scores) if scores else (),
     )
-
-
-def comparison_callback(truth: GroundTruth, n_trials: int):
-    """Observer callback for iterative selection.
-
-    Batch b (counting from 1) is drawn from stream b, so a pair selected
-    again in a later batch gets fresh outcomes, and replaying the same
-    batches through a new callback reproduces the counts.
-    """
-    batches = itertools.count(1)
-
-    def run_batch(batch, collection):
-        del collection
-        pairs = np.asarray(batch.pairs, dtype=np.int64).reshape(-1, 2)
-        return simulate_comparison(truth, pairs[:, 0], pairs[:, 1], n_trials, next(batches))
-
-    return run_batch
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,22 @@ class TestScaleCommand:
         assert main([subcommand, "--out", "neg", "--conditions", "12", flag, "-1"]) == 1
         assert not (tmp_path / "neg").exists()
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "recover"])
+    def test_no_dataset_is_usage_error(self, tmp_path, monkeypatch, subcommand):
+        monkeypatch.chdir(tmp_path)
+        assert main([subcommand, "--out", "none", "--conditions", "12", "--datasets", "0"]) == 1
+        assert not (tmp_path / "none").exists()
+
+    def test_one_rating_per_condition_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        # with no spread within a condition, q affine in the ratings fits
+        # them exactly and the likelihood grows without bound as c -> 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--out", "sim", "--conditions", "60", "--observers", "1",
+                     "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(["scale", "--manifest", "sim/manifest.json", "--out", "out"]) == 2
+        assert "no rating spread within any condition" in capsys.readouterr().err
+
     def test_unrated_recovery_reports_no_links(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["recover", "--out", "rec", "--conditions", "30",

@@ -2,22 +2,13 @@ import numpy as np
 import pytest
 
 from jodscale.design import (
-    IterationResult,
     PairBatch,
     gmad_precision,
-    iterate_selection,
     select_cross_dataset_pairs,
     select_gmad_pairs,
 )
 from jodscale.errors import DesignError, IntegrityError
-from jodscale.metricmap import correlation_metrics
 from jodscale.model import ConditionId
-from jodscale.simulate import (
-    RecoveryConfig,
-    comparison_callback,
-    synthesize_collection,
-)
-from jodscale.scaling import scale
 
 
 def _scale_of(names_scores):
@@ -232,93 +223,3 @@ class TestGmadPrecision:
         with pytest.raises(IntegrityError):
             gmad_precision(PairBatch(pairs=()), [0.0], [0.0])
 
-
-def _sparse_two_dataset_instance(seed):
-    """Two datasets, dense comparisons inside, one initial cross pair."""
-    config = RecoveryConfig(
-        n_conditions=24,
-        n_datasets=2,
-        trials_per_pair=10,
-        observers=0,
-        graph_density=0.0,
-        seed=seed,
-    )
-    truth, collection = synthesize_collection(config)
-    return truth, collection
-
-
-class TestIterateSelection:
-    def test_zero_batches_returns_initial_scale(self):
-        truth, collection = _sparse_two_dataset_instance(2)
-        result = iterate_selection(
-            collection, comparison_callback(truth, 10), 0, 10, prior_enabled=False
-        )
-        assert isinstance(result, IterationResult)
-        assert result.completed_batches == 0
-        assert result.error is None
-        baseline = scale(collection, prior_enabled=False)
-        np.testing.assert_allclose(result.final_scale.q, baseline.q, atol=1e-9)
-
-    def test_zero_batch_size_is_noop(self):
-        truth, collection = _sparse_two_dataset_instance(3)
-        result = iterate_selection(
-            collection, comparison_callback(truth, 10), 2, 0, prior_enabled=False
-        )
-        assert result.completed_batches == 2
-        baseline = scale(collection, prior_enabled=False)
-        np.testing.assert_allclose(result.final_scale.q, baseline.q, atol=1e-9)
-
-    def test_iterative_no_worse_than_one_shot(self):
-        scores = {"iterative": [], "oneshot": []}
-        for seed in (11, 12, 13):
-            truth, collection = _sparse_two_dataset_instance(seed)
-            free = [i for i, c in enumerate(truth.conditions) if not c.is_reference]
-
-            iterative = iterate_selection(
-                collection, comparison_callback(truth, 10), 3, 50,
-                prior_enabled=False,
-            )
-            assert iterative.error is None
-            rho_iter = correlation_metrics(
-                iterative.final_scale.q[free], truth.q_true[free]
-            ).srocc
-
-            oneshot = iterate_selection(
-                collection, comparison_callback(truth, 10), 1, 150,
-                prior_enabled=False,
-            )
-            rho_once = correlation_metrics(
-                oneshot.final_scale.q[free], truth.q_true[free]
-            ).srocc
-            scores["iterative"].append(rho_iter)
-            scores["oneshot"].append(rho_once)
-        assert np.median(scores["iterative"]) >= np.median(scores["oneshot"]) - 0.02
-
-    def test_callback_failure_keeps_partial_results(self):
-        truth, collection = _sparse_two_dataset_instance(5)
-        calls = {"n": 0}
-        inner = comparison_callback(truth, 10)
-
-        def flaky(batch, coll):
-            calls["n"] += 1
-            if calls["n"] >= 2:
-                raise RuntimeError("observer fell asleep")
-            return inner(batch, coll)
-
-        result = iterate_selection(collection, flaky, 4, 20, prior_enabled=False)
-        assert result.completed_batches == 1
-        assert "observer fell asleep" in result.error
-        assert len(result.audit) == 1
-
-    def test_audit_trail_records_batches(self):
-        truth, collection = _sparse_two_dataset_instance(6)
-        result = iterate_selection(
-            collection, comparison_callback(truth, 10), 2, 5, prior_enabled=False
-        )
-        assert result.completed_batches == 2
-        assert len(result.audit) == 2
-        for entry in result.audit:
-            assert len(entry["batch"]) == 5
-            assert len(entry["counts"]) == 5
-            for cij, cji in entry["counts"]:
-                assert cij + cji == 10

@@ -7,13 +7,12 @@ from scipy.sparse import csr_matrix
 
 from jodscale import csvio
 from jodscale.cli import main
-from jodscale.errors import IntegrityError, ParseError, UndefinedPairError
+from jodscale.errors import IntegrityError, ParseError
 from jodscale.model import (
     ComparisonGraph,
     ConditionId,
     DatasetCollection,
     connected_components,
-    empirical_probability,
     load_collection,
     save_collection,
 )
@@ -120,35 +119,6 @@ class TestComparisonGraph:
         empty = ComparisonGraph(3).pattern()
         assert empty.indptr.tolist() == [0, 0, 0, 0] and empty.indices.size == 0
         assert empty.indptr.dtype == empty.indices.dtype == empty.data.dtype == np.int32
-
-
-class TestEmpiricalProbability:
-    def test_direct_ratio(self):
-        graph = graph_of(2, {(0, 1): 3, (1, 0): 1})
-        assert empirical_probability(graph, 0, 1) == pytest.approx(0.75)
-
-    def test_zero_numerator(self):
-        graph = graph_of(2, {(1, 0): 5})
-        assert empirical_probability(graph, 0, 1) == 0.0
-
-    def test_tie(self):
-        graph = graph_of(2, {(0, 1): 7, (1, 0): 7})
-        assert empirical_probability(graph, 0, 1) == pytest.approx(0.5)
-
-    def test_undefined_pair(self):
-        graph = graph_of(2)
-        with pytest.raises(UndefinedPairError):
-            empirical_probability(graph, 0, 1)
-
-    def test_reciprocity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            cij, cji = (int(v) for v in rng.integers(0, 40, size=2))
-            if cij + cji == 0:
-                continue
-            graph = graph_of(2, {(0, 1): cij, (1, 0): cji})
-            total = empirical_probability(graph, 0, 1) + empirical_probability(graph, 1, 0)
-            assert total == pytest.approx(1.0)
 
 
 def _collection(conditions, entries, ratings=None):
@@ -469,7 +439,8 @@ def _study(root, datasets, files):
 
 _RATED_FILES = {
     "conditions.csv": "condition\nrd/ref/reference/0\nrd/c0/dist/1\n",
-    "ratings.csv": "condition,observer,score\nrd/ref/reference/0,o1,3.0\nrd/c0/dist/1,o1,2.0\n",
+    "ratings.csv": "condition,observer,score\nrd/ref/reference/0,o1,3.0\nrd/c0/dist/1,o1,2.0\n"
+                   "rd/ref/reference/0,o2,2.5\nrd/c0/dist/1,o2,1.0\n",
     "empty.csv": "condition,observer,score\n",
 }
 _RATED = {"name": "rd", "experiment": "rating", "conditions": "conditions.csv",
@@ -495,7 +466,7 @@ class TestManifestChecks:
 
     def test_pwc_dataset_with_ratings_is_rated(self, tmp_path):
         path = _study(tmp_path / "pwc", [{**_RATED, "experiment": "pwc"}], _RATED_FILES)
-        assert len(load_collection(path).ratings["rd"]) == 2
+        assert len(load_collection(path).ratings["rd"]) == 4
 
     @pytest.mark.parametrize("what, extra", [
         ("ratings", {"experiment": "rating", "ratings": "empty.csv"}),
@@ -511,6 +482,18 @@ class TestManifestChecks:
                                                  "which has no condition"):
             load_collection(path)
         assert main(["scale", "--manifest", "ghost/manifest.json", "--out", "out"]) == 2
+
+    @pytest.mark.parametrize("display", [
+        '{"L_peak": "bright", "L_black": 0.5}',
+        "[1, 2]",
+        '{"L_peak": 1e400, "L_black": 0.5}',  # JSON reads 1e400 as inf
+    ])
+    def test_malformed_display_is_a_data_error(self, tmp_path, monkeypatch, capsys, display):
+        path = _study(tmp_path / "disp", [{**_RATED, "display": "DISPLAY"}], _RATED_FILES)
+        path.write_text(path.read_text().replace('"DISPLAY"', display))
+        monkeypatch.chdir(tmp_path)
+        assert main(["scale", "--manifest", "disp/manifest.json", "--out", "out"]) == 2
+        assert "display" in capsys.readouterr().err
 
     def test_collection_rejects_ratings_or_display_of_an_unknown_dataset(self):
         conds = [ConditionId.reference("a"), ConditionId("a", "c0", "d", 1)]

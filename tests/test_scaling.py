@@ -206,6 +206,15 @@ class TestScale:
         result = scale(coll, prior_enabled=False)
         assert result.q[0] == 0.0
 
+    def test_start_is_the_standardized_mean_rating(self):
+        table = ratings_of(((0, "o1", 4.0), (0, "o2", 5.0), (1, "o1", 2.0), (1, "o2", 1.0),
+                            (2, "o1", 3.0)))
+        problem = PosteriorProblem(_demo_collection({}, ratings={"demo": table}, n=4))
+        mean, std = table.scores.mean(), table.scores.std()
+        assert problem.n_params == 3
+        np.testing.assert_allclose(problem.initial_point(),
+                                   [(1.5 - mean) / std, (3.0 - mean) / std, 0.0])
+
     def test_rating_only_dataset_matches_profile_grid_oracle(self):
         rng = np.random.default_rng(42)
         n = 6
@@ -391,7 +400,7 @@ class TestScale:
                 np.testing.assert_allclose(hv, fd, rtol=1e-6, atol=1e-6)
 
     def test_newton_work_stays_small(self):
-        # the line-search Newton-CG solver converges here in 11 iterations
+        # the line-search Newton-CG solver converges here in 8 iterations
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=300, seed=7))
         assert scale(coll).iterations <= 15
 

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from jodscale.cli import main
-from jodscale.design import PairBatch
 from jodscale.errors import DisconnectedGraphError, IntegrityError
 from jodscale.model import ConditionId
 from jodscale.scaling import SIGMA_JOD, LinkParams, preference_probability
 from jodscale.simulate import (
     GroundTruth,
     RecoveryConfig,
-    comparison_callback,
     recovery_experiment,
     simulate_comparison,
     simulate_ratings,
@@ -94,23 +92,6 @@ class TestSimulateComparison:
         # Var(z^2) of a standardized binomial is 2 + (1 - 6pq) / (trials pq)
         se = np.sqrt(np.mean(2.0 + (1.0 - 6.0 * pq) / (trials * pq)) / z2.size)
         assert abs(z2.mean() - 1.0) < 5.0 * se
-
-
-class TestComparisonCallback:
-    def test_repeated_pair_redrawn_and_replay_reproduces(self):
-        truth = _truth(seed=12)
-        batches = [PairBatch(pairs=((0, 1), (2, 4))), PairBatch(pairs=((4, 2), (3, 5))),
-                   PairBatch(pairs=((0, 1),))]
-        observer = comparison_callback(truth, 1_000_000)
-        counts = [observer(batch, None) for batch in batches]
-        assert [c.shape for c in counts] == [(2, 2), (2, 2), (1, 2)]
-        assert np.all(np.concatenate(counts).sum(axis=1) == 1_000_000)
-        # the pair (2, 4) and the pair (0, 1) come back in later batches with fresh draws
-        assert counts[0][1, 0] != counts[1][0, 1]
-        assert counts[0][0, 0] != counts[2][0, 0]
-        replay = comparison_callback(truth, 1_000_000)
-        for batch, expected in zip(batches, counts):
-            np.testing.assert_array_equal(replay(batch, None), expected)
 
 
 class TestSimulateRatings:
