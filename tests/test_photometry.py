@@ -124,6 +124,23 @@ class TestPuEncode:
         with pytest.raises(IntegrityError):
             pu_encode([1e-9], lut, strict=True)
 
+    def test_invertible_by_bisection(self):
+        lut = build_pu_lut(n_knots=512)
+        knots = lut.luminance_knots
+        for target in (-20.0, 0.0, 100.0, 255.0, 400.0):
+            lo, hi = lut.l_min, lut.l_max
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if float(pu_encode(mid, lut)) < target:
+                    lo = mid
+                else:
+                    hi = mid
+            by_bisection = 0.5 * (lo + hi)
+            assert float(pu_encode(by_bisection, lut)) == pytest.approx(target, abs=1e-6)
+            # the luminance lies between the two knots whose codes bracket the target
+            pos = int(np.searchsorted(lut.pu_values, target))
+            assert knots[pos - 1] <= by_bisection <= knots[pos]
+
     def test_csv_round_trip_is_bit_exact(self, tmp_path):
         lut = build_pu_lut(n_knots=256)
         path = tmp_path / "lut.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -179,6 +180,86 @@ class TestLogPosterior:
             coll.ratings["demo"], q, link
         )
         assert total == pytest.approx(parts, rel=1e-12)
+
+
+def _rated_demo(scores_by_condition, entries=None):
+    """The demo dataset with condition i rated by the scores in
+    ``scores_by_condition[i]``, one observer per score."""
+    rows = [(i, f"o{k}", float(score)) for i, scores in enumerate(scores_by_condition)
+            for k, score in enumerate(scores)]
+    return _demo_collection(entries or {}, ratings={"demo": ratings_of(rows)},
+                            n=len(scores_by_condition))
+
+
+class TestProfiledLinks:
+    def test_link_is_the_least_squares_fit_of_the_ratings(self):
+        rng = np.random.default_rng(5)
+        q_true = np.concatenate([[0.0], rng.normal(0.0, 1.0, 5)])
+        coll = _rated_demo([2.0 + 0.7 * q + rng.normal(0.0, 0.2, 4) for q in q_true])
+        problem = PosteriorProblem(coll, prior_enabled=False)
+        q, links = problem.unpack(q_true[1:])
+        table = coll.ratings["demo"]
+        u = q[table.condition_indices]
+        s, t = np.polyfit(u, table.scores, 1)
+        rms = math.sqrt(float(np.mean((table.scores - (s * u + t)) ** 2)))
+        link = links["demo"]
+        np.testing.assert_allclose([link.a, link.b, link.c],
+                                   [1.0 / s, -t / s, rms / SIGMA_JOD], rtol=1e-12)
+        value = problem.value_and_grad(q_true[1:])[0]
+        assert value == pytest.approx(
+            rating_log_likelihood(table, q, link), rel=1e-12)
+
+    def test_ratings_against_the_scores_have_no_link(self):
+        # ratings fall as q rises: the best slope is 0, each rating is then
+        # Gaussian around the mean rating, and the term is flat in q
+        coll = _rated_demo([[4.0, 5.0], [3.0, 3.5], [1.0, 2.0]])
+        problem = PosteriorProblem(coll, prior_enabled=False)
+        x = np.array([0.5, 1.0])
+        q, links = problem.unpack(x)
+        assert links == {}
+        value, grad, curvature = problem.value_and_grad(x)
+        scores = coll.ratings["demo"].scores
+        expected = float(np.sum(norm.logpdf(scores, scores.mean(), scores.std())))
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert log_posterior(coll, q, links, prior_enabled=False) == pytest.approx(
+            expected, rel=1e-12)
+        np.testing.assert_array_equal(grad, 0.0)
+        np.testing.assert_array_equal(problem.hess_vec(curvature, np.ones(2)), 0.0)
+
+    def test_parameters_are_the_free_scores_only(self):
+        conds = [ConditionId.reference("a"), ConditionId("a", "c0", "d", 1),
+                 ConditionId("a", "c1", "d", 2), ConditionId.reference("b"),
+                 ConditionId("b", "c0", "d", 1)]
+        graph = graph_of(5, {(0, 1): 6, (1, 0): 4, (1, 2): 7, (2, 1): 3,
+                             (2, 3): 5, (3, 2): 5, (3, 4): 8, (4, 3): 2})
+        ratings = {
+            "a": ratings_of(((0, "o1", 4.0), (0, "o2", 5.0), (1, "o1", 3.0), (2, "o1", 1.0))),
+            "b": ratings_of(((3, "o1", 7.0), (4, "o1", 5.0), (4, "o2", 6.0))),
+        }
+        problem = PosteriorProblem(DatasetCollection(conds, graph, ratings))
+        assert problem.n_params == 3
+        np.testing.assert_array_equal(problem.free_idx, [1, 2, 4])
+        curvature = problem.value_and_grad(problem.initial_point())[2]
+        assert [f.name for f in dataclasses.fields(curvature)] == [
+            "adjacency", "diagonal", "factors", "weights"]
+        assert curvature.factors.shape == (5, 6)
+        assert curvature.weights.shape == (6,)
+
+    @pytest.mark.parametrize("scores", [
+        [[3.0], [2.0], [1.0]],  # each condition rated once
+        [[3.0, 3.0], [2.0, 2.0], [1.0]],  # repeated ratings that agree
+    ], ids=["single", "repeated"])
+    def test_no_spread_within_a_condition_is_degenerate(self, scores):
+        coll = _rated_demo(scores, {(0, 1): 3, (1, 0): 2, (1, 2): 3, (2, 1): 2})
+        with pytest.raises(DegenerateDataError, match="'demo' has no rating spread"):
+            scale(coll)
+
+    def test_spread_within_one_condition_is_enough(self):
+        coll = _rated_demo([[3.0, 3.5], [2.0], [1.0]],
+                           {(0, 1): 3, (1, 0): 2, (1, 2): 3, (2, 1): 2})
+        result = scale(coll)
+        assert result.converged
+        assert result.links["demo"].c > 0.0
 
 
 class TestScale:
