@@ -24,7 +24,6 @@ from .model import (
     ConditionId,
     DatasetCollection,
     RatingTable,
-    connected_components,
     load_collection,
     save_collection,
 )
@@ -34,6 +33,7 @@ from .scaling import (
     PosteriorProblem,
     UnifiedScale,
     bootstrap_ci,
+    connected_components,
     log_posterior,
     preference_probability,
     pwc_log_likelihood,

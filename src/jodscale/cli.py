@@ -15,7 +15,7 @@ out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0
 below 0, ``simulate``/``recover --density`` below 0 or not finite,
 ``simulate``/``recover --trials`` or ``--observers`` below 0,
 ``simulate``/``recover --datasets``, ``stats``/``select-pairs --bins`` or
-``select-pairs --k`` below 1,
+``select-pairs --k`` below 1, ``simulate``/``recover --conditions`` below 2,
 ``pu-encode --knots`` below 64. Flag ranges are checked at parse time.
 ``pu-encode --lut`` with a flag that builds a look-up table (``--threshold``,
 ``--l-min``, ``--l-max``, ``--knots``), a ``select-pairs`` mode without the
@@ -81,7 +81,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_run_config(out_dir: Path, args: argparse.Namespace) -> None:
@@ -432,7 +432,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
 
     def add_study(p):
-        p.add_argument("--conditions", type=int, default=50)
+        p.add_argument("--conditions", type=_at_least(2), default=50)
         p.add_argument("--datasets", type=_at_least(1), default=3)
         p.add_argument("--trials", type=_at_least(0), default=30)
         p.add_argument("--observers", type=_at_least(0), default=15)

@@ -1,12 +1,12 @@
 """The one CSV dialect of every file jodscale reads or writes.
 
-Fields are separated by commas, and the first row is a header. Columns are
-found by header name, in any order, and extra columns are ignored. Fields
-may be quoted (``"``, with ``""`` for a quote inside one), lines may end in
-LF or CRLF, and blank lines are skipped. There are no comment lines. A
-missing column, a row too short for the columns read, a field longer than
-``csv.field_size_limit()`` or a cell its column's parser rejects is a
-parse error.
+Files are UTF-8 text. Fields are separated by commas, and the first row is
+a header. Columns are found by header name, in any order, and extra columns
+are ignored. Fields may be quoted (``"``, with ``""`` for a quote inside
+one), lines may end in LF or CRLF, and blank lines are skipped. There are no
+comment lines. Bytes that are not valid UTF-8, a missing column, a row too
+short for the columns read, a field longer than ``csv.field_size_limit()``
+or a cell its column's parser rejects is a parse error.
 """
 
 from __future__ import annotations
@@ -33,33 +33,37 @@ def _read_csv(path: Path, parsers: Mapping[str, Callable]) -> list:
     in blocks of whole lines of about ``_BLOCK_CHARS`` characters, so the
     text of a large file is never held at once."""
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     chunks = []
     with handle:
         try:
             header = next(csv.reader(handle), [])
+            missing = [col for col in parsers if col not in header]
+            if missing:
+                raise ParseError(f"{path} is missing columns {missing} (header {header})")
+            positions = [header.index(col) for col in parsers]
+            width = max(positions) + 1
+            while block := handle.read(_BLOCK_CHARS):
+                if block[-1] != "\n":
+                    block += handle.readline()
+                columns = _split_plain(block, width) or _split_rows(block, width, handle, path)
+                if not columns:
+                    continue
+                parsed = []
+                for (col, parse), pos in zip(parsers.items(), positions):
+                    try:
+                        parsed.append(parse(columns[pos]))
+                    except (ValueError, OverflowError) as exc:
+                        raise ParseError(f"{path}, column {col!r}: {exc}") from exc
+                chunks.append(parsed)
         except csv.Error as exc:
             raise ParseError(f"{path}: {exc}") from exc
-        missing = [col for col in parsers if col not in header]
-        if missing:
-            raise ParseError(f"{path} is missing columns {missing} (header {header})")
-        positions = [header.index(col) for col in parsers]
-        width = max(positions) + 1
-        while block := handle.read(_BLOCK_CHARS):
-            if block[-1] != "\n":
-                block += handle.readline()
-            columns = _split_plain(block, width) or _split_rows(block, width, handle, path)
-            if not columns:
-                continue
-            parsed = []
-            for (col, parse), pos in zip(parsers.items(), positions):
-                try:
-                    parsed.append(parse(columns[pos]))
-                except (ValueError, OverflowError) as exc:
-                    raise ParseError(f"{path}, column {col!r}: {exc}") from exc
-            chunks.append(parsed)
+        except UnicodeDecodeError as exc:
+            # exc.start counts from the decoder's buffer, not from the file start
+            raise ParseError(f"{path} is not valid UTF-8: byte {exc.object[exc.start]:#04x}, "
+                             f"{exc.reason}") from exc
     if not chunks:
         return [parse(()) for parse in parsers.values()]
     return [np.concatenate(parts) for parts in zip(*chunks)]
@@ -87,18 +91,16 @@ def _split_plain(block: str, width: int) -> list | None:
 
 def _split_rows(block: str, width: int, handle, path: Path) -> list:
     """The columns of a block read row by row with ``csv.reader``, skipping
-    blank rows; a short row or a row ``csv.reader`` rejects (a field longer
-    than ``csv.field_size_limit()``, say) is a parse error. A quoted field
-    still open at the end of the block is completed from ``handle``."""
+    blank rows; a short row is a parse error, and a row ``csv.reader``
+    rejects (a field longer than ``csv.field_size_limit()``, say) raises
+    ``csv.Error``. A quoted field still open at the end of the block is
+    completed from ``handle``."""
     lines = io.StringIO(block, newline="")
     reader = csv.reader(chain(lines, handle))
     rows = []
     while lines.tell() < len(block):
         # rows as tuples: the garbage collector stops tracking tuples of strings
-        try:
-            row = tuple(next(reader))
-        except csv.Error as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        row = tuple(next(reader))
         if row:
             if len(row) < width:
                 raise ParseError(f"{path} has a row with fewer than {width} fields: {row}")
@@ -135,7 +137,7 @@ def _write_csv(path: Path, header: str, row_format: str, *columns) -> None:
         else:
             strings.append(next(fields))
     rows = map(",".join, zip(*strings))
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(header)
         while block := list(islice(rows, _CHUNK_ROWS)):
             handle.write("\n" + "\n".join(block))

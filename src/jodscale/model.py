@@ -36,7 +36,6 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.sparse import coo_matrix, csgraph, csr_matrix
 
 from .csvio import _cells, _quoted, _read_csv, _write_csv
 from .errors import IntegrityError, ParseError
@@ -103,10 +102,9 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _same_columns(a, b) -> bool:
-    """Equality of two column holders: same type, equal public ``__slots__`` values."""
+    """Equality of two column holders: same type, equal ``__slots__`` values."""
     return type(a) is type(b) and all(
-        np.array_equal(getattr(a, name), getattr(b, name))
-        for name in a.__slots__ if not name.startswith("_")
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in a.__slots__
     )
 
 
@@ -124,10 +122,9 @@ class ComparisonGraph:
     non-negative integers.
     """
 
-    __slots__ = ("n", "i", "j", "c_ij", "c_ji", "_pattern")
+    __slots__ = ("n", "i", "j", "c_ij", "c_ji")
 
     def __init__(self, n: int, winners=(), losers=(), counts=()):
-        self._pattern = None
         if n < 0:
             raise IntegrityError(f"graph size must be non-negative, got {n}")
         self.n = int(n)
@@ -188,22 +185,6 @@ class ComparisonGraph:
         order = order[counts[order] > 0]
         return winners[order], losers[order], counts[order]
 
-    def pattern(self) -> csr_matrix:
-        """The read-only n x n CSR adjacency of the measured pairs, all in
-        int32: row a lists the conditions measured against a in increasing
-        order, and ``data`` holds each slot's pair index, so per-pair values
-        ``w`` fill it as ``w[pattern.data]``. Built on first use."""
-        if self._pattern is None:
-            i, j = self.i.astype(np.int32), self.j.astype(np.int32)
-            # rows (j, i) then (i, j): the conversion keeps each row's entries
-            # in input order, which already increases by column
-            rows, cols = np.concatenate([j, i]), np.concatenate([i, j])
-            pairs = np.tile(np.arange(i.size, dtype=np.int32), 2)
-            self._pattern = coo_matrix((pairs, (rows, cols)), shape=(self.n, self.n)).tocsr()
-            for array in (self._pattern.indptr, self._pattern.indices, self._pattern.data):
-                array.flags.writeable = False
-        return self._pattern
-
     __eq__ = _same_columns
 
     def __repr__(self):
@@ -235,7 +216,12 @@ class RatingTable:
 
 class DatasetCollection:
     """Validated, immutable bundle of conditions, comparisons, ratings and
-    displays; ``ratings`` and ``displays`` are keyed by dataset name."""
+    displays; ``ratings`` and ``displays`` are keyed by dataset name.
+
+    The collection keeps its conditions and rating rows in file order. The
+    solver's layouts (the pair adjacency, the components and each table's
+    rows grouped by condition) belong to ``scaling.PosteriorProblem``.
+    """
 
     def __init__(
         self,
@@ -304,23 +290,6 @@ class DatasetCollection:
         return [i for i, c in enumerate(self.conditions) if c.is_reference]
 
 
-def connected_components(collection: DatasetCollection) -> np.ndarray:
-    """Each condition's joint-scaling component label.
-
-    Conditions are linked by any measured comparison; rating-bearing
-    conditions of the same dataset are also linked, because shared link
-    parameters tie them together. Labels are integers 0, 1, ..., numbered
-    in order of each component's smallest member; the component sizes are
-    ``np.bincount(labels)``.
-    """
-    chains = [np.unique(table.condition_indices) for table in collection.ratings.values()]
-    rows = np.concatenate([collection.graph.i, *(chain[:-1] for chain in chains)])
-    cols = np.concatenate([collection.graph.j, *(chain[1:] for chain in chains)])
-    adjacency = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(collection.n,) * 2)
-    # csgraph labels components in order of first visit, by increasing node
-    return csgraph.connected_components(adjacency, directed=False)[1]
-
-
 def _indices(index: Mapping[str, int], what: str) -> Callable:
     """A ``_read_csv`` parser mapping condition keys, stripped of outer
     whitespace, to indices; an unknown key is an integrity error."""
@@ -367,13 +336,15 @@ def load_collection(manifest_path) -> DatasetCollection:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     try:
-        with open(manifest_path) as handle:
+        with open(manifest_path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot open manifest {manifest_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"manifest {manifest_path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "datasets" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("datasets"), list):
         raise ParseError(f"manifest {manifest_path} must be an object with a 'datasets' list")
 
     for key in sorted(set(raw) - _KNOWN_MANIFEST_KEYS):
@@ -471,5 +442,5 @@ def save_collection(collection: DatasetCollection, directory) -> Path:
                values.astype(str).astype(object)[inverse].tolist())
     manifest = directory / "manifest.json"
     manifest.write_text(json.dumps({"datasets": datasets, "comparisons": "comparisons.csv"},
-                                   sort_keys=True, indent=2) + "\n")
+                                   sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return manifest

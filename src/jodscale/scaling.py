@@ -33,17 +33,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csgraph, csr_matrix
 from scipy.special import gammaln, log_ndtr, ndtr
 
 from .errors import DegenerateDataError, DisconnectedGraphError, IntegrityError
-from .model import (
-    ComparisonGraph,
-    ConditionId,
-    DatasetCollection,
-    RatingTable,
-    connected_components,
-)
+from .model import ComparisonGraph, ConditionId, DatasetCollection, RatingTable
 
 # Score distance of 1 maps to a 75% preference rate with this sigma.
 SIGMA_JOD = 1.048
@@ -175,6 +169,23 @@ def _finite_q(q) -> np.ndarray:
     return q
 
 
+def connected_components(collection: DatasetCollection) -> np.ndarray:
+    """Each condition's joint-scaling component label.
+
+    Conditions are linked by any measured comparison; rating-bearing
+    conditions of the same dataset are also linked, because their shared
+    link ties them together. Labels are integers 0, 1, ..., numbered in
+    order of each component's smallest member; the component sizes are
+    ``np.bincount(labels)``.
+    """
+    chains = [np.unique(table.condition_indices) for table in collection.ratings.values()]
+    rows = np.concatenate([collection.graph.i, *(chain[:-1] for chain in chains)])
+    cols = np.concatenate([collection.graph.j, *(chain[1:] for chain in chains)])
+    adjacency = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(collection.n,) * 2)
+    # csgraph labels components in order of first visit, by increasing node
+    return csgraph.connected_components(adjacency, directed=False)[1]
+
+
 def pwc_log_likelihood(graph: ComparisonGraph, q) -> float:
     """Binomial log-likelihood of the observed win counts given scores q.
 
@@ -239,7 +250,7 @@ class Curvature:
     """Second derivatives of the log-posterior in q at one point.
 
     ``adjacency`` is the n x n matrix of the per-pair curvature weights of
-    the comparison terms, on the graph's CSR pattern, and ``diagonal`` holds
+    the comparison terms, on the problem's CSR pattern, and ``diagonal`` holds
     the diagonal part of d^2/dq_i^2: minus the weighted degree, plus each
     rating dataset's diagonal. Each rating dataset adds a term of rank
     three on top, ``weights[k] * outer(factors[:, k], factors[:, k])`` for
@@ -263,29 +274,54 @@ class PosteriorProblem:
     A dataset's profiled term is once continuously differentiable: where
     its fitted slope is clipped at 0 the term is flat, and ``Curvature``
     holds its second derivatives on the side where the slope is positive.
+
+    The constructor builds, once, every layout the solve and the bootstrap
+    reuse: the pair arrays and their read-only int32 CSR pattern (row a
+    lists the conditions measured against a in increasing order, and
+    ``data`` holds each slot's pair index), the components, and each rated
+    table with its rows sorted by (condition, observer, score) and its
+    per-condition row counts and start offsets. The scale therefore does
+    not depend on the row order of the rating files. Replicates share all
+    of these layouts.
     """
 
     def __init__(self, collection: DatasetCollection, prior_enabled: bool = True):
         self.prior_enabled = prior_enabled
-        self.n = collection.n
-        self.free_idx = np.setdiff1d(np.arange(self.n), collection.reference_indices())
-        self.rating_names = sorted(name for name, table in collection.ratings.items()
-                                   if len(table))
-        self.tables = [collection.ratings[name] for name in self.rating_names]
+        self.n = n = collection.n
+        self.free_idx = np.setdiff1d(np.arange(n), collection.reference_indices())
         self.n_params = self.free_idx.size
         self.labels = connected_components(collection)
         self.sizes = np.bincount(self.labels)
         self._pairs = collection.graph.pair_arrays()
-        self._pattern = collection.graph.pattern()
         self._log_coef = _log_binomial(self._pairs)
+        # rows (j, i) then (i, j): the CSR conversion keeps each row's entries
+        # in input order, which already increases by column
+        i, j = (col.astype(np.int32) for col in self._pairs[:2])
+        self._pattern = coo_matrix((np.tile(np.arange(i.size, dtype=np.int32), 2),
+                                    (np.concatenate([j, i]), np.concatenate([i, j]))),
+                                   shape=(n, n)).tocsr()
+        for array in (self._pattern.indptr, self._pattern.indices, self._pattern.data):
+            array.flags.writeable = False
+        self.rating_names = sorted(name for name, table in collection.ratings.items()
+                                   if len(table))
+        self.tables, self._counts, self._starts = [], [], []
+        for name in self.rating_names:
+            table = collection.ratings[name]
+            order = np.lexsort((table.scores, table.observers, table.condition_indices))
+            idx = table.condition_indices[order]
+            self.tables.append(RatingTable(idx, table.observers[order], table.scores[order]))
+            counts = np.bincount(idx, minlength=n)
+            self._counts.append(counts)
+            self._starts.append(np.cumsum(counts) - counts)
 
-    def resampled(self, rng: np.random.Generator, rows: list) -> "PosteriorProblem":
+    def resampled(self, rng: np.random.Generator) -> "PosteriorProblem":
         """One bootstrap replicate of this problem: every pair's count drawn
         binomially with its total kept, then every rating row replaced by a
         row of the same condition drawn with replacement, one dataset after
-        the other in ``rating_names`` order. ``rows`` holds each table's
-        ``_rows_by_condition``. The replicate shares everything else, so it
-        keeps this problem's pairs, pattern, components and anchors."""
+        the other in ``rating_names`` order and one draw per row in table
+        order. The picks are sorted, so each replicate table stays sorted as
+        its source. The replicate shares everything else, so it keeps this
+        problem's pairs, pattern, components, anchors and row groups."""
         i, j, c_ij, c_ji = self._pairs
         total = c_ij + c_ji
         new_c_ij = rng.binomial(total, c_ij / total)
@@ -293,10 +329,10 @@ class PosteriorProblem:
         replicate._pairs = (i, j, new_c_ij, total - new_c_ij)
         replicate._log_coef = _log_binomial(replicate._pairs)
         replicate.tables = []
-        for table, (order, first, count) in zip(self.tables, rows):
-            picks = order[first + rng.integers(0, count)]
-            replicate.tables.append(RatingTable(table.condition_indices, table.observers[picks],
-                                                table.scores[picks]))
+        for table, counts, starts in zip(self.tables, self._counts, self._starts):
+            idx = table.condition_indices
+            picks = np.sort(starts[idx] + rng.integers(0, counts[idx]))
+            replicate.tables.append(RatingTable(idx, table.observers[picks], table.scores[picks]))
         return replicate
 
     def initial_point(self) -> np.ndarray:
@@ -304,11 +340,9 @@ class PosteriorProblem:
         dataset (the link a = 1/std, b = -a*mean applied to it); every other
         free score at 0. At q = 0 a profiled rating term has no gradient."""
         q = np.zeros(self.n)
-        for table in self.tables:
-            idx, scores = table.condition_indices, table.scores
-            counts = np.bincount(idx, minlength=self.n)
-            rated = counts > 0
-            means = np.bincount(idx, scores, self.n)[rated] / counts[rated]
+        for table, counts in zip(self.tables, self._counts):
+            scores, rated = table.scores, counts > 0
+            means = np.bincount(table.condition_indices, scores, self.n)[rated] / counts[rated]
             q[rated] = (means - scores.mean()) / scores.std()
         return q[self.free_idx]
 
@@ -353,12 +387,11 @@ class PosteriorProblem:
         # which summed per condition give a diagonal and three outer products.
         factors = np.zeros((n, 3 * len(self.tables)))
         coefs = np.zeros(3 * len(self.tables))
-        for d, table in enumerate(self.tables):
+        for d, (table, counts) in enumerate(zip(self.tables, self._counts)):
             s, _, rss, residual, centered = _rating_fit(table, q)
             size, idx = len(table), table.condition_indices
             value += _profiled_value(size, rss)
             if s > 0.0:
-                counts = np.bincount(idx, minlength=n).astype(float)
                 sums = np.bincount(idx, residual, n)
                 grad_q += (size * s / rss) * sums
                 diagonal -= (size * s * s / rss) * counts
@@ -400,11 +433,10 @@ class PosteriorProblem:
 def _check_rating_spread(problem: PosteriorProblem) -> None:
     """A dataset whose ratings never differ within a condition has an
     unbounded likelihood: with q affine in the condition means, RSS and so
-    c go to 0."""
-    for name, table in zip(problem.rating_names, problem.tables):
-        order = np.lexsort((table.scores, table.condition_indices))
-        idx, scores = table.condition_indices[order], table.scores[order]
-        if not np.any((idx[1:] == idx[:-1]) & (scores[1:] != scores[:-1])):
+    c go to 0. A condition's ratings differ when one differs from its first."""
+    for name, table, starts in zip(problem.rating_names, problem.tables, problem._starts):
+        scores = table.scores
+        if not np.any(scores != scores[starts[table.condition_indices]]):
             raise DegenerateDataError(
                 f"dataset {name!r} has no rating spread within any condition; "
                 "its likelihood is unbounded"
@@ -571,15 +603,6 @@ def scale(
     return _fit(problem, collection.conditions, start, tol, max_iter)
 
 
-def _rows_by_condition(table: RatingTable):
-    """For each row of ``table``: ``order`` (the rows sorted by condition),
-    where its condition's rows start in ``order``, and how many there are."""
-    _, group, count = np.unique(table.condition_indices, return_inverse=True, return_counts=True)
-    order = np.argsort(table.condition_indices, kind="stable")
-    first = np.cumsum(count) - count
-    return order, first[group], count[group]
-
-
 def bootstrap_ci(
     collection: DatasetCollection,
     n_boot: int,
@@ -610,12 +633,11 @@ def bootstrap_ci(
     if not 0.0 < alpha < 1.0:
         raise IntegrityError(f"alpha must lie in (0, 1), got {alpha}")
     problem = _checked_problem(collection, prior_enabled, per_component, start)
-    rows = [_rows_by_condition(table) for table in problem.tables]
 
     samples = []
     for index in range(n_boot):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007, index)))
-        replicate = problem.resampled(rng, rows)
+        replicate = problem.resampled(rng)
         try:
             _check_rating_spread(replicate)
         except DegenerateDataError:

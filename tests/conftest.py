@@ -9,6 +9,7 @@ from jodscale.model import (
     DatasetCollection,
     RatingTable,
 )
+from jodscale.scaling import PosteriorProblem
 
 
 def graph_of(n, counts=None):
@@ -23,6 +24,13 @@ def ratings_of(rows):
     """A RatingTable from (condition, observer, score) rows."""
     rows = list(rows)
     return RatingTable([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+
+
+def pattern_of(graph):
+    """The pair pattern of the posterior problem over ``graph``: its
+    conditions, all unrated, make up one dataset."""
+    conditions = [ConditionId("d", f"c{k}", "d", 1) for k in range(graph.n)]
+    return PosteriorProblem(DatasetCollection(conditions, graph))._pattern
 
 
 @pytest.fixture

@@ -189,6 +189,24 @@ class TestScaleCommand:
         assert main(["scale", "--manifest", "sim/manifest.json", "--out", "out"]) == 2
         assert "no rating spread within any condition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, byte", [
+        ("manifest.json", b"\xff"),
+        ("conditions_ds0.csv", b"\xff"),
+        ("comparisons.csv", b"\xff"),
+        ("ratings_ds1.csv", b"\xe9"),  # a Latin-1 e-acute
+    ])
+    def test_invalid_utf8_is_a_data_error(self, tmp_path, monkeypatch, capsys, name, byte):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--out", "sim", "--conditions", "30", "--seed", "3"]) == 0
+        path = tmp_path / "sim" / name
+        data = path.read_bytes()
+        cut = data.index(b"\n") + 2  # inside the second line
+        path.write_bytes(data[:cut] + byte + data[cut:])
+        capsys.readouterr()
+        assert main(["scale", "--manifest", "sim/manifest.json", "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "is not valid UTF-8" in err
+
     def test_unrated_recovery_reports_no_links(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["recover", "--out", "rec", "--conditions", "30",
@@ -244,6 +262,26 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
 
+    def test_bench_tracer_wraps_every_span_its_layer_metrics_need(self):
+        """``bench/run.py`` wraps program functions by module and name; a
+        name moved away from where it looks makes the per-layer metrics that
+        need its span drop out. A child process keeps the thread settings
+        that importing ``run`` makes out of this suite."""
+        package_root = str(Path(jodscale.__file__).resolve().parents[1])
+        bench = str(Path(__file__).resolve().parents[1] / "bench")
+        child = "\n".join([
+            "import sys",
+            f"sys.path[:0] = [{bench!r}, {package_root!r}]",
+            "import run, spans",
+            "tracer = run.install_tracer()",
+            "tracer.unwrap_all()",
+            "needed = {span for _, names, _ in spans.LAYER_METRICS.values() for span in names}",
+            "print(sorted(s for s in needed - tracer.wrapped if not s.startswith('cli.')))",
+        ])
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -281,6 +319,8 @@ class TestUsageErrors:
         ["simulate", "--conditions", "6", "--datasets", "2", "--density", "nan"],
         ["simulate", "--conditions", "6", "--datasets", "2", "--density", "inf"],
         ["recover", "--conditions", "6", "--datasets", "2", "--density", "-1"],
+        ["simulate", "--conditions", "-4"],
+        ["recover", "--conditions", "1", "--datasets", "1"],
         *(["scale", "--manifest", "missing.json", "--tol", tol]
           for tol in ("-1", "0", "nan", "inf")),
         ["scale", "--manifest", "missing.json", "--max-iter", "-3"],

@@ -3,16 +3,14 @@ import re
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
-from jodscale import csvio
+from jodscale import connected_components, csvio
 from jodscale.cli import main
 from jodscale.errors import IntegrityError, ParseError
 from jodscale.model import (
     ComparisonGraph,
     ConditionId,
     DatasetCollection,
-    connected_components,
     load_collection,
     save_collection,
 )
@@ -101,24 +99,6 @@ class TestComparisonGraph:
             (0, 3, 1), (2, 1, 5), (3, 0, 2)
         ]
         assert ComparisonGraph(4, winners, losers, counts) == graph
-
-    def test_pattern_is_the_csr_of_the_pair_adjacency(self):
-        graph = ComparisonGraph(5, [3, 0, 2, 1, 4], [0, 3, 1, 4, 2], [2, 1, 5, 0, 3])
-        i, j = graph.pair_arrays()[:2]
-        pattern = graph.pattern()
-        assert isinstance(pattern, csr_matrix) and pattern.shape == (5, 5)
-        assert pattern is graph.pattern()
-        for array in (pattern.indptr, pattern.indices, pattern.data):
-            assert array.dtype == np.int32 and not array.flags.writeable
-        expected = np.full((5, 5), -1)
-        expected[i, j] = expected[j, i] = np.arange(i.size)
-        for row in range(5):
-            slots = slice(pattern.indptr[row], pattern.indptr[row + 1])
-            assert pattern.indices[slots].tolist() == np.flatnonzero(expected[row] >= 0).tolist()
-            assert pattern.data[slots].tolist() == expected[row][expected[row] >= 0].tolist()
-        empty = ComparisonGraph(3).pattern()
-        assert empty.indptr.tolist() == [0, 0, 0, 0] and empty.indices.size == 0
-        assert empty.indptr.dtype == empty.indices.dtype == empty.data.dtype == np.int32
 
 
 def _collection(conditions, entries, ratings=None):
@@ -494,6 +474,14 @@ class TestManifestChecks:
         monkeypatch.chdir(tmp_path)
         assert main(["scale", "--manifest", "disp/manifest.json", "--out", "out"]) == 2
         assert "display" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("datasets", ["5", "null", '"rd"', "{}"])
+    def test_datasets_not_a_list_is_a_data_error(self, tmp_path, monkeypatch, capsys, datasets):
+        path = _study(tmp_path / "odd", [_RATED], _RATED_FILES)
+        path.write_text(json.dumps({"datasets": "DATASETS"}).replace('"DATASETS"', datasets))
+        monkeypatch.chdir(tmp_path)
+        assert main(["scale", "--manifest", "odd/manifest.json", "--out", "out"]) == 2
+        assert "must be an object with a 'datasets' list" in capsys.readouterr().err
 
     def test_collection_rejects_ratings_or_display_of_an_unknown_dataset(self):
         conds = [ConditionId.reference("a"), ConditionId("a", "c0", "d", 1)]

@@ -1,20 +1,22 @@
 """Property tests on random small collections.
 
 The comparison graph stores each measured pair once, in canonical order, so
-the row layout of ``comparisons.csv`` must not reach the scale; the
-joint-scaling components must match a plain breadth-first search; the
-block-split CSV reader must return what one plain ``csv.reader`` returns; the
-likelihood kernel's gradient, cached curvature and Jacobi diagonal must
-match central differences, and its one-``log_ndtr`` pair of log
-probabilities must match two ``log_ndtr`` calls; a graph's directed rows and
-CSR pattern must follow the two-key ``lexsort`` order; a bootstrap replicate
-must keep its collection's pairs, components and per-condition rating
-counts, and solve exactly as the collection rebuilt from its rows; a solve
-started anywhere near the maximum (or at it) must reach the maximum a cold
-solve reaches; a disconnected collection scaled per component must be its
-components scaled alone; both pair selectors must return exactly what a
-double loop over all pairs returns; and a saved collection must load back as
-itself, up to the order of its conditions.
+the row layout of ``comparisons.csv`` must not reach the scale, and the row
+order of the ratings files must reach neither the scale nor its bootstrap
+intervals; the joint-scaling components must match a plain breadth-first
+search; the block-split CSV reader must return what one plain
+``csv.reader`` returns; the likelihood kernel's gradient, cached curvature
+and Jacobi diagonal must match central differences, and its one-
+``log_ndtr`` pair of log probabilities must match two ``log_ndtr`` calls; a
+graph's directed rows and its problem's CSR pattern must follow the two-key
+``lexsort`` order; a bootstrap replicate must keep its collection's pairs,
+components and per-condition rating counts, and solve exactly as the
+collection rebuilt from its rows; a solve started anywhere near the maximum
+(or at it) must reach the maximum a cold solve reaches; a disconnected
+collection scaled per component must be its components scaled alone; both
+pair selectors must return exactly what a double loop over all pairs
+returns; and a saved collection must load back as itself, up to the order
+of its conditions.
 """
 
 import csv
@@ -33,7 +35,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.special import log_ndtr, ndtr
 
-from jodscale import csvio, model, scaling
+from jodscale import connected_components, csvio, model, scaling
 from jodscale.cli import main
 from jodscale.design import select_cross_dataset_pairs, select_gmad_pairs
 from jodscale.errors import (
@@ -44,15 +46,16 @@ from jodscale.model import (
     ConditionId,
     DatasetCollection,
     RatingTable,
-    connected_components,
     load_collection,
     save_collection,
 )
 from jodscale.scaling import (
-    SIGMA_JOD, LinkParams, PosteriorProblem, UnifiedScale, _log_ndtr_pair,
-    _rows_by_condition, bootstrap_ci, log_posterior, scale,
+    SIGMA_JOD, LinkParams, PosteriorProblem, UnifiedScale, _log_ndtr_pair, bootstrap_ci,
+    log_posterior, scale,
 )
 from jodscale.simulate import RecoveryConfig, synthesize_collection
+
+from conftest import pattern_of
 
 _HEADER = "cond_a,cond_b,count_a_over_b"
 
@@ -122,6 +125,39 @@ def test_comparison_row_layout_leaves_scale_unchanged(tmp_path_factory, seed):
     # each pair first listed as (b, a), then as (a, b)
     mirrored = [row for n in range(0, len(rows), 2) for row in (rows[n + 1], rows[n])]
     assert _scale_csv(root, mirrored, "mirrored") == expected
+
+
+def _shuffle_rows(path, rng, within):
+    """Rewrite the CSV file at ``path`` with its rows shuffled: across and
+    within conditions, or with ``within`` only among each condition's rows."""
+    header, *rows = path.read_text().splitlines()
+    first = {}
+    for row in rows:
+        first.setdefault(row.split(",")[0], len(first))
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    if within:
+        rows.sort(key=lambda row: first[row.split(",")[0]])  # stable: keeps the shuffle
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+# The solver sorts each rating table by (condition, observer, score), so the
+# row order of a ratings file reaches neither the scale nor its bootstrap
+# intervals: the outputs stay byte-identical.
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), within=st.booleans())
+def test_rating_row_order_leaves_bootstrap_scale_unchanged(tmp_path_factory, seed, within):
+    root = tmp_path_factory.mktemp("study")
+    assert main(["simulate", "--conditions", "30", "--seed", str(seed),
+                 "--out", str(root / "in")]) == 0
+    argv = ["scale", "--bootstrap", "20", "--seed", str(seed), "--manifest",
+            str(root / "in" / "manifest.json"), "--out"]
+    code = main([*argv, str(root / "base")])
+    rng = np.random.default_rng(seed)
+    for path in sorted((root / "in").glob("ratings_*.csv")):
+        _shuffle_rows(path, rng, within)
+    assert main([*argv, str(root / "shuffled")]) == code
+    for name in ("scale.csv", "links.json") if code == 0 else ():
+        assert (root / "shuffled" / name).read_bytes() == (root / "base" / name).read_bytes()
 
 
 _KEYS = ("d/ref/reference/0", "d/c0/dist/1", "d/c1/dist/2")
@@ -310,7 +346,7 @@ def test_directed_rows_follow_the_lexsort_order(graph):
                              (winners[nonzero], losers[nonzero], counts[nonzero])):
         np.testing.assert_array_equal(got, expected)
 
-    pattern = graph.pattern()
+    pattern = pattern_of(graph)
     np.testing.assert_array_equal(pattern.indices, losers[order])
     weights = np.arange(1.0, i.size + 1)
     adjacency = csr_matrix((weights[pattern.data], pattern.indices, pattern.indptr),
@@ -532,8 +568,7 @@ def _outcome(collection, **options):
 
 def _replicate(problem, seed):
     """A bootstrap replicate of ``problem``, drawn as ``bootstrap_ci`` draws it."""
-    rows = [_rows_by_condition(table) for table in problem.tables]
-    return problem.resampled(np.random.default_rng(seed), rows)
+    return problem.resampled(np.random.default_rng(seed))
 
 
 def _rebuilt(collection, replicate):

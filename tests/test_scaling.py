@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.special import ndtr
 from scipy.stats import binom, norm
 
-from jodscale import scaling
+from jodscale import connected_components, scaling
 from jodscale.cli import main
 from jodscale.errors import (
     DegenerateDataError,
@@ -20,14 +21,13 @@ from jodscale.model import (
     ComparisonGraph,
     ConditionId,
     DatasetCollection,
-    connected_components,
+    RatingTable,
     load_collection,
 )
 from jodscale.scaling import (
     SIGMA_JOD,
     LinkParams,
     PosteriorProblem,
-    _rows_by_condition,
     bootstrap_ci,
     log_posterior,
     preference_probability,
@@ -37,7 +37,7 @@ from jodscale.scaling import (
 )
 from jodscale.simulate import RecoveryConfig, synthesize_collection
 
-from conftest import graph_of, ratings_of
+from conftest import graph_of, pattern_of, ratings_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -189,6 +189,25 @@ def _rated_demo(scores_by_condition, entries=None):
             for k, score in enumerate(scores)]
     return _demo_collection(entries or {}, ratings={"demo": ratings_of(rows)},
                             n=len(scores_by_condition))
+
+
+class TestProblemLayout:
+    def test_pattern_is_the_csr_of_the_pair_adjacency(self):
+        graph = ComparisonGraph(5, [3, 0, 2, 1, 4], [0, 3, 1, 4, 2], [2, 1, 5, 0, 3])
+        i, j = graph.pair_arrays()[:2]
+        pattern = pattern_of(graph)
+        assert isinstance(pattern, csr_matrix) and pattern.shape == (5, 5)
+        for array in (pattern.indptr, pattern.indices, pattern.data):
+            assert array.dtype == np.int32 and not array.flags.writeable
+        expected = np.full((5, 5), -1)
+        expected[i, j] = expected[j, i] = np.arange(i.size)
+        for row in range(5):
+            slots = slice(pattern.indptr[row], pattern.indptr[row + 1])
+            assert pattern.indices[slots].tolist() == np.flatnonzero(expected[row] >= 0).tolist()
+            assert pattern.data[slots].tolist() == expected[row][expected[row] >= 0].tolist()
+        empty = pattern_of(ComparisonGraph(3))
+        assert empty.indptr.tolist() == [0, 0, 0, 0] and empty.indices.size == 0
+        assert empty.indptr.dtype == empty.indices.dtype == empty.data.dtype == np.int32
 
 
 class TestProfiledLinks:
@@ -541,12 +560,20 @@ class TestBootstrap:
 
     def test_resample_matches_per_pair_draws(self):
         # reference: one scalar binomial per measured pair in (i, j) order,
-        # then per rating dataset in sorted name order one integer draw per
-        # row, below its condition's number of rows, that picks among them
+        # then per rating dataset in sorted name order, over its rows sorted
+        # by (condition, observer, score), one integer draw per row, below
+        # its condition's number of rows, that picks among them; the picks
+        # are then put in row order
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=30, n_datasets=3, seed=2))
+        shuffle = np.random.default_rng(8)
+        ratings = {}
+        for name, table in coll.ratings.items():
+            order = shuffle.permutation(len(table))
+            ratings[name] = RatingTable(table.condition_indices[order], table.observers[order],
+                                        table.scores[order])
+        coll = DatasetCollection(coll.conditions, coll.graph, ratings)
         problem = PosteriorProblem(coll)
-        rows = [_rows_by_condition(table) for table in problem.tables]
-        replicate = problem.resampled(np.random.default_rng(41), rows)
+        replicate = problem.resampled(np.random.default_rng(41))
         rng = np.random.default_rng(41)
         i_arr, j_arr, c_ij, c_ji = (col.tolist() for col in coll.graph.pair_arrays())
         new_i, new_j, new_c_ij, new_c_ji = replicate._pairs
@@ -555,18 +582,21 @@ class TestBootstrap:
             assert new_c_ij[k] == int(rng.binomial(cij + cji, cij / (cij + cji)))
             assert new_c_ji[k] == cij + cji - new_c_ij[k]
         assert replicate.rating_names == sorted(coll.ratings) == ["ds1", "ds2"]
-        for name, table in zip(replicate.rating_names, replicate.tables):
+        for name, source, table in zip(replicate.rating_names, problem.tables, replicate.tables):
             original = coll.ratings[name]
+            rows = sorted(zip(*(col.tolist() for col in (
+                original.condition_indices, original.observers, original.scores))))
+            assert list(zip(*(col.tolist() for col in (
+                source.condition_indices, source.observers, source.scores)))) == rows
             by_condition = {}
-            for row, cond in enumerate(original.condition_indices.tolist()):
+            for row, (cond, _, _) in enumerate(rows):
                 by_condition.setdefault(cond, []).append(row)
-            sizes = [len(by_condition[c]) for c in original.condition_indices.tolist()]
-            draws = rng.integers(0, sizes)
-            picks = [by_condition[c][d] for c, d in
-                     zip(original.condition_indices.tolist(), draws.tolist())]
-            np.testing.assert_array_equal(table.condition_indices, original.condition_indices)
-            np.testing.assert_array_equal(table.scores, original.scores[picks])
-            np.testing.assert_array_equal(table.observers, original.observers[picks])
+            conds = [cond for cond, _, _ in rows]
+            draws = rng.integers(0, [len(by_condition[c]) for c in conds])
+            picks = sorted(by_condition[c][d] for c, d in zip(conds, draws.tolist()))
+            assert table.condition_indices.tolist() == conds
+            assert list(zip(table.observers.tolist(), table.scores.tolist())) == [
+                rows[k][1:] for k in picks]
         assert replicate.labels is problem.labels and replicate._pattern is problem._pattern
         assert coll.graph.c_ij.tolist() == c_ij  # the source is unchanged
 
