@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -89,10 +90,26 @@ def preference_probability(q_i, q_j):
     return ndtr(z)
 
 
-def _log_binomial(pairs) -> float:
-    """Sum of the log binomial coefficients; constant in q."""
+# The largest pair total whose log-factorials are tabulated (8 MB of table).
+_MAX_TABULATED = 1 << 20
+
+
+def _log_factorials(pairs) -> np.ndarray | None:
+    """log k! for k = 0 ... the largest pair total, or None if that is above
+    ``_MAX_TABULATED``."""
     _, _, cij, cji = pairs
-    return float(np.sum(gammaln(cij + cji + 1.0) - gammaln(cij + 1.0) - gammaln(cji + 1.0)))
+    largest = int(np.max(cij + cji, initial=0))
+    return gammaln(np.arange(largest + 1) + 1.0) if largest <= _MAX_TABULATED else None
+
+
+def _log_binomial(pairs, log_factorial: np.ndarray | None) -> float:
+    """Sum of the log binomial coefficients; constant in q. Looked up in
+    ``log_factorial`` (see ``_log_factorials``) when there is one, which
+    gives the same bits as ``gammaln``."""
+    _, _, cij, cji = pairs
+    if log_factorial is None:
+        return float(np.sum(gammaln(cij + cji + 1.0) - gammaln(cij + 1.0) - gammaln(cji + 1.0)))
+    return float(np.sum(log_factorial[cij + cji] - log_factorial[cij] - log_factorial[cji]))
 
 
 def _log_ndtr_pair(z: np.ndarray):
@@ -196,7 +213,7 @@ def pwc_log_likelihood(graph: ComparisonGraph, q) -> float:
     if q.shape != (graph.n,):
         raise IntegrityError(f"q must have one entry per condition ({graph.n})")
     pairs = graph.pair_arrays()
-    return _log_binomial(pairs) + _pair_term(pairs, q)[0]
+    return _log_binomial(pairs, _log_factorials(pairs)) + _pair_term(pairs, q)[0]
 
 
 def rating_log_likelihood(ratings: RatingTable, q, link: LinkParams) -> float:
@@ -280,9 +297,10 @@ class PosteriorProblem:
     lists the conditions measured against a in increasing order, and
     ``data`` holds each slot's pair index), the components, and each rated
     table with its rows sorted by (condition, observer, score) and its
-    per-condition row counts and start offsets. The scale therefore does
-    not depend on the row order of the rating files. Replicates share all
-    of these layouts.
+    per-condition row counts and start offsets, and a table of log k! up
+    to the largest pair total for the binomial coefficients. The scale
+    therefore does not depend on the row order of the rating files.
+    Replicates share all of these layouts.
     """
 
     def __init__(self, collection: DatasetCollection, prior_enabled: bool = True):
@@ -293,7 +311,8 @@ class PosteriorProblem:
         self.labels = connected_components(collection)
         self.sizes = np.bincount(self.labels)
         self._pairs = collection.graph.pair_arrays()
-        self._log_coef = _log_binomial(self._pairs)
+        self._log_factorial = _log_factorials(self._pairs)
+        self._log_coef = _log_binomial(self._pairs, self._log_factorial)
         # rows (j, i) then (i, j): the CSR conversion keeps each row's entries
         # in input order, which already increases by column
         i, j = (col.astype(np.int32) for col in self._pairs[:2])
@@ -327,7 +346,7 @@ class PosteriorProblem:
         new_c_ij = rng.binomial(total, c_ij / total)
         replicate = copy.copy(self)
         replicate._pairs = (i, j, new_c_ij, total - new_c_ij)
-        replicate._log_coef = _log_binomial(replicate._pairs)
+        replicate._log_coef = _log_binomial(replicate._pairs, self._log_factorial)
         replicate.tables = []
         for table, counts, starts in zip(self.tables, self._counts, self._starts):
             idx = table.condition_indices
@@ -449,25 +468,26 @@ _MAX_HALVINGS = 30
 # Relative change of the log-posterior below which it counts as unchanged in
 # floating point; a step is then judged by max|grad| instead.
 _FLAT = 64 * np.finfo(float).eps
+# The CG forcing term: the Newton system is solved to this relative residual.
+_FORCING = 1e-3
 
 
-def _newton_direction(
-    problem: PosteriorProblem, curvature: Curvature, grad: np.ndarray, first_norm: float
-):
+def _newton_direction(problem: PosteriorProblem, curvature: Curvature, grad: np.ndarray):
     """Truncated Jacobi-preconditioned CG on the Newton system -H p = grad.
 
-    CG stops once the residual is below eta |grad|, with the forcing term
-    eta = min(0.5, sqrt(|grad| / first_norm)) relative to the gradient norm
-    at the start of the solve, so the steps turn superlinear whatever the
-    scale of the log-posterior (Eisenstat and Walker 1996). On negative
+    CG stops once the residual is below eta |grad|, with a fixed forcing
+    term eta = 1e-3 (Eisenstat and Walker 1996), so each step is close to
+    the full Newton step from the first iteration on, a warm start
+    included. A Hessian-vector product reuses the kernel's curvature and
+    costs a small fraction of a kernel call, so solving the system closely is
+    cheaper than the extra iterations a loose one costs. On negative
     curvature the iterate so far is returned (Steihaug), or the
     preconditioned gradient on the first iteration.
     """
     diag = -problem.hess_diag(curvature)
     precond = np.ones_like(diag)
     np.divide(1.0, diag, out=precond, where=diag > 0)
-    grad_norm = float(np.linalg.norm(grad))
-    stop = min(0.5, math.sqrt(grad_norm / first_norm)) * grad_norm
+    stop = _FORCING * float(np.linalg.norm(grad))
     step = np.zeros_like(grad)
     residual = grad.copy()
     z = precond * residual
@@ -493,7 +513,8 @@ def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
     """Line-search Newton-CG maximization of the log-posterior from x.
 
     Each iteration solves the Newton system on the curvature cached by the
-    last kernel evaluation, then backtracks from the full step until the
+    last kernel evaluation, to the relative residual of
+    ``_newton_direction``, then backtracks from the full step until the
     Armijo condition holds. Where the log-posterior no longer changes in
     floating point, a step that lowers max|grad| is accepted instead, so the
     absolute gradient tolerance stays reachable at large |f|. Converged means
@@ -503,9 +524,6 @@ def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
     as converged. Returns (x, value, converged, iterations).
     """
     value, grad, curvature = problem.value_and_grad(x)
-    # a zero first gradient never changes (the solve stays put), so any
-    # positive norm serves
-    first_norm = float(np.linalg.norm(grad)) or 1.0
     iterations = 0
     inside = False
     while True:
@@ -516,7 +534,7 @@ def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
         if iterations >= max_iter:
             return x, value, False, iterations
         iterations += 1
-        step = _newton_direction(problem, curvature, grad, first_norm)
+        step = _newton_direction(problem, curvature, grad)
         gain = float(grad @ step)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -603,6 +621,48 @@ def scale(
     return _fit(problem, collection.conditions, start, tol, max_iter)
 
 
+# The bootstrap that ``_replicate`` draws from in this process: the full
+# data's problem, its conditions, the seed, the start scale, tol and max_iter.
+_job = None
+
+
+def _set_job(job) -> None:
+    global _job
+    _job = job
+
+
+def _replicate(index: int) -> np.ndarray | None:
+    """The scores of replicate ``index`` of the current job, or None if it
+    failed: its ratings of some dataset never differ within a condition, or
+    its solve does not converge."""
+    problem, conditions, seed, start, tol, max_iter = _job
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007, index)))
+    replicate = problem.resampled(rng)
+    try:
+        _check_rating_spread(replicate)
+    except DegenerateDataError:
+        return None
+    result = _fit(replicate, conditions, start, tol, max_iter)
+    return result.q if result.converged else None
+
+
+def _workers(n_boot: int) -> int:
+    """How many processes run ``n_boot`` replicates: one per CPU this
+    process may run on, at most one per replicate. 1, the replicates run in
+    this process, with one CPU, without a ``fork`` start method, or in a
+    daemonic process, which may not have children."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(n_boot, cpus or 1)
+    if workers == 1:
+        return 1
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return workers
+
+
 def bootstrap_ci(
     collection: DatasetCollection,
     n_boot: int,
@@ -624,9 +684,15 @@ def bootstrap_ci(
     the full data's problem from ``start`` (say, the full-data scale) or
     from the default guess. A replicate whose ratings in some dataset never
     differ within a condition, or whose solve does not converge, counts as
-    failed; more than 50% failures is an error. Deterministic for a given
-    seed. Returns an (n, 2) array of (low, high) bounds at the 100*alpha/2 and
-    100*(1 - alpha/2) percentiles, where 0 < alpha < 1.
+    failed; more than 50% failures is an error. The replicates run on a
+    pool of forked worker processes, one per available CPU (see
+    ``_workers``), each on a contiguous run of replicate indices; every
+    worker has exited when this returns or raises, and an exception raised
+    in a replicate reaches the caller with its own type. Each replicate
+    draws from its own seed, so the intervals are deterministic for a given
+    seed whatever the number of workers. Returns an (n, 2) array of (low,
+    high) bounds at the 100*alpha/2 and 100*(1 - alpha/2) percentiles, where
+    0 < alpha < 1.
     """
     if n_boot < 1:
         raise IntegrityError(f"n_boot must be at least 1, got {n_boot}")
@@ -634,17 +700,23 @@ def bootstrap_ci(
         raise IntegrityError(f"alpha must lie in (0, 1), got {alpha}")
     problem = _checked_problem(collection, prior_enabled, per_component, start)
 
-    samples = []
-    for index in range(n_boot):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007, index)))
-        replicate = problem.resampled(rng)
+    job = (problem, collection.conditions, seed, start, tol, max_iter)
+    workers = _workers(n_boot)
+    if workers == 1:
+        _set_job(job)
         try:
-            _check_rating_spread(replicate)
-        except DegenerateDataError:
-            continue
-        result = _fit(replicate, collection.conditions, start, tol, max_iter)
-        if result.converged:
-            samples.append(result.q)
+            results = list(map(_replicate, range(n_boot)))
+        finally:
+            _set_job(None)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork hands the job to the workers without pickling it
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_set_job, initargs=(job,)) as pool:
+            results = list(pool.map(_replicate, range(n_boot), chunksize=-(-n_boot // workers)))
+    samples = [q for q in results if q is not None]
     failures = n_boot - len(samples)
     if failures > n_boot / 2:
         raise DegenerateDataError(

@@ -262,6 +262,20 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
 
+    def test_importing_the_cli_leaves_the_process_pool_unloaded(self):
+        """Only ``bootstrap_ci`` uses the process pool, so importing the
+        CLI never pays for loading ``multiprocessing``."""
+        package_root = str(Path(jodscale.__file__).resolve().parents[1])
+        child = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {package_root!r})",
+            "import jodscale.cli",
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))",
+        ])
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_bench_tracer_wraps_every_span_its_layer_metrics_need(self):
         """``bench/run.py`` wraps program functions by module and name; a
         name moved away from where it looks makes the per-layer metrics that

@@ -22,6 +22,7 @@ of its conditions.
 import csv
 import json
 import math
+import multiprocessing
 import tempfile
 import warnings
 from collections import deque
@@ -554,6 +555,30 @@ def test_warm_started_per_component_bootstrap_matches_cold(seed):
         cold = bootstrap_ci(collection, 4, seed=seed, **options)
         warm = bootstrap_ci(collection, 4, seed=seed, start=full, **options)
     np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-6)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cross=st.booleans())
+def test_pooled_bootstrap_equals_the_in_process_one(seed, cross):
+    """Three workers or none: every replicate draws from its own seed, so
+    the intervals, or the error, are the same bit for bit."""
+    collection, _ = _observer_collection(seed, cross)
+
+    def outcome(workers):
+        with mock.patch.object(scaling, "_workers", lambda n_boot: workers), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "NOT comparable" across components
+            try:
+                return bootstrap_ci(collection, 10, seed=seed, per_component=not cross)
+            except JodscaleError as exc:
+                return type(exc), str(exc)
+
+    pooled, in_process = outcome(3), outcome(1)
+    assert multiprocessing.active_children() == []
+    if isinstance(in_process, np.ndarray):
+        assert np.array_equal(pooled, in_process)
+    else:
+        assert pooled == in_process
 
 
 def _outcome(collection, **options):

@@ -1,18 +1,22 @@
 import dataclasses
 import importlib.util
 import math
+import multiprocessing
+import os
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.special import ndtr
+from scipy.special import gammaln, ndtr
 from scipy.stats import binom, norm
 
 from jodscale import connected_components, scaling
 from jodscale.cli import main
 from jodscale.errors import (
+    ConvergenceError,
     DegenerateDataError,
     DisconnectedGraphError,
     IntegrityError,
@@ -86,6 +90,25 @@ class TestPwcLogLikelihood:
         graph = graph_of(2, {(0, 1): 1})
         with pytest.raises(IntegrityError):
             pwc_log_likelihood(graph, [np.nan, 0.0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_log_factorial_table_matches_gammaln_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 2000))
+        total = rng.integers(0, [1, 40, 3000][seed % 3] + 1, size)
+        c_ij = rng.binomial(total, rng.uniform(0.0, 1.0, size))
+        pairs = (None, None, c_ij, total - c_ij)
+        table = scaling._log_factorials(pairs)
+        assert table.size == total.max() + 1
+        assert scaling._log_binomial(pairs, table) == scaling._log_binomial(pairs, None)
+        assert np.array_equal(table[total], gammaln(total + 1.0))
+
+    def test_a_total_too_large_to_tabulate_uses_gammaln(self):
+        pairs = (None, None, np.array([3, 2**21]), np.array([4, 1]))
+        assert scaling._log_factorials(pairs) is None
+        graph = graph_of(2, {(0, 1): 2**21, (1, 0): 1})
+        assert pwc_log_likelihood(graph, [0.0, 0.0]) == pytest.approx(
+            float(binom.logpmf(1, 2**21 + 1, 0.5)), rel=1e-12)
 
 
 class TestRatingLogLikelihood:
@@ -607,6 +630,8 @@ class TestBootstrap:
         if per_component:
             coll = _within_datasets(coll)
         full = scale(coll, per_component=per_component)
+        # replicates run in this process, where the calls are counted
+        monkeypatch.setattr(scaling, "_workers", lambda n_boot: 1)
         calls = []
         kernel = PosteriorProblem.value_and_grad
         monkeypatch.setattr(PosteriorProblem, "value_and_grad",
@@ -654,6 +679,7 @@ class TestBootstrap:
             return outcomes[-1]
 
         monkeypatch.setattr(scaling, "_solve", recorded)
+        monkeypatch.setattr(scaling, "_workers", lambda n_boot: 1)  # record in this process
         intervals = bootstrap_ci(coll, 10, seed=1, per_component=per_component)
         assert [converged for _, _, converged, _ in outcomes] == [True] * 10
         assert intervals.shape == (7, 2) and np.all(np.isfinite(intervals))
@@ -670,3 +696,54 @@ class TestBootstrap:
     def test_n_boot_validation(self, two_condition_collection):
         with pytest.raises(IntegrityError):
             bootstrap_ci(two_condition_collection, 0)
+
+
+class TestBootstrapPool:
+    """Three workers, whatever the CPU count, so that the 20 replicates
+    split unevenly (7, 7 and 6) over a real pool."""
+
+    @pytest.mark.filterwarnings("ignore:scaling .* disconnected components")
+    @pytest.mark.parametrize("per_component", [False, True])
+    def test_pooled_intervals_equal_the_in_process_ones(self, monkeypatch, per_component):
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=60, seed=7))
+        if per_component:
+            coll = _within_datasets(coll)
+        full = scale(coll, per_component=per_component)
+
+        def intervals(workers):
+            monkeypatch.setattr(scaling, "_workers", lambda n_boot: workers)
+            return bootstrap_ci(coll, 20, seed=5, per_component=per_component, start=full)
+
+        assert np.array_equal(intervals(3), intervals(1))
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_is_left_after_too_many_failures(self, monkeypatch):
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
+        monkeypatch.setattr(scaling, "_workers", lambda n_boot: 3)
+        with pytest.raises(DegenerateDataError, match="4 of 4"):
+            bootstrap_ci(coll, 4, seed=0, max_iter=1)
+        assert multiprocessing.active_children() == []
+
+    def test_a_replicates_exception_keeps_its_type(self, monkeypatch):
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
+
+        def fails(problem, *args):
+            raise ConvergenceError(f"{problem.n} conditions in process {os.getpid()}")
+
+        monkeypatch.setattr(scaling, "_workers", lambda n_boot: 3)
+        monkeypatch.setattr(scaling, "_fit", fails)
+        with pytest.raises(ConvergenceError, match="20 conditions in process") as raised:
+            bootstrap_ci(coll, 6, seed=0)
+        assert not str(raised.value).endswith(f" {os.getpid()}")  # raised in a worker
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_per_cpu_and_replicate(self, monkeypatch):
+        monkeypatch.setattr(scaling.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [scaling._workers(n) for n in (1, 2, 3, 20)] == [1, 2, 3, 3]
+        with monkeypatch.context() as patch:
+            patch.setattr(multiprocessing, "current_process",
+                          lambda: types.SimpleNamespace(daemon=True))
+            assert scaling._workers(20) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert scaling._workers(20) == 1
