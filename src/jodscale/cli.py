@@ -33,7 +33,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -156,8 +155,7 @@ def _cmd_scale(args, out: Path) -> None:
         per_component=args.per_component,
     )
     if args.strict and not result.converged:
-        unlinked = sorted(name for name, table in collection.ratings.items()
-                          if len(table) and name not in result.links)
+        unlinked = [name for name in result.problem.rating_names if name not in result.links]
         raise ConvergenceError(
             f"rating datasets {unlinked} have no link: their fitted slope is 0" if unlinked
             else f"optimizer did not reach tolerance {args.tol} within {args.max_iter} iterations"
@@ -165,20 +163,7 @@ def _cmd_scale(args, out: Path) -> None:
     row_format = "{},{:.6f},,\n"
     columns = [[cond.key for cond in result.conditions], result.q.tolist()]
     if args.bootstrap > 0:
-        with warnings.catch_warnings():
-            # ``scale`` has already warned that it scaled components independently
-            warnings.filterwarnings("ignore", "scaling .* disconnected components")
-            intervals = bootstrap_ci(
-                collection,
-                args.bootstrap,
-                seed=args.seed,
-                alpha=args.alpha,
-                prior_enabled=args.prior,
-                tol=args.tol,
-                max_iter=args.max_iter,
-                per_component=args.per_component,
-                start=result,
-            )
+        intervals = bootstrap_ci(result, args.bootstrap, seed=args.seed, alpha=args.alpha)
         row_format = "{},{:.6f},{:.6f},{:.6f}\n"
         columns += [intervals[:, 0].tolist(), intervals[:, 1].tolist()]
     _write_csv(out / "scale.csv", "condition,jod,ci_low,ci_high", row_format, *columns)

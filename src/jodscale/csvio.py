@@ -1,12 +1,14 @@
 """The one CSV dialect of every file jodscale reads or writes.
 
-Files are UTF-8 text. Fields are separated by commas, and the first row is
-a header. Columns are found by header name, in any order, and extra columns
-are ignored. Fields may be quoted (``"``, with ``""`` for a quote inside
-one), lines may end in LF or CRLF, and blank lines are skipped. There are no
-comment lines. Bytes that are not valid UTF-8, a missing column, a row too
-short for the columns read, a field longer than ``csv.field_size_limit()``
-or a cell its column's parser rejects is a parse error.
+Files are UTF-8 text; a byte order mark at the start is skipped. Fields are
+separated by commas, and the first row is a header. Columns are found by
+header name, in any order, and extra columns are ignored. Fields may be
+quoted (``"``, with ``""`` for a quote inside one), lines may end in LF,
+CRLF or a lone CR, mixed within a file, and blank lines are skipped. There
+are no comment lines. Bytes that are not valid UTF-8, a missing column, a
+row too short for the columns read, a field longer than
+``csv.field_size_limit()`` or a cell its column's parser rejects is a parse
+error.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def _read_csv(path: Path, parsers: Mapping[str, Callable]) -> list:
     in blocks of whole lines of about ``_BLOCK_CHARS`` characters, so the
     text of a large file is never held at once."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     chunks = []

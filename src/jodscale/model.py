@@ -344,6 +344,8 @@ def load_collection(manifest_path) -> DatasetCollection:
         raise ParseError(f"manifest {manifest_path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"manifest {manifest_path} is nested too deeply to parse") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("datasets"), list):
         raise ParseError(f"manifest {manifest_path} must be an object with a 'datasets' list")
 
@@ -372,8 +374,10 @@ def load_collection(manifest_path) -> DatasetCollection:
                 warnings.warn(f"dataset {name!r}: ignoring unknown display field {key!r}",
                               stacklevel=2)
             try:
-                displays[name] = DisplayModel(float(dd["L_peak"]), float(dd["L_black"]),
-                                              float(dd.get("gamma", 2.2)))
+                values = [dd["L_peak"], dd["L_black"], dd.get("gamma", 2.2)]
+                if any(isinstance(value, bool) for value in values):
+                    raise TypeError("true and false are not numbers")
+                displays[name] = DisplayModel(*map(float, values))
             except KeyError as exc:
                 raise ParseError(f"dataset {name!r}: display needs L_peak and L_black") from exc
             except (TypeError, ValueError) as exc:

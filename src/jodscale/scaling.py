@@ -31,7 +31,7 @@ import copy
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph, csr_matrix
@@ -72,7 +72,10 @@ class LinkParams:
 class UnifiedScale:
     """Result of a joint scaling run: ``log_posterior`` is the maximized
     function at ``q`` and ``links``; ``iterations`` counts the Newton
-    iterations of the one solve, for all components together."""
+    iterations of the one solve, for all components together. ``tol`` and
+    ``max_iter`` are the solve's, and ``problem`` is the checked posterior
+    it solved, which ``bootstrap_ci`` resamples; it takes no part in
+    comparisons or the repr."""
 
     q: np.ndarray
     links: dict[str, LinkParams]
@@ -80,6 +83,9 @@ class UnifiedScale:
     converged: bool
     iterations: int
     conditions: tuple[ConditionId, ...]
+    tol: float
+    max_iter: int
+    problem: PosteriorProblem = field(compare=False, repr=False)
 
 
 def preference_probability(q_i, q_j):
@@ -553,13 +559,41 @@ def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
         value, grad, curvature = trial
 
 
-def _checked_problem(collection: DatasetCollection, prior_enabled: bool, per_component: bool,
-                     start: UnifiedScale | None) -> PosteriorProblem:
-    """The posterior of ``collection``, once its start scale, rating
-    spread, components and anchors pass: every dataset needs a reference
-    condition in each component it is in."""
-    if start is not None and start.conditions != collection.conditions:
-        raise IntegrityError("the start scale is of other conditions than the collection")
+def _fit(problem: PosteriorProblem, conditions: tuple[ConditionId, ...],
+         start: UnifiedScale | None, tol: float, max_iter: int) -> UnifiedScale:
+    """Solve ``problem`` from the scores of ``start``, or from its initial
+    point without one. Converged also needs a link for every rated dataset."""
+    x0 = problem.initial_point() if start is None else start.q[problem.free_idx]
+    x, value, converged, iterations = _solve(problem, x0, tol, max_iter)
+    q, links = problem.unpack(x)
+    converged = converged and len(links) == len(problem.rating_names)
+    return UnifiedScale(q, links, float(value), converged, iterations, conditions, tol, max_iter,
+                        problem)
+
+
+def scale(
+    collection: DatasetCollection,
+    *,
+    prior_enabled: bool = True,
+    tol: float = 1e-6,
+    max_iter: int = 2000,
+    per_component: bool = False,
+) -> UnifiedScale:
+    """Recover JOD scores and link parameters by maximum likelihood.
+
+    The comparison graph together with the rating linkage must form a single
+    connected component containing at least one reference condition per
+    dataset; pass ``per_component=True`` to scale disconnected components
+    independently (their scores are then mutually incomparable). Every
+    dataset needs a reference condition in each component it is in, and
+    every rated dataset some rating spread within a condition. There is one
+    solve either way: the score prior is centred on each component's own
+    mean, so the per-component solves run in lock-step, under one line
+    search and one iteration count. A rated dataset whose fitted slope ends
+    at 0 has no entry in ``links``, and the scale is then not converged.
+    The result carries the checked problem it solved, ready for
+    ``bootstrap_ci``.
+    """
     problem = PosteriorProblem(collection, prior_enabled)
     _check_rating_spread(problem)
     if (sizes := problem.sizes).size > 1:
@@ -571,7 +605,7 @@ def _checked_problem(collection: DatasetCollection, prior_enabled: bool, per_com
         warnings.warn(
             f"scaling {sizes.size} disconnected components independently; "
             "scores are NOT comparable across components",
-            stacklevel=3,
+            stacklevel=2,
         )
     conditions = collection.conditions
     parts = list(zip([c.dataset for c in conditions], problem.labels.tolist()))
@@ -579,50 +613,11 @@ def _checked_problem(collection: DatasetCollection, prior_enabled: bool, per_com
     if unanchored := sorted(set(parts) - anchors):
         name = unanchored[0][0]
         raise IntegrityError(f"dataset {name!r} has no reference condition to anchor it")
-    return problem
+    return _fit(problem, conditions, None, tol, max_iter)
 
 
-def _fit(problem: PosteriorProblem, conditions: tuple[ConditionId, ...],
-         start: UnifiedScale | None, tol: float, max_iter: int) -> UnifiedScale:
-    """Solve ``problem`` from the scores of ``start``, or from its initial
-    point without one. Converged also needs a link for every rated dataset."""
-    x0 = problem.initial_point() if start is None else start.q[problem.free_idx]
-    x, value, converged, iterations = _solve(problem, x0, tol, max_iter)
-    q, links = problem.unpack(x)
-    converged = converged and len(links) == len(problem.rating_names)
-    return UnifiedScale(q, links, float(value), converged, iterations, conditions)
-
-
-def scale(
-    collection: DatasetCollection,
-    *,
-    prior_enabled: bool = True,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
-    per_component: bool = False,
-    start: UnifiedScale | None = None,
-) -> UnifiedScale:
-    """Recover JOD scores and link parameters by maximum likelihood.
-
-    The comparison graph together with the rating linkage must form a single
-    connected component containing at least one reference condition per
-    dataset; pass ``per_component=True`` to scale disconnected components
-    independently (their scores are then mutually incomparable). There is
-    one solve either way: the score prior is centred on each component's
-    own mean, so the per-component solves run in lock-step, under one line
-    search and one iteration count. ``start``, a scale of the same
-    conditions (for instance the full-data scale when solving a bootstrap
-    replicate), supplies the scores the solver starts from; its links are
-    not used, since the solver fits them in closed form. A rated dataset
-    whose fitted slope ends at 0 has no entry in ``links``, and the scale
-    is then not converged.
-    """
-    problem = _checked_problem(collection, prior_enabled, per_component, start)
-    return _fit(problem, collection.conditions, start, tol, max_iter)
-
-
-# The bootstrap that ``_replicate`` draws from in this process: the full
-# data's problem, its conditions, the seed, the start scale, tol and max_iter.
+# The bootstrap that ``_replicate`` draws from in this process: the
+# full-data scale and the seed.
 _job = None
 
 
@@ -635,14 +630,14 @@ def _replicate(index: int) -> np.ndarray | None:
     """The scores of replicate ``index`` of the current job, or None if it
     failed: its ratings of some dataset never differ within a condition, or
     its solve does not converge."""
-    problem, conditions, seed, start, tol, max_iter = _job
+    fit, seed = _job
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007, index)))
-    replicate = problem.resampled(rng)
+    replicate = fit.problem.resampled(rng)
     try:
         _check_rating_spread(replicate)
     except DegenerateDataError:
         return None
-    result = _fit(replicate, conditions, start, tol, max_iter)
+    result = _fit(replicate, fit.conditions, fit, fit.tol, fit.max_iter)
     return result.q if result.converged else None
 
 
@@ -663,29 +658,20 @@ def _workers(n_boot: int) -> int:
     return workers
 
 
-def bootstrap_ci(
-    collection: DatasetCollection,
-    n_boot: int,
-    seed: int = 0,
-    *,
-    alpha: float = 0.05,
-    prior_enabled: bool = True,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
-    per_component: bool = False,
-    start: UnifiedScale | None = None,
-) -> np.ndarray:
-    """Percentile bootstrap intervals for the JOD score of every condition.
+def bootstrap_ci(fit: UnifiedScale, n_boot: int, seed: int = 0, *,
+                 alpha: float = 0.05) -> np.ndarray:
+    """Percentile bootstrap intervals for the JOD score of every condition
+    of the scale ``fit`` that ``scale`` returned.
 
-    The collection is checked as ``scale`` checks it. A replicate draws
-    every pair's count binomially, keeping its total, and replaces every
-    rating row by a row of the same condition drawn with replacement, so it
-    keeps the collection's pairs, components and anchors; it is solved on
-    the full data's problem from ``start`` (say, the full-data scale) or
-    from the default guess. A replicate whose ratings in some dataset never
-    differ within a condition, or whose solve does not converge, counts as
-    failed; more than 50% failures is an error. The replicates run on a
-    pool of forked worker processes, one per available CPU (see
+    The bootstrap resamples the problem ``scale`` checked and solved. A
+    replicate draws every pair's count binomially, keeping its total, and
+    replaces every rating row by a row of the same condition drawn with
+    replacement, so it keeps the collection's pairs, components and anchors;
+    it is solved with the prior, ``tol`` and ``max_iter`` of ``fit``,
+    starting from its scores. A replicate whose ratings in some dataset
+    never differ within a condition, or whose solve does not converge,
+    counts as failed; more than 50% failures is an error. The replicates
+    run on a pool of forked worker processes, one per available CPU (see
     ``_workers``), each on a contiguous run of replicate indices; every
     worker has exited when this returns or raises, and an exception raised
     in a replicate reaches the caller with its own type. Each replicate
@@ -698,9 +684,8 @@ def bootstrap_ci(
         raise IntegrityError(f"n_boot must be at least 1, got {n_boot}")
     if not 0.0 < alpha < 1.0:
         raise IntegrityError(f"alpha must lie in (0, 1), got {alpha}")
-    problem = _checked_problem(collection, prior_enabled, per_component, start)
 
-    job = (problem, collection.conditions, seed, start, tol, max_iter)
+    job = (fit, seed)
     workers = _workers(n_boot)
     if workers == 1:
         _set_job(job)

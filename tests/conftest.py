@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from jodscale import scaling
 from jodscale.model import (
     ComparisonGraph,
     ConditionId,
@@ -31,6 +33,15 @@ def pattern_of(graph):
     conditions, all unrated, make up one dataset."""
     conditions = [ConditionId("d", f"c{k}", "d", 1) for k in range(graph.n)]
     return PosteriorProblem(DatasetCollection(conditions, graph))._pattern
+
+
+def cold_replicates():
+    """A patch of ``scaling._fit`` that drops its start, so that every
+    bootstrap replicate is solved from its default point: the reference a
+    warm start is compared with."""
+    fit = scaling._fit
+    return mock.patch.object(scaling, "_fit", lambda problem, conditions, start, *rest:
+                             fit(problem, conditions, None, *rest))
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import jodscale
+from jodscale import scaling
 from jodscale.cli import main
 from jodscale.csvio import _CHUNK_ROWS, _write_csv
 
@@ -97,8 +98,9 @@ class TestScaleCommand:
             assert low <= high
 
     def test_per_component_warning_once_per_run(self, tmp_path, monkeypatch):
-        """``scale`` and ``bootstrap_ci`` each check the components; the run
-        warns once that it scales them independently."""
+        """``scale`` checks the components once and ``bootstrap_ci``
+        resamples its problem; the run warns once that it scales them
+        independently."""
         self._two_components(tmp_path / "two")
         monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
@@ -108,6 +110,20 @@ class TestScaleCommand:
         assert [str(w.message) for w in caught] == [
             "scaling 2 disconnected components independently; "
             "scores are NOT comparable across components"]
+
+    def test_a_bootstrap_run_builds_one_posterior_problem(self, tmp_path, monkeypatch):
+        """``bootstrap_ci`` resamples the problem that ``scale`` checked and
+        solved instead of building and checking its own."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--out", "sim", "--conditions", "20", "--seed", "3"]) == 0
+        built = []
+        init = scaling.PosteriorProblem.__init__
+        monkeypatch.setattr(scaling.PosteriorProblem, "__init__",
+                            lambda problem, *args: built.append(1) or init(problem, *args))
+        monkeypatch.setattr(scaling, "_workers", lambda n_boot: 1)
+        assert main(["scale", "--manifest", "sim/manifest.json", "--out", "out",
+                     "--bootstrap", "3"]) == 0
+        assert len(built) == 1
 
     def test_integrity_error_exit_code(self, tmp_path, monkeypatch):
         write_two_condition_fixture(tmp_path / "fx")

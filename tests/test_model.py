@@ -223,6 +223,21 @@ class TestLoadCollection:
         assert len(coll.ratings["rd"]) == 3
         assert connected_components(coll).tolist() == [0, 0, 0]
 
+    def test_byte_order_marks_and_line_ends(self, tmp_path):
+        """Each CSV may start with a UTF-8 byte order mark, and its lines may
+        end in LF, CRLF or a lone CR, mixed within one file."""
+        path = write_two_condition_fixture(tmp_path / "bom")
+        expected = load_collection(path)
+        for name in ("conditions.csv", "comparisons.csv"):
+            csv_path = path.parent / name
+            lines = csv_path.read_text(encoding="utf-8").splitlines()
+            ends = ["\r", "\r\n", "\n"] * len(lines)
+            csv_path.write_bytes(("\ufeff" + "".join(
+                line + end for line, end in zip(lines, ends))).encode("utf-8"))
+        coll = load_collection(path)
+        assert coll.conditions == expected.conditions
+        assert coll.graph == expected.graph
+
     def test_unknown_condition_is_integrity_error(self, tmp_path):
         path = write_two_condition_fixture(tmp_path / "bad")
         comp = path.parent / "comparisons.csv"
@@ -474,6 +489,27 @@ class TestManifestChecks:
         monkeypatch.chdir(tmp_path)
         assert main(["scale", "--manifest", "disp/manifest.json", "--out", "out"]) == 2
         assert "display" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("display", [
+        '{"L_peak": true, "L_black": 0.5}',
+        '{"L_peak": 100.0, "L_black": false}',
+        '{"L_peak": 100.0, "L_black": 0.5, "gamma": true}',
+    ])
+    def test_a_json_bool_in_the_display_is_a_parse_error(self, tmp_path, display):
+        """JSON true and false read as Python bools, which ``float`` takes as 1 and 0."""
+        path = _study(tmp_path / "bool", [{**_RATED, "display": "DISPLAY"}], _RATED_FILES)
+        path.write_text(path.read_text().replace('"DISPLAY"', display))
+        with pytest.raises(ParseError, match="dataset 'rd': display values must be numbers"):
+            load_collection(path)
+
+    def test_a_deeply_nested_manifest_is_a_parse_error(self, tmp_path, monkeypatch, capsys):
+        path = _study(tmp_path / "deep", [_RATED], _RATED_FILES)
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_collection(path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["scale", "--manifest", "deep/manifest.json", "--out", "out"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     @pytest.mark.parametrize("datasets", ["5", "null", '"rd"', "{}"])
     def test_datasets_not_a_list_is_a_data_error(self, tmp_path, monkeypatch, capsys, datasets):

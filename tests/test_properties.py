@@ -56,7 +56,7 @@ from jodscale.scaling import (
 )
 from jodscale.simulate import RecoveryConfig, synthesize_collection
 
-from conftest import pattern_of
+from conftest import cold_replicates, pattern_of
 
 _HEADER = "cond_a,cond_b,count_a_over_b"
 
@@ -491,12 +491,12 @@ def test_warm_start_reaches_the_cold_maximum(seed):
     assume(cold.converged)
     # a start supplies scores only: the solver fits the links itself
     perturbed = replace(cold, q=cold.q + rng.normal(0.0, 0.5, cold.q.size), links={})
-    warm = scale(collection, tol=1e-10, start=perturbed)
+    warm = scaling._fit(cold.problem, collection.conditions, perturbed, 1e-10, 2000)
     assert warm.converged
     _assert_same_scale(warm, cold, atol=1e-6)
 
     at_maximum = scale(collection)
-    again = scale(collection, start=at_maximum)
+    again = scaling._fit(at_maximum.problem, collection.conditions, at_maximum, 1e-6, 2000)
     assert again.converged and again.iterations == 0
     _assert_same_scale(again, at_maximum, atol=1e-12)
 
@@ -531,29 +531,16 @@ def test_contradicting_ratings_end_on_the_boundary(tmp_path, capsys, seed, cross
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), other_seed=st.integers(0, 2**32 - 1))
-def test_start_of_other_conditions_is_rejected(seed, other_seed):
-    collection, _ = _observer_collection(seed)
-    other, _ = _observer_collection(other_seed)
-    assume(other.conditions != collection.conditions)
-    with pytest.raises(IntegrityError, match="start"):
-        scale(collection, start=scale(other))
-    own = scale(collection)
-    with pytest.raises(IntegrityError, match="start"):
-        scale(collection, start=replace(own, conditions=own.conditions[::-1]))
-
-
-@settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_warm_started_per_component_bootstrap_matches_cold(seed):
     collection, _ = _observer_collection(seed, cross=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "NOT comparable" across components
         full = scale(collection, per_component=True, tol=1e-10)
-        assume(full.converged)
-        options = {"per_component": True, "tol": 1e-10}
-        cold = bootstrap_ci(collection, 4, seed=seed, **options)
-        warm = bootstrap_ci(collection, 4, seed=seed, start=full, **options)
+    assume(full.converged)
+    with cold_replicates():
+        cold = bootstrap_ci(full, 4, seed=seed)
+    warm = bootstrap_ci(full, 4, seed=seed)
     np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-6)
 
 
@@ -563,13 +550,13 @@ def test_pooled_bootstrap_equals_the_in_process_one(seed, cross):
     """Three workers or none: every replicate draws from its own seed, so
     the intervals, or the error, are the same bit for bit."""
     collection, _ = _observer_collection(seed, cross)
+    full = _outcome(collection, per_component=not cross)
+    assume(isinstance(full, UnifiedScale))
 
     def outcome(workers):
-        with mock.patch.object(scaling, "_workers", lambda n_boot: workers), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "NOT comparable" across components
+        with mock.patch.object(scaling, "_workers", lambda n_boot: workers):
             try:
-                return bootstrap_ci(collection, 10, seed=seed, per_component=not cross)
+                return bootstrap_ci(full, 10, seed=seed)
             except JodscaleError as exc:
                 return type(exc), str(exc)
 
@@ -658,16 +645,15 @@ def test_replicate_scales_as_its_rebuilt_collection(seed, kind, cross, per_compo
     full = _outcome(collection, **options)
     assume(isinstance(full, UnifiedScale))
     start = full if warm else None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "NOT comparable" across components
-        problem = scaling._checked_problem(collection, prior, per_component, start)
-    replicate = _replicate(problem, seed)
-    expected = _outcome(_rebuilt(collection, replicate), start=start, **options)
+    replicate = _replicate(full.problem, seed)
+    expected = _outcome(_rebuilt(collection, replicate), **options)
     try:
         scaling._check_rating_spread(replicate)
     except DegenerateDataError as exc:
         assert expected == (DegenerateDataError, str(exc))
         return
+    if warm:  # the rebuilt collection's checked problem, solved from the full data's scores
+        expected = scaling._fit(expected.problem, collection.conditions, start, 1e-6, 100)
     got = scaling._fit(replicate, collection.conditions, start, 1e-6, 100)
     np.testing.assert_array_equal(got.q, expected.q)
     assert (got.links, got.log_posterior, got.converged, got.iterations) == (

@@ -41,7 +41,7 @@ from jodscale.scaling import (
 )
 from jodscale.simulate import RecoveryConfig, synthesize_collection
 
-from conftest import graph_of, pattern_of, ratings_of
+from conftest import cold_replicates, graph_of, pattern_of, ratings_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -552,34 +552,32 @@ def test_dense_300_condition_study_converges_under_strict(tmp_path):
 
 class TestBootstrap:
     def test_single_replicate_degenerate_interval(self, two_condition_collection):
-        intervals = bootstrap_ci(
-            two_condition_collection, 1, seed=3, prior_enabled=False
-        )
+        intervals = bootstrap_ci(scale(two_condition_collection, prior_enabled=False), 1, seed=3)
         assert intervals.shape == (2, 2)
         np.testing.assert_allclose(intervals[:, 0], intervals[:, 1])
 
     def test_seed_determinism(self, two_condition_collection):
-        first = bootstrap_ci(two_condition_collection, 25, seed=7, prior_enabled=False)
-        second = bootstrap_ci(two_condition_collection, 25, seed=7, prior_enabled=False)
+        fit = scale(two_condition_collection, prior_enabled=False)
+        first = bootstrap_ci(fit, 25, seed=7)
+        second = bootstrap_ci(fit, 25, seed=7)
         np.testing.assert_array_equal(first, second)
 
     def test_interval_covers_analytic_score(self, two_condition_collection):
-        intervals = bootstrap_ci(
-            two_condition_collection, 200, seed=11, prior_enabled=False
-        )
+        intervals = bootstrap_ci(scale(two_condition_collection, prior_enabled=False), 200, seed=11)
         low, high = intervals[1]
         assert low < -1.0 < high
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, two_condition_collection, alpha):
         with pytest.raises(IntegrityError, match="alpha"):
-            bootstrap_ci(two_condition_collection, 3, seed=0, alpha=alpha, prior_enabled=False)
+            bootstrap_ci(scale(two_condition_collection, prior_enabled=False), 3, alpha=alpha)
 
     def test_unconverged_replicates_count_as_failed(self):
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
-        assert not scale(coll, max_iter=1).converged
+        fit = scale(coll, max_iter=1)
+        assert not fit.converged
         with pytest.raises(DegenerateDataError, match="4 of 4"):
-            bootstrap_ci(coll, 4, seed=0, max_iter=1)
+            bootstrap_ci(fit, 4, seed=0)
 
     def test_resample_matches_per_pair_draws(self):
         # reference: one scalar binomial per measured pair in (i, j) order,
@@ -637,20 +635,21 @@ class TestBootstrap:
         monkeypatch.setattr(PosteriorProblem, "value_and_grad",
                             lambda problem, x: calls.append(1) or kernel(problem, x))
 
-        def kernel_calls(**start):
+        def kernel_calls():
             calls.clear()
-            intervals = bootstrap_ci(coll, 5, seed=2, per_component=per_component, **start)
+            intervals = bootstrap_ci(full, 5, seed=2)
             return len(calls), intervals
 
-        cold_calls, cold = kernel_calls()
-        warm_calls, warm = kernel_calls(start=full)
+        with cold_replicates():
+            cold_calls, cold = kernel_calls()
+        warm_calls, warm = kernel_calls()
         assert warm_calls < cold_calls
         np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-5)
 
     def test_disconnected_collection_raises_its_own_error(self):
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
         with pytest.raises(DisconnectedGraphError, match="splits into 2 components"):
-            bootstrap_ci(_within_datasets(coll), 4, seed=0)
+            scale(_within_datasets(coll))
 
     @staticmethod
     def _loosely_rated_collection():
@@ -671,6 +670,7 @@ class TestBootstrap:
         a rated condition and every one of the 10 is solved and kept."""
         coll = self._loosely_rated_collection()
         assert connected_components(coll).max() == 0
+        fit = scale(coll, per_component=per_component)
         outcomes = []
         solve = scaling._solve
 
@@ -680,22 +680,37 @@ class TestBootstrap:
 
         monkeypatch.setattr(scaling, "_solve", recorded)
         monkeypatch.setattr(scaling, "_workers", lambda n_boot: 1)  # record in this process
-        intervals = bootstrap_ci(coll, 10, seed=1, per_component=per_component)
+        intervals = bootstrap_ci(fit, 10, seed=1)
         assert [converged for _, _, converged, _ in outcomes] == [True] * 10
         assert intervals.shape == (7, 2) and np.all(np.isfinite(intervals))
 
-    def test_unanchored_collection_raises_before_any_replicate(self, monkeypatch):
+    def test_unanchored_collection_raises_before_any_solve(self, monkeypatch):
         # demo/c1 is compared with nothing: a piece of dataset demo with no reference
         coll = _demo_collection({(0, 1): 30, (1, 0): 10}, n=3)
-        monkeypatch.setattr(PosteriorProblem, "resampled",
-                            lambda *args: pytest.fail("a replicate was drawn"))
+        monkeypatch.setattr(scaling, "_solve", lambda *args: pytest.fail("a solve ran"))
         with pytest.warns(UserWarning, match="NOT comparable"):
             with pytest.raises(IntegrityError, match="'demo' has no reference condition"):
-                bootstrap_ci(coll, 4, seed=0, per_component=True)
+                scale(coll, per_component=True)
 
     def test_n_boot_validation(self, two_condition_collection):
         with pytest.raises(IntegrityError):
-            bootstrap_ci(two_condition_collection, 0)
+            bootstrap_ci(scale(two_condition_collection), 0)
+
+    def test_the_fit_carries_its_problem_and_solver_settings(self, monkeypatch):
+        """``bootstrap_ci`` solves every replicate with the prior, tolerance
+        and iteration cap of the scale it is given."""
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
+        fit = scale(coll, prior_enabled=False, tol=1e-8, max_iter=50)
+        assert (fit.problem.prior_enabled, fit.tol, fit.max_iter) == (False, 1e-8, 50)
+        problem_field = {f.name: f for f in dataclasses.fields(fit)}["problem"]
+        assert not problem_field.compare and not problem_field.repr
+        solves = []
+        solve = scaling._solve
+        monkeypatch.setattr(scaling, "_workers", lambda n_boot: 1)
+        monkeypatch.setattr(scaling, "_solve", lambda problem, x, tol, max_iter: solves.append(
+            (problem.prior_enabled, tol, max_iter)) or solve(problem, x, tol, max_iter))
+        bootstrap_ci(fit, 3, seed=0)
+        assert solves == [(False, 1e-8, 50)] * 3
 
 
 class TestBootstrapPool:
@@ -712,20 +727,22 @@ class TestBootstrapPool:
 
         def intervals(workers):
             monkeypatch.setattr(scaling, "_workers", lambda n_boot: workers)
-            return bootstrap_ci(coll, 20, seed=5, per_component=per_component, start=full)
+            return bootstrap_ci(full, 20, seed=5)
 
         assert np.array_equal(intervals(3), intervals(1))
         assert multiprocessing.active_children() == []
 
     def test_no_worker_is_left_after_too_many_failures(self, monkeypatch):
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
+        fit = scale(coll, max_iter=1)
         monkeypatch.setattr(scaling, "_workers", lambda n_boot: 3)
         with pytest.raises(DegenerateDataError, match="4 of 4"):
-            bootstrap_ci(coll, 4, seed=0, max_iter=1)
+            bootstrap_ci(fit, 4, seed=0)
         assert multiprocessing.active_children() == []
 
     def test_a_replicates_exception_keeps_its_type(self, monkeypatch):
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
+        fit = scale(coll)
 
         def fails(problem, *args):
             raise ConvergenceError(f"{problem.n} conditions in process {os.getpid()}")
@@ -733,7 +750,7 @@ class TestBootstrapPool:
         monkeypatch.setattr(scaling, "_workers", lambda n_boot: 3)
         monkeypatch.setattr(scaling, "_fit", fails)
         with pytest.raises(ConvergenceError, match="20 conditions in process") as raised:
-            bootstrap_ci(coll, 6, seed=0)
+            bootstrap_ci(fit, 6, seed=0)
         assert not str(raised.value).endswith(f" {os.getpid()}")  # raised in a worker
         assert multiprocessing.active_children() == []
 
