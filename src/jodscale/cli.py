@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 usage error, 2 data integrity error, 3 numerical
 failure (non-convergence under --strict). Usage errors include an unknown
 flag (each subcommand takes only the flags it reads: --seed belongs to
 scale, simulate and recover, --strict to scale and pu-encode) and a value
-out of range: ``scale --bootstrap`` or ``select-pairs --window`` below 0
-(or NaN), ``scale --tol`` not above 0 or not finite, ``scale --max-iter``
-below 0, ``simulate``/``recover --density`` below 0 or not finite,
+out of range: any float flag NaN or infinite, ``scale --bootstrap`` or
+``select-pairs --window`` below 0, ``scale --tol`` not above 0, ``scale
+--max-iter`` below 0, ``simulate``/``recover --density`` below 0,
 ``simulate``/``recover --trials`` or ``--observers`` below 0,
 ``simulate``/``recover --datasets``, ``stats``/``select-pairs --bins`` or
 ``select-pairs --k`` below 1, ``simulate``/``recover --conditions`` below 2,
@@ -21,8 +21,8 @@ below 0, ``simulate``/``recover --density`` below 0 or not finite,
 ``--l-min``, ``--l-max``, ``--knots``), a ``select-pairs`` mode without the
 input files it needs and an ``--out`` that cannot be made a directory (it
 names an existing file, say) are usage errors too, the first two found before
-any output directory exists. An ``--alpha`` outside (0, 1) with ``scale
---bootstrap``, a non-finite value in a keyed input (``--scores``,
+any output directory exists. A finite ``--alpha`` outside (0, 1) with
+``scale --bootstrap``, a non-finite value in a keyed input (``--scores``,
 ``--scale``, ``--metric-test``, ``--metric-bench``) and a non-finite
 ``pu-encode``/``stats`` input value are data integrity errors.
 """
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvio import _cells, _read_csv, _write_csv
+from .csvio import _cells, _read_csv, _write_csv, _write_json
 from .design import select_cross_dataset_pairs, select_gmad_pairs
 from .errors import (
     ConvergenceError,
@@ -79,10 +79,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def _write_run_config(out_dir: Path, args: argparse.Namespace) -> None:
     options = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     _write_json(
@@ -91,18 +87,20 @@ def _write_run_config(out_dir: Path, args: argparse.Namespace) -> None:
     )
 
 
-def _at_least(minimum, convert=int, finite=False, above=False):
+def _at_least(minimum=None, convert=int, above=False):
     """An argparse ``type`` converting the text with ``convert`` and
-    accepting values of at least ``minimum``, or only above it with
-    ``above`` (never NaN, and with ``finite`` no infinity), so that a flag
-    out of range fails at parse time."""
+    accepting values of at least ``minimum`` (if given), or only above it
+    with ``above``, and only finite floats, so that a flag out of range
+    fails at parse time."""
+    finite = convert is float
+    needs = [f"{'above' if above else 'at least'} {minimum}"] * (minimum is not None)
+    needs += ["finite"] * finite
+
     def parse(text):
         value = convert(text)
-        if not (value > minimum if above else value >= minimum) or (
-                finite and not math.isfinite(value)):
-            raise argparse.ArgumentTypeError(
-                f"must be {'above' if above else 'at least'} {minimum}"
-                f"{' and finite' if finite else ''}, got {text}")
+        if (minimum is not None and not (value > minimum if above else value >= minimum)
+                or finite and not math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be {' and '.join(needs)}, got {text}")
         return value
 
     parse.__name__ = convert.__name__  # for argparse's "invalid int value" message
@@ -412,6 +410,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="jodscale", description=__doc__)
     parser.add_argument("--version", action="version", version=f"jodscale {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    finite = _at_least(convert=float)
 
     def add_common(p):
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
@@ -421,7 +420,7 @@ def build_parser() -> _Parser:
         p.add_argument("--datasets", type=_at_least(1), default=3)
         p.add_argument("--trials", type=_at_least(0), default=30)
         p.add_argument("--observers", type=_at_least(0), default=15)
-        p.add_argument("--density", type=_at_least(0.0, float, finite=True), default=0.5)
+        p.add_argument("--density", type=_at_least(0.0, float), default=0.5)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scale", help="scale a collection onto the unified JOD scale")
@@ -432,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--prior", action=argparse.BooleanOptionalAction, default=True,
                    help="Gaussian score prior (default on; disable for oracle checks)")
-    p.add_argument("--tol", type=_at_least(0.0, float, finite=True, above=True), default=1e-6,
+    p.add_argument("--tol", type=_at_least(0.0, float, above=True), default=1e-6,
                    help="converged once the largest absolute gradient entry of the log "
                         "posterior over the free scores is below this at two consecutive "
                         "iterates, or at the start (default 1e-6)")
@@ -441,7 +440,7 @@ def build_parser() -> _Parser:
     p.add_argument("--per-component", action="store_true")
     p.add_argument("--bootstrap", type=_at_least(0), default=0, metavar="N",
                    help="bootstrap replicates for confidence intervals")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=finite, default=0.05)
     p.set_defaults(func=_cmd_scale)
 
     p = sub.add_parser("simulate", help="emit a synthetic collection as manifest + CSVs")
@@ -472,15 +471,15 @@ def build_parser() -> _Parser:
     p.add_argument("--strict", action="store_true",
                    help="reject out-of-range values instead of clamping them with a warning")
     p.add_argument("--input", required=True, help="CSV of values, header 'value'")
-    p.add_argument("--l-peak", type=float, default=None,
+    p.add_argument("--l-peak", type=finite, default=None,
                    help="treat input as normalized display values with this peak")
-    p.add_argument("--l-black", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=2.2)
+    p.add_argument("--l-black", type=finite, default=0.5)
+    p.add_argument("--gamma", type=finite, default=2.2)
     p.add_argument("--lut", help="load the PU look-up table from a CSV, header 'luminance,pu'")
     p.add_argument("--save-lut", help="write the look-up table next to the output")
     p.add_argument("--threshold", help="detection threshold CSV, header 'luminance,threshold'")
-    p.add_argument("--l-min", type=float, help=f"default {DEFAULT_L_MIN:g}")
-    p.add_argument("--l-max", type=float, help=f"default {DEFAULT_L_MAX:g}")
+    p.add_argument("--l-min", type=finite, help=f"default {DEFAULT_L_MIN:g}")
+    p.add_argument("--l-max", type=finite, help=f"default {DEFAULT_L_MAX:g}")
     p.add_argument("--knots", type=_at_least(64), help=f"default {DEFAULT_KNOTS}")
     p.add_argument("--log-encode", action="store_true",
                    help="use the logarithmic alternative instead of PU")

@@ -8,13 +8,14 @@ CRLF or a lone CR, mixed within a file, and blank lines are skipped. There
 are no comment lines. Bytes that are not valid UTF-8, a missing column, a
 row too short for the columns read, a field longer than
 ``csv.field_size_limit()`` or a cell its column's parser rejects is a parse
-error.
+error. The JSON files jodscale writes go through ``_write_json``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import re
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -144,3 +145,10 @@ def _write_csv(path: Path, header: str, row_format: str, *columns) -> None:
         while block := list(islice(rows, _CHUNK_ROWS)):
             handle.write("\n" + "\n".join(block))
         handle.write("\n")
+
+
+def _write_json(path: Path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys; a NaN or an
+    infinity in it raises ``ValueError``, as standard JSON cannot hold it."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
+                    encoding="utf-8")

@@ -2,21 +2,24 @@
 
 A collection bundles the conditions of every source dataset together with
 the pairwise win counts and per-dataset rating tables, both held as
-columnar numpy arrays, and per-dataset display models. Dataset names come
-from the conditions, and a dataset is rated exactly when it has ratings.
-Collections are immutable after construction and safe to share read-only
-across threads. ``load_collection`` reads and ``save_collection`` writes
-this layout:
+columnar numpy arrays, and each dataset's display as the manifest wrote it.
+Dataset names come from the conditions, and a dataset is rated exactly when
+it has ratings. Collections are immutable after construction and safe to
+share read-only across threads. ``load_collection`` reads and
+``save_collection`` writes this layout:
 
 manifest JSON
     ``{"datasets": [...], "comparisons": "comparisons.csv"}`` where each
     dataset entry carries ``name``, ``experiment`` ("pwc" or "rating"),
-    ``display`` (``{"L_peak": .., "L_black": .., "gamma": ..}``),
-    ``conditions`` (CSV path or inline list of condition ids) and, for
-    rated datasets, ``ratings`` (CSV path). Paths are resolved relative to
-    the manifest. Unknown fields are ignored with a warning. ``experiment``
-    is written "rating" exactly for a rated dataset; on read, a "rating"
-    dataset needs ``ratings``, and a "pwc" one with ``ratings`` is rated.
+    ``display`` (any JSON object describing the study's display, such as
+    ``{"L_peak": .., "L_black": .., "gamma": ..}``, carried as written and
+    never read), ``conditions`` (CSV path or inline list of condition ids)
+    and, for rated datasets, ``ratings`` (CSV path). Paths are resolved
+    relative to the manifest. Unknown fields are ignored with a warning. A
+    number that is NaN, infinite or too large for a float is a parse error
+    anywhere in the manifest. ``experiment`` is written "rating" exactly for
+    a rated dataset; on read, a "rating" dataset needs ``ratings``, and a
+    "pwc" one with ``ratings`` is rated.
 conditions CSV (``conditions_<name>.csv``)
     header ``condition``; ids are ``dataset/content/distortion/level``.
 comparisons CSV (``comparisons.csv``)
@@ -28,6 +31,7 @@ ratings CSV (``ratings_<name>.csv``)
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -37,16 +41,13 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .csvio import _cells, _quoted, _read_csv, _write_csv
+from .csvio import _cells, _quoted, _read_csv, _write_csv, _write_json
 from .errors import IntegrityError, ParseError
-from .photometry import DisplayModel
 
 REFERENCE_DISTORTION = "reference"
 
 _KNOWN_MANIFEST_KEYS = {"datasets", "comparisons"}
 _KNOWN_DATASET_KEYS = {"name", "experiment", "display", "conditions", "ratings"}
-# manifest display key -> DisplayModel attribute
-_DISPLAY_KEYS = {"L_peak": "l_peak", "L_black": "l_black", "gamma": "gamma"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,7 +217,8 @@ class RatingTable:
 
 class DatasetCollection:
     """Validated, immutable bundle of conditions, comparisons, ratings and
-    displays; ``ratings`` and ``displays`` are keyed by dataset name.
+    displays; ``ratings`` and ``displays`` are keyed by dataset name. A
+    display is a read-only view of a copy of the JSON object given for it.
 
     The collection keeps its conditions and rating rows in file order. The
     solver's layouts (the pair adjacency, the components and each table's
@@ -228,12 +230,13 @@ class DatasetCollection:
         conditions: Iterable[ConditionId],
         graph: ComparisonGraph,
         ratings: Mapping[str, RatingTable] | None = None,
-        displays: Mapping[str, DisplayModel] | None = None,
+        displays: Mapping[str, Mapping] | None = None,
     ):
         self.conditions: tuple[ConditionId, ...] = tuple(conditions)
         self.graph = graph
         self.ratings: Mapping[str, RatingTable] = MappingProxyType(dict(ratings or {}))
-        self.displays: Mapping[str, DisplayModel] = MappingProxyType(dict(displays or {}))
+        self.displays: Mapping[str, Mapping] = MappingProxyType(
+            {name: MappingProxyType(dict(display)) for name, display in (displays or {}).items()})
         self._index = {}
         for idx, cond in enumerate(self.conditions):
             if cond.key in self._index:
@@ -327,6 +330,15 @@ def _load_conditions(spec, base: Path, dataset: str) -> list[ConditionId]:
     return out
 
 
+def _finite_float(text: str) -> float:
+    """The JSON number ``text`` as a float; NaN, an infinity and a number
+    too large for a float raise ``ValueError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is NaN, infinite or too large for a float")
+    return value
+
+
 def load_collection(manifest_path) -> DatasetCollection:
     """Load and validate a dataset collection from a manifest file.
 
@@ -337,12 +349,12 @@ def load_collection(manifest_path) -> DatasetCollection:
     base = manifest_path.parent
     try:
         with open(manifest_path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_constant=_finite_float, parse_float=_finite_float)
     except OSError as exc:
         raise ParseError(f"cannot open manifest {manifest_path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"manifest {manifest_path} is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or a number _finite_float rejects
         raise ParseError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"manifest {manifest_path} is nested too deeply to parse") from exc
@@ -354,7 +366,7 @@ def load_collection(manifest_path) -> DatasetCollection:
 
     conditions: list[ConditionId] = []
     seen: set[str] = set()
-    displays: dict[str, DisplayModel] = {}
+    displays: dict[str, dict] = {}
     rating_paths: dict[str, Path] = {}
 
     for entry in raw["datasets"]:
@@ -367,21 +379,9 @@ def load_collection(manifest_path) -> DatasetCollection:
         for key in sorted(set(entry) - _KNOWN_DATASET_KEYS):
             warnings.warn(f"dataset {name!r}: ignoring unknown field {key!r}", stacklevel=2)
         if "display" in entry:
-            dd = entry["display"]
-            if not isinstance(dd, dict):
+            if not isinstance(entry["display"], dict):
                 raise ParseError(f"dataset {name!r}: display must be an object")
-            for key in sorted(set(dd) - _DISPLAY_KEYS.keys()):
-                warnings.warn(f"dataset {name!r}: ignoring unknown display field {key!r}",
-                              stacklevel=2)
-            try:
-                values = [dd["L_peak"], dd["L_black"], dd.get("gamma", 2.2)]
-                if any(isinstance(value, bool) for value in values):
-                    raise TypeError("true and false are not numbers")
-                displays[name] = DisplayModel(*map(float, values))
-            except KeyError as exc:
-                raise ParseError(f"dataset {name!r}: display needs L_peak and L_black") from exc
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"dataset {name!r}: display values must be numbers") from exc
+            displays[name] = entry["display"]
         experiment = str(entry.get("experiment", "pwc"))
         if experiment not in ("pwc", "rating"):
             raise IntegrityError(
@@ -430,8 +430,7 @@ def save_collection(collection: DatasetCollection, directory) -> Path:
         _write_csv(directory / entry["conditions"], "condition", "{}\n",
                    [cond.key for cond in collection.conditions if cond.dataset == name])
         if name in collection.displays:
-            display = collection.displays[name]
-            entry["display"] = {key: getattr(display, attr) for key, attr in _DISPLAY_KEYS.items()}
+            entry["display"] = dict(collection.displays[name])
         if name in collection.ratings:
             table = collection.ratings[name]
             entry["ratings"] = f"ratings_{name}.csv"
@@ -445,6 +444,5 @@ def save_collection(collection: DatasetCollection, directory) -> Path:
                keys[winners].tolist(), keys[losers].tolist(),
                values.astype(str).astype(object)[inverse].tolist())
     manifest = directory / "manifest.json"
-    manifest.write_text(json.dumps({"datasets": datasets, "comparisons": "comparisons.csv"},
-                                   sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(manifest, {"datasets": datasets, "comparisons": "comparisons.csv"})
     return manifest

@@ -616,14 +616,9 @@ def scale(
     return _fit(problem, conditions, None, tol, max_iter)
 
 
-# The bootstrap that ``_replicate`` draws from in this process: the
-# full-data scale and the seed.
+# The bootstrap that ``_replicate`` draws from: the full-data scale and the
+# seed, set by ``bootstrap_ci`` before the workers fork, which copies it.
 _job = None
-
-
-def _set_job(job) -> None:
-    global _job
-    _job = job
 
 
 def _replicate(index: int) -> np.ndarray | None:
@@ -685,22 +680,21 @@ def bootstrap_ci(fit: UnifiedScale, n_boot: int, seed: int = 0, *,
     if not 0.0 < alpha < 1.0:
         raise IntegrityError(f"alpha must lie in (0, 1), got {alpha}")
 
-    job = (fit, seed)
+    global _job
     workers = _workers(n_boot)
-    if workers == 1:
-        _set_job(job)
-        try:
+    _job = (fit, seed)
+    try:
+        if workers == 1:
             results = list(map(_replicate, range(n_boot)))
-        finally:
-            _set_job(None)
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        # fork hands the job to the workers without pickling it
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 initializer=_set_job, initargs=(job,)) as pool:
-            results = list(pool.map(_replicate, range(n_boot), chunksize=-(-n_boot // workers)))
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(_replicate, range(n_boot),
+                                        chunksize=-(-n_boot // workers)))
+    finally:
+        _job = None
     samples = [q for q in results if q is not None]
     failures = n_boot - len(samples)
     if failures > n_boot / 2:

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import IntegrityError
 from .metricmap import correlation_metrics
 from .model import ComparisonGraph, ConditionId, DatasetCollection, RatingTable
-from .photometry import DisplayModel
 from .scaling import SIGMA_JOD, LinkParams, UnifiedScale, preference_probability, scale
 
 _STREAM_TRUTH = 0
@@ -137,8 +136,8 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
     others are also rated, one rating per observer and condition. Every
     dataset gets one reference and a dense set of within-dataset
     comparisons; datasets are connected by a spanning chain of
-    cross-dataset pairs plus ``graph_density * n_conditions`` random
-    extras.
+    cross-dataset pairs plus up to ``graph_density * n_conditions`` random
+    extras, drawn until none is left or 50 draws per extra are spent.
     """
     sizes = [
         config.n_conditions // config.n_datasets
@@ -181,9 +180,10 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
         j = int(rng_design.choice(np.arange(starts[d], starts[d + 1])))
         cross.add((min(i, j), max(i, j)))
     n_extra = int(round(config.graph_density * config.n_conditions))
+    n_cross = (n * n - sum(size * size for size in sizes)) // 2
     attempts = 0
     added = 0
-    while added < n_extra and attempts < 50 * max(n_extra, 1):
+    while added < n_extra and attempts < 50 * max(n_extra, 1) and len(cross) < n_cross:
         attempts += 1
         i, j = (int(v) for v in rng_design.integers(0, n, size=2))
         key = (min(i, j), max(i, j))
@@ -201,7 +201,7 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
         for name in dataset_names[1:]:
             ratings[name] = simulate_ratings(truth, name, config.observers)
 
-    displays = dict.fromkeys(dataset_names, DisplayModel(100.0, 0.5, 2.2))
+    displays = dict.fromkeys(dataset_names, {"L_peak": 100.0, "L_black": 0.5, "gamma": 2.2})
     graph = ComparisonGraph(n, pairs.ravel(), pairs[:, ::-1].ravel(), counts.ravel())
     collection = DatasetCollection(conditions, graph, ratings, displays)
     return truth, collection

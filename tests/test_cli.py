@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 import jodscale
 from jodscale import scaling
 from jodscale.cli import main
-from jodscale.csvio import _CHUNK_ROWS, _write_csv
+from jodscale.csvio import _CHUNK_ROWS, _write_csv, _write_json
 
 from conftest import write_two_condition_fixture
 
@@ -354,6 +355,10 @@ class TestUsageErrors:
         *(["scale", "--manifest", "missing.json", "--tol", tol]
           for tol in ("-1", "0", "nan", "inf")),
         ["scale", "--manifest", "missing.json", "--max-iter", "-3"],
+        # a non-finite float flag would be written into run.json, which JSON forbids
+        ["scale", "--manifest", "missing.json", "--alpha", "inf"],
+        ["select-pairs", "--mode", "cross-dataset", "--scale", "scale.csv", "--window", "inf"],
+        ["pu-encode", "--input", "lum.csv", "--log-encode", "--gamma", "nan"],
     ])
     def test_flag_value_out_of_range(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -881,6 +886,34 @@ _PINNED = {
             "ds1/c001/dist/1,o013,-3.65019157551137\n"
             "ds1/c001/dist/1,o014,-3.557031675128462\n"
         ),
+        "manifest.json": (
+            "{\n"
+            '  "comparisons": "comparisons.csv",\n'
+            '  "datasets": [\n'
+            "    {\n"
+            '      "conditions": "conditions_ds0.csv",\n'
+            '      "display": {\n'
+            '        "L_black": 0.5,\n'
+            '        "L_peak": 100.0,\n'
+            '        "gamma": 2.2\n'
+            "      },\n"
+            '      "experiment": "pwc",\n'
+            '      "name": "ds0"\n'
+            "    },\n"
+            "    {\n"
+            '      "conditions": "conditions_ds1.csv",\n'
+            '      "display": {\n'
+            '        "L_black": 0.5,\n'
+            '        "L_peak": 100.0,\n'
+            '        "gamma": 2.2\n'
+            "      },\n"
+            '      "experiment": "rating",\n'
+            '      "name": "ds1",\n'
+            '      "ratings": "ratings_ds1.csv"\n'
+            "    }\n"
+            "  ]\n"
+            "}\n"
+        ),
     }),
     "select-cross-dataset": (["select-pairs", "--mode", "cross-dataset",
                               "--scale", "keyed.csv", "--k", "3"], {
@@ -937,7 +970,8 @@ class TestPinnedOutputs:
             assert main([*_PINNED["simulate"][0], "--out", "sim"]) == 0
         assert main([*argv, "--out", "out"]) == 0
         written = {path.name: path.read_bytes().decode()
-                   for path in (tmp_path / "out").glob("*.csv")}
+                   for pattern in ("*.csv", "manifest.json")
+                   for path in (tmp_path / "out").glob(pattern)}
         assert written == expected
 
 
@@ -970,6 +1004,12 @@ class TestWriteCsv:
             assert path.read_bytes().decode() == expected, row_format
             if rows == 0:  # the header alone, with no stray newline
                 assert expected == "h,e,a,d\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_what_json_cannot_hold(tmp_path, value):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "out.json", {"options": {"alpha": value}})
 
 
 def test_only_csvio_imports_csv():

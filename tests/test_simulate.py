@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jodscale import simulate
 from jodscale.cli import main
 from jodscale.errors import DisconnectedGraphError, IntegrityError
 from jodscale.model import ConditionId
@@ -173,6 +174,22 @@ def _reference_pairs(config):
     return sorted(measured)
 
 
+class _BoundedDraws:
+    """A random generator whose ``integers`` fails after ``limit`` calls."""
+
+    def __init__(self, rng, limit):
+        self._rng, self._left = rng, limit
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def integers(self, *args, **kwargs):
+        self._left -= 1
+        if self._left < 0:
+            raise AssertionError("the design generator drew too often")
+        return self._rng.integers(*args, **kwargs)
+
+
 class TestSynthesizeCollection:
     @pytest.mark.parametrize("config", [
         RecoveryConfig(n_conditions=20, n_datasets=2, seed=6),
@@ -186,6 +203,29 @@ class TestSynthesizeCollection:
         _, collection = synthesize_collection(config)
         i, j, _, _ = collection.graph.pair_arrays()
         assert list(zip(i.tolist(), j.tolist())) == _reference_pairs(config)
+
+    def test_draws_stop_once_every_cross_dataset_pair_is_drawn(self, monkeypatch):
+        """Density 1e6 asks for 5e7 extras, but 50 conditions in 3 datasets
+        have only (50**2 - 17**2 - 17**2 - 16**2) / 2 = 833 cross-dataset
+        pairs, and density 20 already draws them all. The design generator
+        fails after 60,000 draws, so an unbounded loop fails fast."""
+        real_rng = simulate._rng
+
+        def bounded_rng(seed, *key):
+            rng = real_rng(seed, *key)
+            return _BoundedDraws(rng, 60_000) if key == (simulate._STREAM_DESIGN,) else rng
+
+        monkeypatch.setattr(simulate, "_rng", bounded_rng)
+        _, dense = synthesize_collection(RecoveryConfig(n_conditions=50, graph_density=20,
+                                                        seed=1))
+        _, densest = synthesize_collection(RecoveryConfig(n_conditions=50, graph_density=1e6,
+                                                          seed=1))
+        i, j, _, _ = dense.graph.pair_arrays()
+        datasets = np.array([cond.dataset for cond in dense.conditions])
+        assert np.count_nonzero(datasets[i] != datasets[j]) == 833
+        assert densest.conditions == dense.conditions and densest.graph == dense.graph
+        assert dict(densest.ratings) == dict(dense.ratings)
+        assert densest.displays == dense.displays
 
     def test_deterministic_output(self):
         config = RecoveryConfig(n_conditions=20, n_datasets=2, seed=6)
