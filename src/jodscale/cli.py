@@ -12,7 +12,8 @@ flag (each subcommand takes only the flags it reads: --seed belongs to
 scale, simulate and recover, --strict to scale and pu-encode) and a value
 out of range: any float flag NaN or infinite, ``scale --bootstrap`` or
 ``select-pairs --window`` below 0, ``scale --tol`` not above 0, ``scale
---max-iter`` below 0, ``simulate``/``recover --density`` below 0,
+--max-iter`` below 0, ``scale``/``simulate``/``recover --seed`` below 0,
+``simulate``/``recover --density`` below 0,
 ``simulate``/``recover --trials`` or ``--observers`` below 0,
 ``simulate``/``recover --datasets``, ``stats``/``select-pairs --bins`` or
 ``select-pairs --k`` below 1, ``simulate``/``recover --conditions`` below 2,
@@ -30,6 +31,7 @@ any output directory exists. A finite ``--alpha`` outside (0, 1) with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -246,20 +248,9 @@ def _cmd_validate(args, out: Path) -> None:
 
 def _cmd_fit_logistic(args, out: Path) -> None:
     keys, scores, _, fit, mapped = _fitted_scores(args)
-    _write_json(
-        out / "logistic.json",
-        {
-            "params": {
-                "a1": fit.params.a1,
-                "a2": fit.params.a2,
-                "a3": fit.params.a3,
-                "a4": fit.params.a4,
-                "a5": fit.params.a5,
-            },
-            "rmse": fit.rmse,
-            "converged": fit.converged,
-        },
-    )
+    _write_json(out / "logistic.json",
+                {"params": dataclasses.asdict(fit.params), "rmse": fit.rmse,
+                 "converged": fit.converged})
     _write_csv(out / "mapped.csv", "condition,score,jod", "{},{!r},{:.6f}\n",
                keys, scores.tolist(), mapped.tolist())
     print(f"fit rmse {fit.rmse:.6f} over {len(keys)} conditions")
@@ -421,11 +412,11 @@ def build_parser() -> _Parser:
         p.add_argument("--trials", type=_at_least(0), default=30)
         p.add_argument("--observers", type=_at_least(0), default=15)
         p.add_argument("--density", type=_at_least(0.0, float), default=0.5)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_at_least(0), default=0)
 
     p = sub.add_parser("scale", help="scale a collection onto the unified JOD scale")
     add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="bootstrap resampling seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="bootstrap resampling seed")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the solver does not converge")
     p.add_argument("--manifest", required=True)

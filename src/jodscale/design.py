@@ -221,16 +221,10 @@ def gmad_precision(
     """
     if len(pairs) == 0:
         raise IntegrityError("precision needs a non-empty pair batch")
+    i, j = np.asarray(pairs.pairs).T
     truth = np.asarray(truth_jod, dtype=float)
     test = np.asarray(m_test, dtype=float)
-    correct = 0
-    for i, j in pairs.pairs:
-        truth_gap = float(truth[i] - truth[j])
-        test_gap = float(test[i] - test[j])
-        if abs(truth_gap) < same_threshold_jod:
-            continue
-        if abs(test_gap) < same_threshold_jod:
-            continue
-        if np.sign(test_gap) == np.sign(truth_gap):
-            correct += 1
-    return correct / len(pairs)
+    gaps = np.stack([truth[i] - truth[j], test[i] - test[j]])
+    # "not below" rather than "at least": a NaN threshold excludes no pair
+    apart = ~np.any(np.abs(gaps) < same_threshold_jod, axis=0)
+    return int(np.count_nonzero(apart & (np.sign(gaps[0]) == np.sign(gaps[1])))) / len(pairs)

@@ -71,7 +71,7 @@ class LinkParams:
 @dataclass(frozen=True)
 class UnifiedScale:
     """Result of a joint scaling run: ``log_posterior`` is the maximized
-    function at ``q`` and ``links``; ``iterations`` counts the Newton
+    log-posterior at ``q`` and ``links``; ``iterations`` counts the Newton
     iterations of the one solve, for all components together. ``tol`` and
     ``max_iter`` are the solve's, and ``problem`` is the checked posterior
     it solved, which ``bootstrap_ci`` resamples; it takes no part in
@@ -96,26 +96,10 @@ def preference_probability(q_i, q_j):
     return ndtr(z)
 
 
-# The largest pair total whose log-factorials are tabulated (8 MB of table).
-_MAX_TABULATED = 1 << 20
-
-
-def _log_factorials(pairs) -> np.ndarray | None:
-    """log k! for k = 0 ... the largest pair total, or None if that is above
-    ``_MAX_TABULATED``."""
+def _log_binomial(pairs) -> float:
+    """Sum of the log binomial coefficients; constant in q."""
     _, _, cij, cji = pairs
-    largest = int(np.max(cij + cji, initial=0))
-    return gammaln(np.arange(largest + 1) + 1.0) if largest <= _MAX_TABULATED else None
-
-
-def _log_binomial(pairs, log_factorial: np.ndarray | None) -> float:
-    """Sum of the log binomial coefficients; constant in q. Looked up in
-    ``log_factorial`` (see ``_log_factorials``) when there is one, which
-    gives the same bits as ``gammaln``."""
-    _, _, cij, cji = pairs
-    if log_factorial is None:
-        return float(np.sum(gammaln(cij + cji + 1.0) - gammaln(cij + 1.0) - gammaln(cji + 1.0)))
-    return float(np.sum(log_factorial[cij + cji] - log_factorial[cij] - log_factorial[cji]))
+    return float(np.sum(gammaln(cij + cji + 1.0) - gammaln(cij + 1.0) - gammaln(cji + 1.0)))
 
 
 def _log_ndtr_pair(z: np.ndarray):
@@ -219,7 +203,7 @@ def pwc_log_likelihood(graph: ComparisonGraph, q) -> float:
     if q.shape != (graph.n,):
         raise IntegrityError(f"q must have one entry per condition ({graph.n})")
     pairs = graph.pair_arrays()
-    return _log_binomial(pairs, _log_factorials(pairs)) + _pair_term(pairs, q)[0]
+    return _log_binomial(pairs) + _pair_term(pairs, q)[0]
 
 
 def rating_log_likelihood(ratings: RatingTable, q, link: LinkParams) -> float:
@@ -292,8 +276,9 @@ class PosteriorProblem:
     The parameter vector is q at the non-reference conditions; reference
     conditions stay pinned at q = 0, and each rating dataset's term is
     profiled over its link (see the module docstring). ``value_and_grad``
-    is the likelihood kernel: it returns the log-posterior, its analytic
-    gradient and the curvature that ``hess_vec`` and ``hess_diag`` reuse.
+    is the likelihood kernel: it returns the log-posterior less its binomial
+    coefficients, which depend on the counts alone, its analytic gradient
+    and the curvature that ``hess_vec`` and ``hess_diag`` reuse.
     A dataset's profiled term is once continuously differentiable: where
     its fitted slope is clipped at 0 the term is flat, and ``Curvature``
     holds its second derivatives on the side where the slope is positive.
@@ -303,9 +288,8 @@ class PosteriorProblem:
     lists the conditions measured against a in increasing order, and
     ``data`` holds each slot's pair index), the components, and each rated
     table with its rows sorted by (condition, observer, score) and its
-    per-condition row counts and start offsets, and a table of log k! up
-    to the largest pair total for the binomial coefficients. The scale
-    therefore does not depend on the row order of the rating files.
+    per-condition row counts and start offsets. The scale therefore does
+    not depend on the row order of the rating files.
     Replicates share all of these layouts.
     """
 
@@ -317,8 +301,6 @@ class PosteriorProblem:
         self.labels = connected_components(collection)
         self.sizes = np.bincount(self.labels)
         self._pairs = collection.graph.pair_arrays()
-        self._log_factorial = _log_factorials(self._pairs)
-        self._log_coef = _log_binomial(self._pairs, self._log_factorial)
         # rows (j, i) then (i, j): the CSR conversion keeps each row's entries
         # in input order, which already increases by column
         i, j = (col.astype(np.int32) for col in self._pairs[:2])
@@ -352,7 +334,6 @@ class PosteriorProblem:
         new_c_ij = rng.binomial(total, c_ij / total)
         replicate = copy.copy(self)
         replicate._pairs = (i, j, new_c_ij, total - new_c_ij)
-        replicate._log_coef = _log_binomial(replicate._pairs, self._log_factorial)
         replicate.tables = []
         for table, counts, starts in zip(self.tables, self._counts, self._starts):
             idx = table.condition_indices
@@ -394,10 +375,11 @@ class PosteriorProblem:
         )
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray, Curvature]:
+        """The log-posterior at free scores x less its binomial constant
+        ``_log_binomial``, its gradient in x and its ``Curvature``."""
         n = self.n
         q = self._full_q(x)
         value, slope, weights = _pair_term(self._pairs, q)
-        value += self._log_coef
         grad_q = self._net(slope)
         i_arr, j_arr = self._pairs[:2]
         pattern = self._pattern
@@ -559,16 +541,14 @@ def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
         value, grad, curvature = trial
 
 
-def _fit(problem: PosteriorProblem, conditions: tuple[ConditionId, ...],
-         start: UnifiedScale | None, tol: float, max_iter: int) -> UnifiedScale:
-    """Solve ``problem`` from the scores of ``start``, or from its initial
-    point without one. Converged also needs a link for every rated dataset."""
-    x0 = problem.initial_point() if start is None else start.q[problem.free_idx]
+def _fit(problem: PosteriorProblem, start: np.ndarray | None, tol: float, max_iter: int):
+    """Solve ``problem`` from the scores ``start``, or from its initial point
+    without one. Returns q, links, the kernel's value, converged and the
+    iteration count; converged also needs a link for every rated dataset."""
+    x0 = problem.initial_point() if start is None else start[problem.free_idx]
     x, value, converged, iterations = _solve(problem, x0, tol, max_iter)
     q, links = problem.unpack(x)
-    converged = converged and len(links) == len(problem.rating_names)
-    return UnifiedScale(q, links, float(value), converged, iterations, conditions, tol, max_iter,
-                        problem)
+    return q, links, value, converged and len(links) == len(problem.rating_names), iterations
 
 
 def scale(
@@ -592,7 +572,8 @@ def scale(
     search and one iteration count. A rated dataset whose fitted slope ends
     at 0 has no entry in ``links``, and the scale is then not converged.
     The result carries the checked problem it solved, ready for
-    ``bootstrap_ci``.
+    ``bootstrap_ci``. Its ``log_posterior`` adds the binomial constant,
+    once, to the value the solve maximized.
     """
     problem = PosteriorProblem(collection, prior_enabled)
     _check_rating_spread(problem)
@@ -613,7 +594,9 @@ def scale(
     if unanchored := sorted(set(parts) - anchors):
         name = unanchored[0][0]
         raise IntegrityError(f"dataset {name!r} has no reference condition to anchor it")
-    return _fit(problem, conditions, None, tol, max_iter)
+    q, links, value, converged, iterations = _fit(problem, None, tol, max_iter)
+    return UnifiedScale(q, links, value + _log_binomial(problem._pairs), converged, iterations,
+                        conditions, tol, max_iter, problem)
 
 
 # The bootstrap that ``_replicate`` draws from: the full-data scale and the
@@ -632,8 +615,8 @@ def _replicate(index: int) -> np.ndarray | None:
         _check_rating_spread(replicate)
     except DegenerateDataError:
         return None
-    result = _fit(replicate, fit.conditions, fit, fit.tol, fit.max_iter)
-    return result.q if result.converged else None
+    q, _, _, converged, _ = _fit(replicate, fit.q, fit.tol, fit.max_iter)
+    return q if converged else None
 
 
 def _workers(n_boot: int) -> int:
@@ -673,10 +656,12 @@ def bootstrap_ci(fit: UnifiedScale, n_boot: int, seed: int = 0, *,
     draws from its own seed, so the intervals are deterministic for a given
     seed whatever the number of workers. Returns an (n, 2) array of (low,
     high) bounds at the 100*alpha/2 and 100*(1 - alpha/2) percentiles, where
-    0 < alpha < 1.
+    0 < alpha < 1; n_boot is at least 1 and seed at least 0.
     """
     if n_boot < 1:
         raise IntegrityError(f"n_boot must be at least 1, got {n_boot}")
+    if seed < 0:
+        raise IntegrityError(f"seed must be at least 0, got {seed}")
     if not 0.0 < alpha < 1.0:
         raise IntegrityError(f"alpha must lie in (0, 1), got {alpha}")
 

@@ -40,8 +40,8 @@ def cold_replicates():
     bootstrap replicate is solved from its default point: the reference a
     warm start is compared with."""
     fit = scaling._fit
-    return mock.patch.object(scaling, "_fit", lambda problem, conditions, start, *rest:
-                             fit(problem, conditions, None, *rest))
+    return mock.patch.object(scaling, "_fit", lambda problem, start, *rest:
+                             fit(problem, None, *rest))
 
 
 @pytest.fixture

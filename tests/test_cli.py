@@ -355,6 +355,9 @@ class TestUsageErrors:
         *(["scale", "--manifest", "missing.json", "--tol", tol]
           for tol in ("-1", "0", "nan", "inf")),
         ["scale", "--manifest", "missing.json", "--max-iter", "-3"],
+        ["scale", "--manifest", "missing.json", "--bootstrap", "2", "--seed", "-1"],
+        ["simulate", "--conditions", "6", "--datasets", "2", "--seed", "-1"],
+        ["recover", "--conditions", "6", "--datasets", "2", "--seed", "-1"],
         # a non-finite float flag would be written into run.json, which JSON forbids
         ["scale", "--manifest", "missing.json", "--alpha", "inf"],
         ["select-pairs", "--mode", "cross-dataset", "--scale", "scale.csv", "--window", "inf"],

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.special import gammaln, ndtr
+from scipy.special import ndtr
 from scipy.stats import binom, norm
 
 from jodscale import connected_components, scaling
@@ -91,21 +91,7 @@ class TestPwcLogLikelihood:
         with pytest.raises(IntegrityError):
             pwc_log_likelihood(graph, [np.nan, 0.0])
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_log_factorial_table_matches_gammaln_exactly(self, seed):
-        rng = np.random.default_rng(seed)
-        size = int(rng.integers(1, 2000))
-        total = rng.integers(0, [1, 40, 3000][seed % 3] + 1, size)
-        c_ij = rng.binomial(total, rng.uniform(0.0, 1.0, size))
-        pairs = (None, None, c_ij, total - c_ij)
-        table = scaling._log_factorials(pairs)
-        assert table.size == total.max() + 1
-        assert scaling._log_binomial(pairs, table) == scaling._log_binomial(pairs, None)
-        assert np.array_equal(table[total], gammaln(total + 1.0))
-
-    def test_a_total_too_large_to_tabulate_uses_gammaln(self):
-        pairs = (None, None, np.array([3, 2**21]), np.array([4, 1]))
-        assert scaling._log_factorials(pairs) is None
+    def test_binomial_pmf_oracle_at_a_large_total(self):
         graph = graph_of(2, {(0, 1): 2**21, (1, 0): 1})
         assert pwc_log_likelihood(graph, [0.0, 0.0]) == pytest.approx(
             float(binom.logpmf(1, 2**21 + 1, 0.5)), rel=1e-12)
@@ -695,6 +681,27 @@ class TestBootstrap:
     def test_n_boot_validation(self, two_condition_collection):
         with pytest.raises(IntegrityError):
             bootstrap_ci(scale(two_condition_collection), 0)
+
+    def test_negative_seed_rejected_before_any_replicate(self, monkeypatch,
+                                                         two_condition_collection):
+        fit = scale(two_condition_collection)
+        monkeypatch.setattr(scaling, "_workers", lambda n_boot: pytest.fail("a worker started"))
+        with pytest.raises(IntegrityError, match="seed must be at least 0, got -1"):
+            bootstrap_ci(fit, 3, seed=-1)
+
+    def test_the_binomial_constant_is_added_once_per_scale(self, monkeypatch):
+        """``scale`` adds the binomial constant to the value it reports; a
+        replicate reports no value and computes no constant."""
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
+        calls = []
+        log_binomial = scaling._log_binomial
+        monkeypatch.setattr(scaling, "_log_binomial",
+                            lambda pairs: calls.append(1) or log_binomial(pairs))
+        monkeypatch.setattr(scaling, "_workers", lambda n_boot: 1)  # count in this process
+        fit = scale(coll)
+        assert len(calls) == 1
+        bootstrap_ci(fit, 5, seed=0)
+        assert len(calls) == 1
 
     def test_the_fit_carries_its_problem_and_solver_settings(self, monkeypatch):
         """``bootstrap_ci`` solves every replicate with the prior, tolerance
