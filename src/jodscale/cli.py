@@ -19,13 +19,16 @@ out of range: any float flag NaN or infinite, ``scale --bootstrap`` or
 ``select-pairs --k`` below 1, ``simulate``/``recover --conditions`` below 2,
 ``pu-encode --knots`` below 64. Flag ranges are checked at parse time.
 ``pu-encode --lut`` with a flag that builds a look-up table (``--threshold``,
-``--l-min``, ``--l-max``, ``--knots``), a ``select-pairs`` mode without the
-input files it needs and an ``--out`` that cannot be made a directory (it
-names an existing file, say) are usage errors too, the first two found before
-any output directory exists. A finite ``--alpha`` outside (0, 1) with
-``scale --bootstrap``, a non-finite value in a keyed input (``--scores``,
-``--scale``, ``--metric-test``, ``--metric-bench``) and a non-finite
-``pu-encode``/``stats`` input value are data integrity errors.
+``--l-min``, ``--l-max``, ``--knots``), ``pu-encode --log-encode`` with one of
+those, ``--lut`` or ``--save-lut``, ``pu-encode --l-black`` or ``--gamma``
+without ``--l-peak``, a ``select-pairs`` mode without the input files it needs
+and an ``--out`` that cannot be made a directory (it names an existing file,
+say) are usage errors too, all but the last found before any output directory
+exists. A finite ``--alpha`` outside (0, 1) with ``scale --bootstrap``, a
+non-finite value in a keyed input (``--scores``, ``--scale``,
+``--metric-test``, ``--metric-bench``), a non-finite ``pu-encode``/``stats``
+input value and a ``pu-encode --strict`` one out of range (for
+``--log-encode``, below 0.8 cd/m^2) are data integrity errors.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .photometry import (
     DEFAULT_KNOTS,
     DEFAULT_L_MAX,
     DEFAULT_L_MIN,
+    SDR_GAMMA,
     DisplayModel,
     PuLut,
     build_pu_lut,
@@ -258,34 +262,41 @@ def _cmd_fit_logistic(args, out: Path) -> None:
 
 def _cmd_pu_encode(args, out: Path) -> None:
     values = _read_values_csv(args.input)
-    if args.lut:
-        lut = PuLut.from_csv(args.lut)
-    else:
-        threshold = tabulated_threshold(args.threshold) if args.threshold else default_threshold
-        lut = build_pu_lut(threshold, args.l_min, args.l_max, args.knots)
+    if not args.log_encode:
+        lut = PuLut.from_csv(args.lut) if args.lut else build_pu_lut(
+            tabulated_threshold(args.threshold) if args.threshold else default_threshold,
+            args.l_min, args.l_max, args.knots)
     if args.l_peak is not None:
         display = DisplayModel(args.l_peak, args.l_black, args.gamma)
         values = display_forward(values, display, strict=args.strict)
-    if args.log_encode:
-        encoded = log_encode(values)
-    else:
-        encoded = pu_encode(values, lut, strict=args.strict)
+    encoded = (log_encode(values, strict=args.strict) if args.log_encode
+               else pu_encode(values, lut, strict=args.strict))
     _write_csv(out / "encoded.csv", "value", "{:.6f}\n", encoded.tolist())
-    if args.save_lut:
+    if args.save_lut:  # never with --log-encode
         lut.to_csv(out / args.save_lut)
     print(f"encoded {encoded.size} values")
 
 
 def _check_pu_encode(args) -> None:
-    """``--lut`` excludes the options that build a look-up table, checked
-    before ``--out`` is made; then the unset ones take their defaults."""
-    for name, default in (("threshold", None), ("l_min", DEFAULT_L_MIN),
-                          ("l_max", DEFAULT_L_MAX), ("knots", DEFAULT_KNOTS)):
+    """The flags one path of ``pu-encode`` excludes, checked before ``--out``
+    is made: ``--lut`` replaces the options that build a look-up table,
+    ``--log-encode`` uses no table at all, and the display flags need
+    ``--l-peak``. Then the unset ones take their defaults."""
+    builders = ("threshold", "l_min", "l_max", "knots")
+    for excluded, names, reason in (
+            (args.lut, builders, "builds a look-up table, which --lut replaces; pass one "
+                                 "or the other"),
+            (args.log_encode, (*builders, "lut", "save_lut"),
+             "is for the PU look-up table, which --log-encode does not use"),
+            (args.l_peak is None, ("l_black", "gamma"),
+             "describes the display, which needs --l-peak")):
+        for name in names:
+            if excluded and getattr(args, name) is not None:
+                raise UsageError(f"--{name.replace('_', '-')} {reason}")
+    for name, default in (("l_min", DEFAULT_L_MIN), ("l_max", DEFAULT_L_MAX),
+                          ("knots", DEFAULT_KNOTS), ("l_black", 0.5), ("gamma", SDR_GAMMA)):
         if getattr(args, name) is None:
             setattr(args, name, default)
-        elif args.lut:
-            raise UsageError(f"--{name.replace('_', '-')} builds a look-up table, "
-                             "which --lut replaces; pass one or the other")
 
 
 def _check_select_pairs(args) -> None:
@@ -464,8 +475,8 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="CSV of values, header 'value'")
     p.add_argument("--l-peak", type=finite, default=None,
                    help="treat input as normalized display values with this peak")
-    p.add_argument("--l-black", type=finite, default=0.5)
-    p.add_argument("--gamma", type=finite, default=2.2)
+    p.add_argument("--l-black", type=finite, help="display black level, default 0.5")
+    p.add_argument("--gamma", type=finite, help=f"display gamma, default {SDR_GAMMA}")
     p.add_argument("--lut", help="load the PU look-up table from a CSV, header 'luminance,pu'")
     p.add_argument("--save-lut", help="write the look-up table next to the output")
     p.add_argument("--threshold", help="detection threshold CSV, header 'luminance,threshold'")

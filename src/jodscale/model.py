@@ -257,7 +257,6 @@ class DatasetCollection:
                 raise IntegrityError(
                     f"{what} given for dataset {unknown[0]!r}, which has no condition"
                 )
-        anchored = {cond.dataset for cond in self.conditions if cond.is_reference}
         for name, table in self.ratings.items():
             idx = table.condition_indices
             outside = (idx < 0) | (idx >= self.n)
@@ -276,8 +275,6 @@ class DatasetCollection:
                 raise IntegrityError(
                     f"non-finite rating score for {self.conditions[idx[nonfinite][0]].key}"
                 )
-            if name not in anchored:
-                raise IntegrityError(f"rating dataset {name!r} has no reference condition")
 
     @property
     def n(self) -> int:

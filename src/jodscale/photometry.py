@@ -55,18 +55,27 @@ class DisplayModel:
             raise IntegrityError(f"display gamma must be positive and finite, got {self.gamma}")
 
 
+def _in_range(values, low: float, high: float | None, strict: bool, what: str,
+              clamped: str = "was clamped") -> np.ndarray:
+    """``values`` as floats, those outside [low, high] (no upper bound when
+    ``high`` is None) rejected under ``strict`` with "<what> in strict mode",
+    else clamped with the warning "<what> <clamped>"."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size and (np.nanmin(arr) < low or (high is not None and np.nanmax(arr) > high)):
+        if strict:
+            raise IntegrityError(f"{what} in strict mode")
+        warnings.warn(f"{what} {clamped}", stacklevel=3)
+        arr = np.clip(arr, low, high)
+    return arr
+
+
 def display_forward(c_srgb, display: DisplayModel, strict: bool = False) -> np.ndarray:
     """Map normalized gamma-encoded values in [0, 1] to absolute luminance.
 
     Out-of-range inputs are clamped with a warning, or rejected when
     ``strict`` is set.
     """
-    values = np.asarray(c_srgb, dtype=float)
-    if values.size and (np.nanmin(values) < 0.0 or np.nanmax(values) > 1.0):
-        if strict:
-            raise IntegrityError("encoded values outside [0, 1] in strict mode")
-        warnings.warn("encoded values outside [0, 1] were clamped", stacklevel=2)
-        values = np.clip(values, 0.0, 1.0)
+    values = _in_range(c_srgb, 0.0, 1.0, strict, "encoded values outside [0, 1]", "were clamped")
     return (display.l_peak - display.l_black) * values**display.gamma + display.l_black
 
 
@@ -109,12 +118,11 @@ def tabulated_threshold(path) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class PuLut:
-    """Tabulated PU encoding: strictly increasing values over luminance knots."""
+    """Tabulated PU encoding: strictly increasing values over luminance
+    knots, whose first and last span the range it encodes."""
 
     luminance_knots: np.ndarray
     pu_values: np.ndarray
-    l_min: float
-    l_max: float
 
     def __post_init__(self):
         knots = np.asarray(self.luminance_knots, dtype=float)
@@ -138,7 +146,7 @@ class PuLut:
                                          "pu": _cells(float, float)})
         if knots.size < 2:
             raise ParseError(f"LUT {path} needs at least two rows")
-        return cls(knots, values, float(knots[0]), float(knots[-1]))
+        return cls(knots, values)
 
 
 def build_pu_lut(
@@ -149,8 +157,8 @@ def build_pu_lut(
 ) -> PuLut:
     """Build the PU look-up table by integrating 1/T(l).
 
-    Knots are log-spaced over [l_min, l_max] with the two anchor luminances
-    inserted exactly, the reciprocal threshold is accumulated with the
+    Knots are log-spaced over [l_min, l_max], both ends and the two anchor
+    luminances exact, the reciprocal threshold is accumulated with the
     trapezoid rule, and the result is affinely normalized so the anchors map
     to code values 0 and 255 exactly.
     """
@@ -165,6 +173,7 @@ def build_pu_lut(
         raise IntegrityError(f"n_knots must be at least 64, got {n_knots}")
 
     knots = np.logspace(math.log10(l_min), math.log10(l_max), int(n_knots))
+    knots[[0, -1]] = l_min, l_max
     knots = np.union1d(knots, np.array([PU_ANCHOR_LOW, PU_ANCHOR_HIGH]))
     thresholds = np.asarray(threshold(knots), dtype=float)
     if np.any(~np.isfinite(thresholds)) or np.any(thresholds <= 0.0):
@@ -174,33 +183,28 @@ def build_pu_lut(
     low = raw[np.searchsorted(knots, PU_ANCHOR_LOW)]
     high = raw[np.searchsorted(knots, PU_ANCHOR_HIGH)]
     values = (raw - low) * ((PU_CODE_HIGH - PU_CODE_LOW) / (high - low)) + PU_CODE_LOW
-    return PuLut(knots, values, float(l_min), float(l_max))
+    return PuLut(knots, values)
 
 
 def pu_encode(values, lut: PuLut, strict: bool = False) -> np.ndarray:
     """Encode absolute luminance to PU units via the LUT.
 
-    Monotone piecewise-linear interpolation; values outside the LUT range
-    are clamped with a warning (error in strict mode).
+    Monotone piecewise-linear interpolation; values outside the knots are
+    clamped with a warning (error in strict mode).
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return arr.copy()
-    if np.nanmin(arr) < lut.l_min or np.nanmax(arr) > lut.l_max:
-        if strict:
-            raise IntegrityError("luminance outside the LUT range in strict mode")
-        warnings.warn("luminance outside the LUT range was clamped", stacklevel=2)
-        arr = np.clip(arr, lut.l_min, lut.l_max)
-    return np.interp(arr, lut.luminance_knots, lut.pu_values)
+    knots = lut.luminance_knots
+    arr = _in_range(values, knots[0], knots[-1], strict, "luminance outside the LUT range")
+    return np.interp(arr, knots, lut.pu_values)
 
 
-def log_encode(values) -> np.ndarray:
+def log_encode(values, strict: bool = False) -> np.ndarray:
     """Logarithmic alternative to the PU encoding, same anchor convention.
 
     Provided for comparison experiments only; it tracks thresholds worse
-    than the PU encoding.
+    than the PU encoding. Values below the low anchor are clamped to it
+    with a warning (error in strict mode); there is no upper bound.
     """
     log_low, log_high = math.log10(PU_ANCHOR_LOW), math.log10(PU_ANCHOR_HIGH)
-    arr = np.clip(np.asarray(values, dtype=float), PU_ANCHOR_LOW, None)
+    arr = _in_range(values, PU_ANCHOR_LOW, None, strict, f"luminance below {PU_ANCHOR_LOW} cd/m^2")
     scale = (PU_CODE_HIGH - PU_CODE_LOW) / (log_high - log_low)
     return (np.log10(arr) - log_low) * scale + PU_CODE_LOW

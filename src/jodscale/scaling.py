@@ -73,9 +73,9 @@ class UnifiedScale:
     """Result of a joint scaling run: ``log_posterior`` is the maximized
     log-posterior at ``q`` and ``links``; ``iterations`` counts the Newton
     iterations of the one solve, for all components together. ``tol`` and
-    ``max_iter`` are the solve's, and ``problem`` is the checked posterior
-    it solved, which ``bootstrap_ci`` resamples; it takes no part in
-    comparisons or the repr."""
+    ``max_iter`` are the solve's, and ``problem`` is the posterior it
+    solved, its components, anchors and rating spread checked, which
+    ``bootstrap_ci`` resamples; it takes no part in comparisons or the repr."""
 
     q: np.ndarray
     links: dict[str, LinkParams]
@@ -437,19 +437,6 @@ class PosteriorProblem:
         return diag_q[self.free_idx]
 
 
-def _check_rating_spread(problem: PosteriorProblem) -> None:
-    """A dataset whose ratings never differ within a condition has an
-    unbounded likelihood: with q affine in the condition means, RSS and so
-    c go to 0. A condition's ratings differ when one differs from its first."""
-    for name, table, starts in zip(problem.rating_names, problem.tables, problem._starts):
-        scores = table.scores
-        if not np.any(scores != scores[starts[table.condition_indices]]):
-            raise DegenerateDataError(
-                f"dataset {name!r} has no rating spread within any condition; "
-                "its likelihood is unbounded"
-            )
-
-
 # Armijo sufficient-increase constant and the backtracking limit.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
@@ -497,30 +484,39 @@ def _newton_direction(problem: PosteriorProblem, curvature: Curvature, grad: np.
     return step
 
 
-def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
-    """Line-search Newton-CG maximization of the log-posterior from x.
+def _solve(problem: PosteriorProblem, start: np.ndarray | None, tol: float, max_iter: int):
+    """Line-search Newton-CG maximization of the log-posterior of ``problem``
+    from the scores ``start``, or from its initial point without one.
 
-    Each iteration solves the Newton system on the curvature cached by the
-    last kernel evaluation, to the relative residual of
-    ``_newton_direction``, then backtracks from the full step until the
-    Armijo condition holds. Where the log-posterior no longer changes in
-    floating point, a step that lowers max|grad| is accepted instead, so the
-    absolute gradient tolerance stays reachable at large |f|. Converged means
-    max|grad| < tol at the start point or at two consecutive iterates, so
-    that the second, one Newton step on from the first, lies well inside the
-    tolerance; a line search that fails from a point inside it still counts
-    as converged. Returns (x, value, converged, iterations).
+    A rated dataset whose ratings never differ within a condition (none
+    differs from its condition's first) raises ``DegenerateDataError``
+    before any kernel call: with q affine in the condition means, RSS and so
+    c go to 0, and the likelihood is unbounded. Each iteration solves the
+    Newton system on the curvature cached by the last kernel evaluation, to
+    the relative residual of ``_newton_direction``, then backtracks from the
+    full step until the Armijo condition holds. Where the log-posterior no
+    longer changes in floating point, a step that lowers max|grad| is
+    accepted instead, so the absolute gradient tolerance stays reachable at
+    large |f|. The stop rule holds once max|grad| < tol at the start point
+    or at two consecutive iterates, the second one Newton step on from the
+    first; a line search that fails from a point inside it still counts.
+    Returns q, links, the kernel's value, converged (the stop rule held and
+    every rated dataset has a link) and the iteration count.
     """
+    for name, table, starts in zip(problem.rating_names, problem.tables, problem._starts):
+        if not np.any(table.scores != table.scores[starts[table.condition_indices]]):
+            raise DegenerateDataError(f"dataset {name!r} has no rating spread within any "
+                                      "condition; its likelihood is unbounded")
+    x = problem.initial_point() if start is None else start[problem.free_idx]
     value, grad, curvature = problem.value_and_grad(x)
     iterations = 0
     inside = False
     while True:
         grad_norm = float(np.max(np.abs(grad), initial=0.0))
-        if grad_norm < tol and (inside or iterations == 0):
-            return x, value, True, iterations
+        converged = grad_norm < tol and (inside or iterations == 0)
         inside = grad_norm < tol
-        if iterations >= max_iter:
-            return x, value, False, iterations
+        if converged or iterations >= max_iter:
+            break
         iterations += 1
         step = _newton_direction(problem, curvature, grad)
         gain = float(grad @ step)
@@ -536,17 +532,10 @@ def _solve(problem: PosteriorProblem, x: np.ndarray, tol: float, max_iter: int):
                 break
             t *= 0.5
         else:
-            return x, value, inside, iterations
+            converged = inside
+            break
         x = x + t * step
         value, grad, curvature = trial
-
-
-def _fit(problem: PosteriorProblem, start: np.ndarray | None, tol: float, max_iter: int):
-    """Solve ``problem`` from the scores ``start``, or from its initial point
-    without one. Returns q, links, the kernel's value, converged and the
-    iteration count; converged also needs a link for every rated dataset."""
-    x0 = problem.initial_point() if start is None else start[problem.free_idx]
-    x, value, converged, iterations = _solve(problem, x0, tol, max_iter)
     q, links = problem.unpack(x)
     return q, links, value, converged and len(links) == len(problem.rating_names), iterations
 
@@ -565,18 +554,18 @@ def scale(
     connected component containing at least one reference condition per
     dataset; pass ``per_component=True`` to scale disconnected components
     independently (their scores are then mutually incomparable). Every
-    dataset needs a reference condition in each component it is in, and
-    every rated dataset some rating spread within a condition. There is one
-    solve either way: the score prior is centred on each component's own
-    mean, so the per-component solves run in lock-step, under one line
-    search and one iteration count. A rated dataset whose fitted slope ends
-    at 0 has no entry in ``links``, and the scale is then not converged.
-    The result carries the checked problem it solved, ready for
-    ``bootstrap_ci``. Its ``log_posterior`` adds the binomial constant,
-    once, to the value the solve maximized.
+    dataset needs a reference condition in each component it is in; these
+    checks come first, then ``_solve`` checks that every rated dataset has
+    some rating spread within a condition. There is one solve either way:
+    the score prior is centred on each component's own mean, so the
+    per-component solves run in lock-step, under one line search and one
+    iteration count. A rated dataset whose fitted slope ends at 0 has no
+    entry in ``links``, and the scale is then not converged. The result
+    carries the checked problem it solved, ready for ``bootstrap_ci``. Its
+    ``log_posterior`` adds the binomial constant, once, to the value the
+    solve maximized.
     """
     problem = PosteriorProblem(collection, prior_enabled)
-    _check_rating_spread(problem)
     if (sizes := problem.sizes).size > 1:
         if not per_component:
             raise DisconnectedGraphError(
@@ -594,7 +583,7 @@ def scale(
     if unanchored := sorted(set(parts) - anchors):
         name = unanchored[0][0]
         raise IntegrityError(f"dataset {name!r} has no reference condition to anchor it")
-    q, links, value, converged, iterations = _fit(problem, None, tol, max_iter)
+    q, links, value, converged, iterations = _solve(problem, None, tol, max_iter)
     return UnifiedScale(q, links, value + _log_binomial(problem._pairs), converged, iterations,
                         conditions, tol, max_iter, problem)
 
@@ -610,12 +599,10 @@ def _replicate(index: int) -> np.ndarray | None:
     its solve does not converge."""
     fit, seed = _job
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007, index)))
-    replicate = fit.problem.resampled(rng)
     try:
-        _check_rating_spread(replicate)
+        q, _, _, converged, _ = _solve(fit.problem.resampled(rng), fit.q, fit.tol, fit.max_iter)
     except DegenerateDataError:
         return None
-    q, _, _, converged, _ = _fit(replicate, fit.q, fit.tol, fit.max_iter)
     return q if converged else None
 
 

@@ -36,12 +36,12 @@ def pattern_of(graph):
 
 
 def cold_replicates():
-    """A patch of ``scaling._fit`` that drops its start, so that every
+    """A patch of ``scaling._solve`` that drops its start, so that every
     bootstrap replicate is solved from its default point: the reference a
     warm start is compared with."""
-    fit = scaling._fit
-    return mock.patch.object(scaling, "_fit", lambda problem, start, *rest:
-                             fit(problem, None, *rest))
+    solve = scaling._solve
+    return mock.patch.object(scaling, "_solve", lambda problem, start, *rest:
+                             solve(problem, None, *rest))
 
 
 @pytest.fixture

@@ -582,8 +582,7 @@ class TestPuEncodeCommand:
     def test_log_encode_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "values.csv").write_text("value\n0.8\n80.0\n")
-        code = main(["pu-encode", "--input", "values.csv", "--out", "enc",
-                     "--log-encode", "--knots", "512"])
+        code = main(["pu-encode", "--input", "values.csv", "--out", "enc", "--log-encode"])
         assert code == 0
         lines = (tmp_path / "enc" / "encoded.csv").read_text().strip().splitlines()[1:]
         assert float(lines[0]) == pytest.approx(0.0, abs=1e-6)
@@ -606,6 +605,42 @@ class TestPuEncodeCommand:
         assert main([*argv, "--lut", "enc/lut.csv"]) == 0
         assert (tmp_path / "with-lut" / "encoded.csv").read_bytes() \
             == (tmp_path / "enc" / "encoded.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--threshold", "thr.csv"], ["--l-min", "5"],
+                                      ["--l-max", "1e4"], ["--knots", "4096"],
+                                      ["--lut", "lut.csv"], ["--save-lut", "lut.csv"]])
+    def test_log_encode_excludes_the_table_options(self, tmp_path, monkeypatch, capsys, flag):
+        """The logarithmic encoding builds, loads and writes no look-up table."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "values.csv").write_text("value\n0.8\n80.0\n")
+        argv = ["pu-encode", "--input", "values.csv", "--out", "enc", "--log-encode"]
+        assert main([*argv, *flag]) == 1
+        assert f"{flag[0]} is for the PU look-up table" in capsys.readouterr().err
+        assert not (tmp_path / "enc").exists()
+
+    @pytest.mark.parametrize("flag", [["--l-black", "3"], ["--gamma", "7"]])
+    def test_display_flags_need_a_peak(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "values.csv").write_text("value\n0.5\n1.0\n")
+        argv = ["pu-encode", "--input", "values.csv", "--out", "enc"]
+        assert main([*argv, *flag]) == 1
+        assert f"{flag[0]} describes the display" in capsys.readouterr().err
+        assert not (tmp_path / "enc").exists()
+        assert main([*argv, "--l-peak", "100"]) == 0
+        options = json.loads((tmp_path / "enc" / "run.json").read_text())["options"]
+        assert (options["l_black"], options["gamma"]) == (0.5, 2.2)
+
+    def test_log_encode_range(self, tmp_path, monkeypatch):
+        """Below the 0.8 cd/m^2 anchor the logarithmic encoding clamps with a
+        warning, or is a data error under --strict."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "values.csv").write_text("value\n0.5\n")
+        argv = ["pu-encode", "--input", "values.csv", "--log-encode"]
+        assert main([*argv, "--out", "strict", "--strict"]) == 2
+        assert not (tmp_path / "strict" / "encoded.csv").exists()
+        with pytest.warns(UserWarning, match="below 0.8 cd/m"):
+            assert main([*argv, "--out", "enc"]) == 0
+        assert (tmp_path / "enc" / "encoded.csv").read_text() == "value\n0.000000\n"
 
 
 class TestSelectPairsCommand:

@@ -371,7 +371,9 @@ class TestLoadCollection:
             coll = load_collection(path)
         assert coll.n == 2
 
-    def test_rating_dataset_requires_reference(self, tmp_path):
+    def test_rating_dataset_requires_reference(self, tmp_path, capsys):
+        """The manifest loads, as ``linkfit`` and ``validate`` need no
+        anchor; ``scale`` rejects it, naming the dataset."""
         root = tmp_path / "noref"
         root.mkdir()
         (root / "conditions.csv").write_text("condition\nrd/c0/dist/1\n")
@@ -387,8 +389,10 @@ class TestLoadCollection:
             ]
         }
         (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(IntegrityError):
-            load_collection(root / "manifest.json")
+        assert len(load_collection(root / "manifest.json").ratings["rd"]) == 1
+        assert main(["scale", "--manifest", str(root / "manifest.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "dataset 'rd' has no reference condition to anchor it" in capsys.readouterr().err
 
     def test_malformed_manifest_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"

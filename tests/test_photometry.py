@@ -124,11 +124,28 @@ class TestPuEncode:
         with pytest.raises(IntegrityError):
             pu_encode([1e-9], lut, strict=True)
 
+    @pytest.mark.parametrize("values", [[0.6, 15.0], [0.6], [15.0], [5.0, 10.5]])
+    def test_strict_rejects_any_value_outside_the_knots(self, values):
+        lut = PuLut([1.0, 10.0], [0.0, 1.0])
+        with pytest.raises(IntegrityError, match="outside the LUT range"):
+            pu_encode(values, lut, strict=True)
+        np.testing.assert_array_equal(pu_encode([1.0, 5.5, 10.0], lut, strict=True),
+                                      [0.0, 0.5, 1.0])
+        with pytest.warns(UserWarning, match="outside the LUT range was clamped"):
+            clamped = pu_encode(values, lut)
+        np.testing.assert_array_equal(clamped, pu_encode(np.clip(values, 1.0, 10.0), lut))
+
+    def test_a_built_lut_spans_exactly_its_range(self):
+        # logspace gives 0.0020000000000000005 and 499.99999999999994
+        lut = build_pu_lut(l_min=0.002, l_max=500.0, n_knots=64)
+        assert lut.luminance_knots[[0, -1]].tolist() == [0.002, 500.0]
+        pu_encode([0.002, 500.0], lut, strict=True)
+
     def test_invertible_by_bisection(self):
         lut = build_pu_lut(n_knots=512)
         knots = lut.luminance_knots
         for target in (-20.0, 0.0, 100.0, 255.0, 400.0):
-            lo, hi = lut.l_min, lut.l_max
+            lo, hi = lut.luminance_knots[[0, -1]]
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 if float(pu_encode(mid, lut)) < target:
@@ -214,3 +231,11 @@ class TestLogEncode:
     def test_monotone(self):
         values = log_encode(np.logspace(0, 4, 50))
         assert np.all(np.diff(values) > 0)
+
+    def test_below_the_low_anchor_clamps_or_is_strict(self):
+        with pytest.warns(UserWarning, match="luminance below 0.8 cd/m\\^2 was clamped"):
+            assert log_encode([0.5, 8e6]).tolist() == pytest.approx([0.0, 892.5])
+        with pytest.raises(IntegrityError, match="luminance below 0.8 cd/m\\^2 in strict mode"):
+            log_encode([0.5], strict=True)
+        # no upper bound
+        assert float(log_encode(8e6, strict=True)) == pytest.approx(892.5)

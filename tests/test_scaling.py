@@ -277,10 +277,23 @@ class TestProfiledLinks:
         [[3.0], [2.0], [1.0]],  # each condition rated once
         [[3.0, 3.0], [2.0, 2.0], [1.0]],  # repeated ratings that agree
     ], ids=["single", "repeated"])
-    def test_no_spread_within_a_condition_is_degenerate(self, scores):
+    def test_no_spread_within_a_condition_is_degenerate(self, scores, monkeypatch):
         coll = _rated_demo(scores, {(0, 1): 3, (1, 0): 2, (1, 2): 3, (2, 1): 2})
+        # found before any kernel call
+        monkeypatch.setattr(PosteriorProblem, "value_and_grad",
+                            lambda *args: pytest.fail("the kernel ran"))
         with pytest.raises(DegenerateDataError, match="'demo' has no rating spread"):
             scale(coll)
+
+    def test_components_and_anchors_are_checked_before_the_spread(self):
+        """demo/c1 is neither rated nor compared: a second component, which
+        has no reference condition of demo."""
+        coll = _rated_demo([[1.0], [2.0], []], {(0, 1): 3, (1, 0): 2})
+        with pytest.raises(DisconnectedGraphError, match="splits into 2 components"):
+            scale(coll)
+        with pytest.warns(UserWarning, match="NOT comparable"):
+            with pytest.raises(IntegrityError, match="'demo' has no reference condition"):
+                scale(coll, per_component=True)
 
     def test_spread_within_one_condition_is_enough(self):
         coll = _rated_demo([[3.0, 3.5], [2.0], [1.0]],
@@ -667,7 +680,7 @@ class TestBootstrap:
         monkeypatch.setattr(scaling, "_solve", recorded)
         monkeypatch.setattr(scaling, "_workers", lambda n_boot: 1)  # record in this process
         intervals = bootstrap_ci(fit, 10, seed=1)
-        assert [converged for _, _, converged, _ in outcomes] == [True] * 10
+        assert [converged for _, _, _, converged, _ in outcomes] == [True] * 10
         assert intervals.shape == (7, 2) and np.all(np.isfinite(intervals))
 
     def test_unanchored_collection_raises_before_any_solve(self, monkeypatch):
@@ -755,7 +768,7 @@ class TestBootstrapPool:
             raise ConvergenceError(f"{problem.n} conditions in process {os.getpid()}")
 
         monkeypatch.setattr(scaling, "_workers", lambda n_boot: 3)
-        monkeypatch.setattr(scaling, "_fit", fails)
+        monkeypatch.setattr(scaling, "_solve", fails)
         with pytest.raises(ConvergenceError, match="20 conditions in process") as raised:
             bootstrap_ci(fit, 6, seed=0)
         assert not str(raised.value).endswith(f" {os.getpid()}")  # raised in a worker
