@@ -34,7 +34,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csgraph, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.special import gammaln, log_ndtr, ndtr
 
 from .errors import DegenerateDataError, DisconnectedGraphError, IntegrityError
@@ -181,16 +181,27 @@ def connected_components(collection: DatasetCollection) -> np.ndarray:
 
     Conditions are linked by any measured comparison; rating-bearing
     conditions of the same dataset are also linked, because their shared
-    link ties them together. Labels are integers 0, 1, ..., numbered in
+    link ties them together. Labels are ``np.intp`` 0, 1, ..., numbered in
     order of each component's smallest member; the component sizes are
     ``np.bincount(labels)``.
     """
     chains = [np.unique(table.condition_indices) for table in collection.ratings.values()]
-    rows = np.concatenate([collection.graph.i, *(chain[:-1] for chain in chains)])
-    cols = np.concatenate([collection.graph.j, *(chain[1:] for chain in chains)])
-    adjacency = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(collection.n,) * 2)
-    # csgraph labels components in order of first visit, by increasing node
-    return csgraph.connected_components(adjacency, directed=False)[1]
+    a = np.concatenate([collection.graph.i, *(chain[:-1] for chain in chains)])
+    b = np.concatenate([collection.graph.j, *(chain[1:] for chain in chains)])
+    # Union-find in rounds: hook the larger root of each edge that crosses
+    # two trees onto the smallest root it meets, then point every node at
+    # its root. A root only moves to a smaller node, so no cycle forms and
+    # each root is its tree's smallest member; every round merges trees.
+    roots = np.arange(collection.n)
+    while True:
+        ra, rb = roots[a], roots[b]
+        crossing = ra != rb
+        if not crossing.any():
+            break
+        np.minimum.at(roots, np.maximum(ra, rb)[crossing], np.minimum(ra, rb)[crossing])
+        while not np.array_equal(parents := roots[roots], roots):
+            roots = parents
+    return np.unique(roots, return_inverse=True)[1]
 
 
 def pwc_log_likelihood(graph: ComparisonGraph, q) -> float:

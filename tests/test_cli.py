@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import jodscale
-from jodscale import scaling
+from jodscale import cli, scaling
 from jodscale.cli import main
 from jodscale.csvio import _CHUNK_ROWS, _write_csv, _write_json
+from jodscale.model import RatingTable
 
 from conftest import write_two_condition_fixture
 
@@ -255,29 +256,35 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "out" / "scale.csv").exists()
 
-    def test_scale_path_leaves_optimize_stats_and_integrate_unloaded(self, tmp_path):
+    def test_scale_path_leaves_optimize_stats_integrate_and_linalg_unloaded(self, tmp_path):
         """``simulate``, ``scale`` and ``select-pairs`` never call
-        scipy.optimize, scipy.stats or scipy.integrate, so a fresh process
-        running them never pays for importing those."""
+        scipy.optimize, scipy.stats, scipy.integrate, scipy.linalg,
+        scipy.sparse.linalg or scipy.sparse.csgraph, so a fresh process
+        importing the CLI, or running them, never pays for importing those."""
         package_root = str(Path(jodscale.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [package_root, env.get("PYTHONPATH")]))
+        unused = ("{'scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.linalg',"
+                  " 'scipy.sparse.linalg', 'scipy.sparse.csgraph'}")
         child = "\n".join([
             "import sys",
-            "import jodscale, jodscale.cli",
+            "import jodscale.cli",
+            f"print('after import', sorted({unused} & set(sys.modules)))",
             "main = jodscale.cli.main",
             "assert main(['simulate', '--conditions', '30', '--out', 'sim']) == 0",
             "assert main(['scale', '--manifest', 'sim/manifest.json', '--out', 'scaled',"
             " '--strict', '--bootstrap', '3']) == 0",
             "assert main(['select-pairs', '--mode', 'cross-dataset',"
             " '--scale', 'scaled/scale.csv', '--out', 'sel']) == 0",
-            "print(sorted({'scipy.stats', 'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))",
+            f"print('after commands', sorted({unused} & set(sys.modules)))",
         ])
         result = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]"
+        lines = result.stdout.splitlines()
+        assert "after import []" in lines
+        assert lines[-1] == "after commands []"
 
     def test_importing_the_cli_leaves_the_process_pool_unloaded(self):
         """Only ``bootstrap_ci`` uses the process pool, so importing the
@@ -732,6 +739,19 @@ class TestLinkfitCommand:
         assert orders == [1, 2, 3]
         for row in table["ds1"]:
             assert row["r2_adj"] <= row["r2"] + 1e-12
+
+    def test_condition_means_match_a_mask_per_condition(self):
+        """Grouping the rows once gives each condition the mean of the same
+        scores, in the same order, as one boolean mask per condition."""
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            rows = int(rng.integers(1, 200))
+            table = RatingTable(rng.integers(0, int(rng.integers(1, 40)), rows).tolist(),
+                                ["o"] * rows, rng.normal(0, 1e3, rows).tolist())
+            indices = np.unique(table.condition_indices).tolist()
+            means = [float(np.mean(table.scores[table.condition_indices == idx]))
+                     for idx in indices]
+            assert cli._condition_means(table) == (indices, means)
 
 
 class TestStatsCommand:

@@ -1,10 +1,11 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from jodscale import connected_components, csvio
+from jodscale import connected_components, csvio, model
 from jodscale.cli import main
 from jodscale.errors import IntegrityError, ParseError
 from jodscale.model import (
@@ -312,6 +313,28 @@ class TestLoadCollection:
             load_collection(path)
         monkeypatch.chdir(tmp_path)
         assert main(["scale", "--manifest", "later/manifest.json", "--out", "out"]) == 2
+
+    def test_reading_holds_little_beside_the_columns(self, tmp_path):
+        """Reading a comparisons file of 5.5 MB holds its parsed chunks and
+        the joined columns, twice the returned bytes, plus one block's
+        temporaries. Blocks of ``1 << 20`` characters peaked 11 MB above
+        that; the margin is 3 MB."""
+        keys = [f"big/c{k:04d}/blur/{k % 5}" for k in range(1000)]
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, [1000, 1000, 50], size=(150_000, 3)).tolist()
+        path = _write(tmp_path / "comparisons.csv", "cond_a,cond_b,count_a_over_b\n" + "".join(
+            f"{keys[a]},{keys[b]},{count}\n" for a, b, count in rows))
+        condition = model._indices({key: k for k, key in enumerate(keys)}, "comparison")
+        parsers = {"cond_a": condition, "cond_b": condition,
+                   "count_a_over_b": csvio._cells(int, np.int64)}
+        tracemalloc.start()
+        try:
+            columns = csvio._read_csv(path, parsers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(np.column_stack(columns), rows)
+        assert peak <= 2 * sum(column.nbytes for column in columns) + 3 * 2**20
 
     @pytest.mark.parametrize("rows, error", [
         ("rd/ref/reference/0,o1,4.8\nrd/c0/dist/1,o1,high\n", ParseError),

@@ -319,6 +319,40 @@ def test_connected_components_match_bfs(case):
     np.testing.assert_array_equal(labels, expected)
 
 
+def _shape(n, pairs=(), rated=()):
+    """One dataset of ``n`` conditions, one comparison per pair and one
+    rating per rated condition, with the edges the components follow."""
+    conditions = [ConditionId("a", f"c{k}", "d", 1) for k in range(n)]
+    winners, losers = (list(column) for column in zip(*pairs)) if pairs else ([], [])
+    graph = ComparisonGraph(n, winners, losers, [1] * len(winners))
+    ratings = {"a": RatingTable(list(rated), ["o"] * len(rated), [1.0] * len(rated))} \
+        if rated else {}
+    edges = list(pairs) + [(a, b) for a in rated for b in rated if a != b]
+    return DatasetCollection(conditions, graph, ratings), edges
+
+
+_PATH = np.random.default_rng(3).permutation(4000).tolist()
+
+
+@pytest.mark.parametrize("collection, edges", [
+    _shape(4000, list(zip(_PATH[:-1], _PATH[1:]))),
+    _shape(50, [(k, 17) for k in range(50) if k != 17]),
+    _shape(8, [(0, 1), (1, 3), (2, 5), (5, 7)], rated=[3, 7]),
+    _shape(8, [(6, 1), (4, 2)]),
+    _shape(0),
+], ids=["shuffled path", "star", "rating chain", "isolated", "empty"])
+def test_connected_components_match_bfs_on_extreme_shapes(collection, edges):
+    """Labels are ``intp`` numbered by smallest member, as BFS finds them:
+    on a shape that takes many rounds of hooking, on one that takes one,
+    and on ones with few or no edges."""
+    labels = connected_components(collection)
+    expected = np.empty(collection.n, dtype=np.intp)
+    for k, members in enumerate(_bfs_components(collection.n, edges)):
+        expected[members] = k
+    assert labels.dtype == np.intp
+    np.testing.assert_array_equal(labels, expected)
+
+
 @st.composite
 def _graphs(draw):
     """Graphs of up to 9 conditions whose rows repeat, mirror and hold zero counts."""
