@@ -346,28 +346,20 @@ def _cmd_select_pairs(args, out: Path) -> None:
     print(f"selected {len(batch)} pairs")
 
 
-def _condition_means(table) -> tuple[list[int], list[float]]:
-    """Each rated condition's index, ascending, and the mean of its scores,
-    taken over its rows in table order."""
-    order = np.argsort(table.condition_indices, kind="stable")
-    indices, starts = np.unique(table.condition_indices[order], return_index=True)
-    groups = np.split(table.scores[order], starts[1:])
-    return indices.tolist(), [float(np.mean(scores)) for scores in groups]
-
-
 def _cmd_linkfit(args, out: Path) -> None:
     collection = load_collection(args.manifest)
     jods = _read_keyed_csv(args.scale, "jod")
     payload = {}
     rows = []
     for name in sorted(collection.ratings):
+        table = collection.ratings[name]
         keys, mos, jod = [], [], []
-        for idx, mean in zip(*_condition_means(collection.ratings[name])):
+        for idx in np.unique(table.condition_indices).tolist():
             key = collection.conditions[idx].key
             if key not in jods:
                 continue
             keys.append(key)
-            mos.append(mean)
+            mos.append(float(np.mean(table.scores[table.condition_indices == idx])))
             jod.append(jods[key])
         if len(keys) < 5:
             raise IntegrityError(f"dataset {name!r} has too few rated conditions to fit")

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 import jodscale
-from jodscale import cli, scaling
+from jodscale import scaling
 from jodscale.cli import main
 from jodscale.csvio import _CHUNK_ROWS, _write_csv, _write_json
-from jodscale.model import RatingTable
 
 from conftest import write_two_condition_fixture
 
@@ -739,19 +738,6 @@ class TestLinkfitCommand:
         assert orders == [1, 2, 3]
         for row in table["ds1"]:
             assert row["r2_adj"] <= row["r2"] + 1e-12
-
-    def test_condition_means_match_a_mask_per_condition(self):
-        """Grouping the rows once gives each condition the mean of the same
-        scores, in the same order, as one boolean mask per condition."""
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            rows = int(rng.integers(1, 200))
-            table = RatingTable(rng.integers(0, int(rng.integers(1, 40)), rows).tolist(),
-                                ["o"] * rows, rng.normal(0, 1e3, rows).tolist())
-            indices = np.unique(table.condition_indices).tolist()
-            means = [float(np.mean(table.scores[table.condition_indices == idx]))
-                     for idx in indices]
-            assert cli._condition_means(table) == (indices, means)
 
 
 class TestStatsCommand:

@@ -316,9 +316,9 @@ class TestLoadCollection:
 
     def test_reading_holds_little_beside_the_columns(self, tmp_path):
         """Reading a comparisons file of 5.5 MB holds its parsed chunks and
-        the joined columns, twice the returned bytes, plus one block's
-        temporaries. Blocks of ``1 << 20`` characters peaked 11 MB above
-        that; the margin is 3 MB."""
+        the joined columns, twice the returned bytes (7.2 MB), plus one
+        block's temporaries; the limit allows 3 MB more. Blocks of ``1 << 18``
+        characters peak at 7.4 MB, ``1 << 20`` at 18.6 MB."""
         keys = [f"big/c{k:04d}/blur/{k % 5}" for k in range(1000)]
         rng = np.random.default_rng(0)
         rows = rng.integers(0, [1000, 1000, 50], size=(150_000, 3)).tolist()

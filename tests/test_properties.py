@@ -305,20 +305,6 @@ def _collections(draw):
     return DatasetCollection(conditions, graph, ratings), edges
 
 
-@settings(max_examples=200, deadline=None)
-@given(_collections())
-def test_connected_components_match_bfs(case):
-    collection, edges = case
-    labels = connected_components(collection)
-    components = _bfs_components(collection.n, edges)
-    # the BFS components come ordered by their smallest member, so label k is the k-th
-    expected = np.empty(collection.n, dtype=np.int64)
-    for k, members in enumerate(components):
-        expected[members] = k
-    assert labels.dtype.kind == "i"
-    np.testing.assert_array_equal(labels, expected)
-
-
 def _shape(n, pairs=(), rated=()):
     """One dataset of ``n`` conditions, one comparison per pair and one
     rating per rated condition, with the edges the components follow."""
@@ -334,20 +320,20 @@ def _shape(n, pairs=(), rated=()):
 _PATH = np.random.default_rng(3).permutation(4000).tolist()
 
 
-@pytest.mark.parametrize("collection, edges", [
-    _shape(4000, list(zip(_PATH[:-1], _PATH[1:]))),
-    _shape(50, [(k, 17) for k in range(50) if k != 17]),
-    _shape(8, [(0, 1), (1, 3), (2, 5), (5, 7)], rated=[3, 7]),
-    _shape(8, [(6, 1), (4, 2)]),
-    _shape(0),
-], ids=["shuffled path", "star", "rating chain", "isolated", "empty"])
-def test_connected_components_match_bfs_on_extreme_shapes(collection, edges):
-    """Labels are ``intp`` numbered by smallest member, as BFS finds them:
-    on a shape that takes many rounds of hooking, on one that takes one,
-    and on ones with few or no edges."""
+@settings(max_examples=200, deadline=None)
+@given(_collections())
+@example(_shape(4000, list(zip(_PATH[:-1], _PATH[1:]))))  # many rounds of hooking
+@example(_shape(50, [(k, 17) for k in range(50) if k != 17]))  # a star: one round
+@example(_shape(8, [(0, 1), (1, 3), (2, 5), (5, 7)], rated=[3, 7]))  # joined by a rating chain
+@example(_shape(8, [(6, 1), (4, 2)]))  # isolated conditions
+@example(_shape(0))  # the empty collection
+def test_connected_components_match_bfs(case):
+    collection, edges = case
     labels = connected_components(collection)
+    components = _bfs_components(collection.n, edges)
+    # the BFS components come ordered by their smallest member, so label k is the k-th
     expected = np.empty(collection.n, dtype=np.intp)
-    for k, members in enumerate(_bfs_components(collection.n, edges)):
+    for k, members in enumerate(components):
         expected[members] = k
     assert labels.dtype == np.intp
     np.testing.assert_array_equal(labels, expected)
