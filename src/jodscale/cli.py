@@ -7,14 +7,15 @@ All outputs are plain CSV or JSON and are byte-identical across runs with
 the same inputs and seed.
 
 Exit codes: 0 success, 1 usage error, 2 data integrity error, 3 numerical
-failure (non-convergence under --strict). Usage errors include an unknown
-flag (each subcommand takes only the flags it reads: --seed belongs to
-scale, simulate and recover, --strict to scale and pu-encode) and a value
-out of range: any float flag NaN or infinite, ``scale --bootstrap`` or
-``select-pairs --window`` below 0, ``scale --tol`` not above 0, ``scale
---max-iter`` below 0, ``scale``/``simulate``/``recover --seed`` below 0,
-``simulate``/``recover --density`` below 0,
-``simulate``/``recover --trials`` or ``--observers`` below 0,
+failure (``scale --strict`` on a solve that stops for any reason but
+``converged``: ``max_iter``, ``line_search`` or ``boundary_link``, which the
+message names). Usage errors include an unknown flag (each subcommand takes
+only the flags it reads: --seed belongs to scale, simulate and recover,
+--strict to scale and pu-encode) and a value out of range: any float flag
+NaN or infinite, ``scale --bootstrap`` or ``select-pairs --window`` below 0,
+``scale --tol`` not above 0, ``scale --max-iter`` below 0,
+``scale``/``simulate``/``recover --seed`` below 0,
+``simulate``/``recover --density``, ``--trials`` or ``--observers`` below 0,
 ``simulate``/``recover --datasets``, ``stats``/``select-pairs --bins`` or
 ``select-pairs --k`` below 1, ``simulate``/``recover --conditions`` below 2,
 ``pu-encode --knots`` below 64. Flag ranges are checked at parse time.
@@ -151,19 +152,14 @@ def _fitted_scores(args):
 
 def _cmd_scale(args, out: Path) -> None:
     collection = load_collection(args.manifest)
-    result = scale(
-        collection,
-        prior_enabled=args.prior,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        per_component=args.per_component,
-    )
+    result = scale(collection, prior_enabled=args.prior, tol=args.tol, max_iter=args.max_iter,
+                   per_component=args.per_component)
     if args.strict and not result.converged:
         unlinked = [name for name in result.problem.rating_names if name not in result.links]
         raise ConvergenceError(
-            f"rating datasets {unlinked} have no link: their fitted slope is 0" if unlinked
-            else f"optimizer did not reach tolerance {args.tol} within {args.max_iter} iterations"
-        )
+            f"rating datasets {unlinked} have no link: their fitted slope is 0"
+            if result.reason == "boundary_link" else f"the solver stopped on {result.reason} "
+            f"after {result.iterations} iterations, short of tolerance {args.tol}")
     row_format = "{},{:.6f},,\n"
     columns = [[cond.key for cond in result.conditions], result.q.tolist()]
     if args.bootstrap > 0:
@@ -176,14 +172,9 @@ def _cmd_scale(args, out: Path) -> None:
         {name: {"a": link.a, "b": link.b, "c": link.c}
          for name, link in sorted(result.links.items())},
     )
-    _write_json(
-        out / "report.json",
-        {
-            "log_posterior": result.log_posterior,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        },
-    )
+    _write_json(out / "report.json", {"log_posterior": result.log_posterior,
+                                      "iterations": result.iterations,
+                                      "converged": result.converged})
     print(f"scaled {collection.n} conditions; log posterior {result.log_posterior:.4f}")
 
 
@@ -429,7 +420,8 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--seed", type=_at_least(0), default=0, help="bootstrap resampling seed")
     p.add_argument("--strict", action="store_true",
-                   help="exit 3 when the solver does not converge")
+                   help="exit 3 when the solve stops for any reason but converged "
+                        "(max_iter, line_search or boundary_link)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--prior", action=argparse.BooleanOptionalAction, default=True,
                    help="Gaussian score prior (default on; disable for oracle checks)")

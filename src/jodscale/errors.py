@@ -25,8 +25,8 @@ class DegenerateDataError(JodscaleError):
 
 
 class ConvergenceError(JodscaleError):
-    """The optimizer failed to reach the requested tolerance (raised only in
-    strict mode; otherwise non-convergence is reported via a flag)."""
+    """The solve stopped for a reason other than ``converged`` (raised only
+    under ``scale --strict``; otherwise the scale's ``reason`` reports it)."""
 
 
 class DesignError(JodscaleError):

@@ -14,12 +14,13 @@ manifest JSON
     ``display`` (any JSON object describing the study's display, such as
     ``{"L_peak": .., "L_black": .., "gamma": ..}``, carried as written and
     never read), ``conditions`` (CSV path or inline list of condition ids)
-    and, for rated datasets, ``ratings`` (CSV path). Paths are resolved
-    relative to the manifest. Unknown fields are ignored with a warning. A
-    number that is NaN, infinite or too large for a float is a parse error
-    anywhere in the manifest. ``experiment`` is written "rating" exactly for
-    a rated dataset; on read, a "rating" dataset needs ``ratings``, and a
-    "pwc" one with ``ratings`` is rated.
+    and, for rated datasets, ``ratings`` (CSV path); ``comparisons`` is a
+    CSV path or null. Paths are strings, resolved relative to the manifest.
+    Unknown fields are ignored with a warning. A number that is NaN,
+    infinite or too large for a float is a parse error anywhere in the
+    manifest. ``experiment`` is written "rating" exactly for a rated
+    dataset; on read, a "rating" dataset needs ``ratings``, and a "pwc" one
+    with ``ratings`` is rated.
 conditions CSV (``conditions_<name>.csv``)
     header ``condition``; ids are ``dataset/content/distortion/level``.
 comparisons CSV (``comparisons.csv``)
@@ -159,16 +160,6 @@ class ComparisonGraph:
         self.j = _frozen(keys % stride, np.int64)
         self.c_ij = _frozen(c_ij[measured], np.int64)
         self.c_ji = _frozen(c_ji[measured], np.int64)
-
-    def count(self, i: int, j: int) -> int:
-        """Number of times condition i was chosen over condition j."""
-        i, j = int(i), int(j)
-        lo, hi = min(i, j), max(i, j)
-        start, stop = np.searchsorted(self.i, (lo, lo + 1))
-        k = start + int(np.searchsorted(self.j[start:stop], hi))
-        if k == stop or self.j[k] != hi or i == j:
-            return 0
-        return int(self.c_ij[k] if i < j else self.c_ji[k])
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The measured pairs as (I, J, C_ij, C_ji)."""
@@ -390,14 +381,18 @@ def load_collection(manifest_path) -> DatasetCollection:
         if experiment == "rating" and "ratings" not in entry:
             raise ParseError(f"rating dataset {name!r} has no 'ratings' file")
         if "ratings" in entry:
-            rating_paths[name] = base / str(entry["ratings"])
+            if not isinstance(entry["ratings"], str):
+                raise ParseError(f"dataset {name!r}: 'ratings' must be a path")
+            rating_paths[name] = base / entry["ratings"]
 
     index = {cond.key: idx for idx, cond in enumerate(conditions)}
     winners = losers = counts = ()
-    if raw.get("comparisons") is not None:
+    if (comparisons := raw.get("comparisons")) is not None:
+        if not isinstance(comparisons, str):
+            raise ParseError(f"manifest {manifest_path}: 'comparisons' must be a path or null")
         condition = _indices(index, "comparison")
         winners, losers, counts = _read_csv(
-            base / str(raw["comparisons"]),
+            base / comparisons,
             {"cond_a": condition, "cond_b": condition, "count_a_over_b": _cells(int, np.int64)},
         )
 

@@ -18,7 +18,7 @@ therefore maximizes over the scores alone, with each rating dataset's term
 profiled to R(q) = -(N/2) log(2 pi RSS(q)/N) - N/2 (variable projection;
 Golub and Pereyra 1973), and reads the links off the fit at the maximum.
 A dataset whose fitted slope ends at 0 (a = infinity) says nothing about
-the scores; it gets no link and the scale is not converged.
+the scores; it gets no link and the solve ends on ``boundary_link``.
 
 sigma is fixed at 1.048 so that a score distance of 1 corresponds to a 75%
 preference rate; scores are then in just-objectionable-difference (JOD)
@@ -71,21 +71,27 @@ class LinkParams:
 @dataclass(frozen=True)
 class UnifiedScale:
     """Result of a joint scaling run: ``log_posterior`` is the maximized
-    log-posterior at ``q`` and ``links``; ``iterations`` counts the Newton
-    iterations of the one solve, for all components together. ``tol`` and
-    ``max_iter`` are the solve's, and ``problem`` is the posterior it
-    solved, its components, anchors and rating spread checked, which
-    ``bootstrap_ci`` resamples; it takes no part in comparisons or the repr."""
+    log-posterior at ``q`` and ``links``; ``reason`` says why the one solve
+    stopped (see ``_solve``) and ``iterations`` counts its Newton
+    iterations, for all components together. ``tol`` and ``max_iter`` are
+    the solve's, and ``problem`` is the posterior it solved, its components,
+    anchors and rating spread checked, which ``bootstrap_ci`` resamples; it
+    takes no part in comparisons or the repr."""
 
     q: np.ndarray
     links: dict[str, LinkParams]
     log_posterior: float
-    converged: bool
+    reason: str
     iterations: int
     conditions: tuple[ConditionId, ...]
     tol: float
     max_iter: int
     problem: PosteriorProblem = field(compare=False, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        """The stop rule held and every rated dataset has a link."""
+        return self.reason == "converged"
 
 
 def preference_probability(q_i, q_j):
@@ -442,7 +448,8 @@ class PosteriorProblem:
 
     def hess_diag(self, curvature: Curvature) -> np.ndarray:
         """Diagonal of the log-posterior Hessian, for Jacobi preconditioning."""
-        diag_q = curvature.diagonal + curvature.factors**2 @ curvature.weights
+        factors = curvature.factors  # each entry summed in the order hess_vec sums it
+        diag_q = curvature.diagonal + np.einsum("km,km->k", factors, factors * curvature.weights)
         if self.prior_enabled:
             diag_q = diag_q - (1.0 - 1.0 / self.sizes[self.labels]) / SIGMA_JOD**2
         return diag_q[self.free_idx]
@@ -511,8 +518,10 @@ def _solve(problem: PosteriorProblem, start: np.ndarray | None, tol: float, max_
     large |f|. The stop rule holds once max|grad| < tol at the start point
     or at two consecutive iterates, the second one Newton step on from the
     first; a line search that fails from a point inside it still counts.
-    Returns q, links, the kernel's value, converged (the stop rule held and
-    every rated dataset has a link) and the iteration count.
+    Returns q, links, the kernel's value, the reason the solve stopped and
+    the iteration count. The reason is ``converged`` (the stop rule held),
+    ``max_iter`` or ``line_search`` (no step passed the line search), unless
+    some rated dataset has no link at the end point: ``boundary_link``.
     """
     for name, table, starts in zip(problem.rating_names, problem.tables, problem._starts):
         if not np.any(table.scores != table.scores[starts[table.condition_indices]]):
@@ -524,9 +533,10 @@ def _solve(problem: PosteriorProblem, start: np.ndarray | None, tol: float, max_
     inside = False
     while True:
         grad_norm = float(np.max(np.abs(grad), initial=0.0))
-        converged = grad_norm < tol and (inside or iterations == 0)
+        held = grad_norm < tol and (inside or iterations == 0)
         inside = grad_norm < tol
-        if converged or iterations >= max_iter:
+        if held or iterations >= max_iter:
+            reason = "converged" if held else "max_iter"
             break
         iterations += 1
         step = _newton_direction(problem, curvature, grad)
@@ -543,12 +553,14 @@ def _solve(problem: PosteriorProblem, start: np.ndarray | None, tol: float, max_
                 break
             t *= 0.5
         else:
-            converged = inside
+            reason = "converged" if inside else "line_search"
             break
         x = x + t * step
         value, grad, curvature = trial
     q, links = problem.unpack(x)
-    return q, links, value, converged and len(links) == len(problem.rating_names), iterations
+    if len(links) < len(problem.rating_names):
+        reason = "boundary_link"
+    return q, links, value, reason, iterations
 
 
 def scale(
@@ -571,10 +583,10 @@ def scale(
     the score prior is centred on each component's own mean, so the
     per-component solves run in lock-step, under one line search and one
     iteration count. A rated dataset whose fitted slope ends at 0 has no
-    entry in ``links``, and the scale is then not converged. The result
-    carries the checked problem it solved, ready for ``bootstrap_ci``. Its
-    ``log_posterior`` adds the binomial constant, once, to the value the
-    solve maximized.
+    entry in ``links``, and the ``reason`` is then ``boundary_link``. The
+    result carries the checked problem it solved, ready for
+    ``bootstrap_ci``. Its ``log_posterior`` adds the binomial constant,
+    once, to the value the solve maximized.
     """
     problem = PosteriorProblem(collection, prior_enabled)
     if (sizes := problem.sizes).size > 1:
@@ -594,8 +606,8 @@ def scale(
     if unanchored := sorted(set(parts) - anchors):
         name = unanchored[0][0]
         raise IntegrityError(f"dataset {name!r} has no reference condition to anchor it")
-    q, links, value, converged, iterations = _solve(problem, None, tol, max_iter)
-    return UnifiedScale(q, links, value + _log_binomial(problem._pairs), converged, iterations,
+    q, links, value, reason, iterations = _solve(problem, None, tol, max_iter)
+    return UnifiedScale(q, links, value + _log_binomial(problem._pairs), reason, iterations,
                         conditions, tol, max_iter, problem)
 
 
@@ -604,17 +616,17 @@ def scale(
 _job = None
 
 
-def _replicate(index: int) -> np.ndarray | None:
-    """The scores of replicate ``index`` of the current job, or None if it
-    failed: its ratings of some dataset never differ within a condition, or
-    its solve does not converge."""
+def _replicate(index: int) -> tuple[np.ndarray | None, str]:
+    """The scores of replicate ``index`` of the current job and the reason
+    its solve stopped; no scores and ``no_rating_spread`` where its ratings
+    of some dataset never differ within a condition."""
     fit, seed = _job
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007, index)))
     try:
-        q, _, _, converged, _ = _solve(fit.problem.resampled(rng), fit.q, fit.tol, fit.max_iter)
+        q, _, _, reason, _ = _solve(fit.problem.resampled(rng), fit.q, fit.tol, fit.max_iter)
     except DegenerateDataError:
-        return None
-    return q if converged else None
+        return None, "no_rating_spread"
+    return q, reason
 
 
 def _workers(n_boot: int) -> int:
@@ -645,8 +657,9 @@ def bootstrap_ci(fit: UnifiedScale, n_boot: int, seed: int = 0, *,
     replacement, so it keeps the collection's pairs, components and anchors;
     it is solved with the prior, ``tol`` and ``max_iter`` of ``fit``,
     starting from its scores. A replicate whose ratings in some dataset
-    never differ within a condition, or whose solve does not converge,
-    counts as failed; more than 50% failures is an error. The replicates
+    never differ within a condition (``no_rating_spread``), or whose solve
+    stops for any reason but ``converged``, counts as failed; more than 50%
+    failures is an error that counts them per reason. The replicates
     run on a pool of forked worker processes, one per available CPU (see
     ``_workers``), each on a contiguous run of replicate indices; every
     worker has exited when this returns or raises, and an exception raised
@@ -678,12 +691,12 @@ def bootstrap_ci(fit: UnifiedScale, n_boot: int, seed: int = 0, *,
                                         chunksize=-(-n_boot // workers)))
     finally:
         _job = None
-    samples = [q for q in results if q is not None]
-    failures = n_boot - len(samples)
-    if failures > n_boot / 2:
+    samples = [q for q, reason in results if reason == "converged"]
+    failed = sorted(reason for _, reason in results if reason != "converged")
+    if len(failed) > n_boot / 2:
+        counts = ", ".join(f"{reason} {failed.count(reason)}" for reason in dict.fromkeys(failed))
         raise DegenerateDataError(
-            f"{failures} of {n_boot} bootstrap replicates failed to scale or converge"
-        )
+            f"{len(failed)} of {n_boot} bootstrap replicates failed ({counts})")
     stacked = np.vstack(samples)
     low = np.percentile(stacked, 100.0 * (alpha / 2.0), axis=0)
     high = np.percentile(stacked, 100.0 * (1.0 - alpha / 2.0), axis=0)

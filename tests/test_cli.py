@@ -134,7 +134,7 @@ class TestScaleCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["scale", "--manifest", "fx/manifest.json", "--out", "out"]) == 2
 
-    def test_strict_nonconvergence_exit_code(self, tmp_path, monkeypatch):
+    def test_strict_nonconvergence_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--out", "sim", "--conditions", "20",
                      "--datasets", "2", "--seed", "5"]) == 0
@@ -143,6 +143,7 @@ class TestScaleCommand:
             "--max-iter", "1", "--strict",
         ])
         assert code == 3
+        assert "the solver stopped on max_iter after 1 iterations" in capsys.readouterr().err
 
     def test_alpha_outside_unit_interval_is_data_error(self, tmp_path, monkeypatch):
         write_two_condition_fixture(tmp_path / "fx")

@@ -54,11 +54,9 @@ class TestConditionId:
 class TestComparisonGraph:
     def test_counts_and_trials(self):
         graph = ComparisonGraph(3, [0, 1], [1, 0], [3, 1])
-        assert graph.count(0, 1) == 3
-        assert graph.count(1, 0) == 1
-        assert graph.count(0, 2) == 0
-        assert graph.count(2, 2) == 0
-        assert graph.count(0, 1) + graph.count(1, 0) == 4
+        # one measured pair (0, 1): 0 won 3 times, 1 won once; (0, 2) is unmeasured
+        i, j, c_ij, c_ji = (col.tolist() for col in graph.pair_arrays())
+        assert (i, j, c_ij, c_ji) == ([0], [1], [3], [1])
 
     def test_rejects_self_and_negative(self):
         with pytest.raises(IntegrityError, match="self-comparison"):
@@ -86,10 +84,8 @@ class TestComparisonGraph:
 
     def test_constructor_sums_repeated_and_mirrored_rows(self):
         graph = ComparisonGraph(3, [0, 1, 0, 1, 2], [1, 0, 1, 0, 0], [1, 4, 2, 0, 0])
-        assert graph.count(0, 1) == 3
-        assert graph.count(1, 0) == 4
-        assert graph.count(0, 2) == 0
-        assert graph.pair_arrays()[0].tolist() == [0]  # the all-zero pair is dropped
+        i, j, c_ij, c_ji = (col.tolist() for col in graph.pair_arrays())
+        assert (i, j, c_ij, c_ji) == ([0], [1], [3], [4])  # the all-zero pair (0, 2) is dropped
         assert graph == ComparisonGraph(3, [1, 0], [0, 1], [4, 3])
 
     def test_observations_round_trip(self):
@@ -174,8 +170,8 @@ class TestLoadCollection:
     def test_minimal_manifest(self, two_condition_manifest):
         coll = load_collection(two_condition_manifest)
         assert coll.n == 2
-        assert coll.graph.count(1, 0) == 25
-        assert coll.graph.count(0, 1) == 75
+        i, j, c_ij, c_ji = (col.tolist() for col in coll.graph.pair_arrays())
+        assert (i, j, c_ij, c_ji) == ([0], [1], [75], [25])
         assert coll.displays["demo"] == {"L_peak": 100.0, "L_black": 0.5, "gamma": 2.2}
         assert dict(coll.ratings) == {}
 
@@ -484,6 +480,33 @@ class TestManifestChecks:
         path = _study(tmp_path / "unrated", [entry], _RATED_FILES)
         with pytest.raises(ParseError, match="rating dataset 'rd' has no 'ratings' file"):
             load_collection(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("ratings", None), ("ratings", 5), ("ratings", ["ratings.csv"]),
+        ("comparisons", 5), ("comparisons", {"path": "comparisons.csv"}),
+    ])
+    def test_a_path_that_is_no_string_is_a_parse_error(self, tmp_path, monkeypatch, capsys,
+                                                       field, value):
+        """Such a value used to be read as the file named by its text, such as "None"."""
+        manifest = {"datasets": [_RATED], "comparisons": None}
+        if field == "ratings":
+            manifest["datasets"] = [{**_RATED, "ratings": value}]
+        else:
+            manifest["comparisons"] = value
+        path = _study(tmp_path / "paths", [], _RATED_FILES)
+        path.write_text(json.dumps(manifest))
+        expected = ("dataset 'rd': 'ratings' must be a path" if field == "ratings"
+                    else f"manifest {path}: 'comparisons' must be a path or null")
+        with pytest.raises(ParseError, match=re.escape(expected)):
+            load_collection(path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["scale", "--manifest", str(path), "--out", "out"]) == 2
+        assert expected in capsys.readouterr().err
+
+    def test_null_comparisons_means_none(self, tmp_path):
+        path = _study(tmp_path / "none", [], _RATED_FILES)
+        path.write_text(json.dumps({"datasets": [_RATED], "comparisons": None}))
+        assert load_collection(path).graph.pair_arrays()[0].size == 0
 
     def test_pwc_dataset_with_ratings_is_rated(self, tmp_path):
         path = _study(tmp_path / "pwc", [{**_RATED, "experiment": "pwc"}], _RATED_FILES)

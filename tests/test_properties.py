@@ -403,9 +403,11 @@ def _rated_collection(seed, cross=True):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), prior=st.booleans(), cross=st.booleans())
+@example(seed=23230, prior=False, cross=False)  # an entry of terms +-13,392 that cancel to 0
 def test_kernel_matches_central_differences(seed, prior, cross):
     """Without the cross pair the collection may split into components,
-    each with its own prior mean."""
+    each with its own prior mean. The Jacobi diagonal sums each entry in
+    the order ``hess_vec`` does, so the two agree where an entry cancels."""
     collection, rng = _rated_collection(seed, cross)
     problem = PosteriorProblem(collection, prior_enabled=prior)
     x = rng.normal(0.0, 0.7, problem.n_params)
@@ -513,14 +515,14 @@ def test_warm_start_reaches_the_cold_maximum(seed):
     assume(cold.converged)
     # a start supplies scores only: the solver fits the links itself
     perturbed = cold.q + rng.normal(0.0, 0.5, cold.q.size)
-    q, links, _, converged, _ = scaling._solve(cold.problem, perturbed, 1e-10, 2000)
-    assert converged
+    q, links, _, reason, _ = scaling._solve(cold.problem, perturbed, 1e-10, 2000)
+    assert reason == "converged"
     _assert_same_scale(replace(cold, q=q, links=links), cold, atol=1e-6)
 
     at_maximum = scale(collection)
-    q, links, _, converged, iterations = scaling._solve(at_maximum.problem, at_maximum.q, 1e-6,
-                                                        2000)
-    assert converged and iterations == 0
+    q, links, _, reason, iterations = scaling._solve(at_maximum.problem, at_maximum.q, 1e-6,
+                                                     2000)
+    assert reason == "converged" and iterations == 0
     _assert_same_scale(replace(at_maximum, q=q, links=links), at_maximum, atol=1e-12)
 
 
@@ -542,7 +544,8 @@ def test_contradicting_ratings_end_on_the_boundary(tmp_path, capsys, seed, cross
                 "--out", str(tmp_path / "out")] + ["--per-component"] * (not cross)
         assert main(argv) == 0
         assert main(argv + ["--strict"]) == 3
-    assert not result.converged and result.iterations <= 20
+    assert result.reason == "boundary_link" and not result.converged
+    assert result.iterations <= 20
     assert "r" not in result.links
     table = collection.ratings["r"]
     assert np.polyfit(result.q[table.condition_indices], table.scores, 1)[0] <= 0.0
@@ -553,8 +556,39 @@ def test_contradicting_ratings_end_on_the_boundary(tmp_path, capsys, seed, cross
     assert "rating datasets ['r'] have no link" in capsys.readouterr().err
 
 
+# Warm-started at the full-data scores, replicate 1 of this bootstrap
+# stalls short of the slope-0 boundary of dataset r, where a cold start
+# ends: no step passes the line search, and r keeps its link. Only the
+# reason is checked, as the iteration it stops at moves with the last bits
+# of the preconditioner.
+def test_a_stalled_line_search_is_named():
+    seed = 2608745737
+    collection, _ = _observer_collection(seed, cross=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "NOT comparable" across components
+        full = scale(collection, per_component=True, tol=1e-10)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007, 1)))
+    assert scaling._solve(full.problem.resampled(rng), full.q, 1e-10, 2000)[3] == "line_search"
+
+
+def _bootstrap_outcome(full, n_boot, seed):
+    """The intervals of a bootstrap, or the type and message of the error
+    it raises, which counts the failed replicates per reason."""
+    try:
+        return bootstrap_ci(full, n_boot, seed=seed)
+    except JodscaleError as exc:
+        return type(exc), str(exc)
+
+
+# Warm and cold, the replicates end the same way: the same intervals, or
+# the same failures for the same reasons. Not pinned, as both still fail:
+# warm replicates that stall on line_search where cold ones end on
+# boundary_link (1856262212, 2398548975, 3983723971, 2608745737), and two
+# local maxima whose intervals lie 0.97 JOD apart (2678168929, 42709).
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=4110225764)  # 3 of 4 replicates end on boundary_link, warm and cold
+@example(seed=3380)  # likewise
 def test_warm_started_per_component_bootstrap_matches_cold(seed):
     collection, _ = _observer_collection(seed, cross=False)
     with warnings.catch_warnings():
@@ -562,9 +596,12 @@ def test_warm_started_per_component_bootstrap_matches_cold(seed):
         full = scale(collection, per_component=True, tol=1e-10)
     assume(full.converged)
     with cold_replicates():
-        cold = bootstrap_ci(full, 4, seed=seed)
-    warm = bootstrap_ci(full, 4, seed=seed)
-    np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-6)
+        cold = _bootstrap_outcome(full, 4, seed)
+    warm = _bootstrap_outcome(full, 4, seed)
+    if isinstance(cold, np.ndarray) and isinstance(warm, np.ndarray):
+        np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-6)
+    else:
+        assert warm == cold
 
 
 @settings(max_examples=10, deadline=None)
@@ -578,10 +615,7 @@ def test_pooled_bootstrap_equals_the_in_process_one(seed, cross):
 
     def outcome(workers):
         with mock.patch.object(scaling, "_workers", lambda n_boot: workers):
-            try:
-                return bootstrap_ci(full, 10, seed=seed)
-            except JodscaleError as exc:
-                return type(exc), str(exc)
+            return _bootstrap_outcome(full, 10, seed)
 
     pooled, in_process = outcome(3), outcome(1)
     assert multiprocessing.active_children() == []

@@ -574,8 +574,8 @@ class TestBootstrap:
     def test_unconverged_replicates_count_as_failed(self):
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
         fit = scale(coll, max_iter=1)
-        assert not fit.converged
-        with pytest.raises(DegenerateDataError, match="4 of 4"):
+        assert (fit.reason, fit.iterations, fit.converged) == ("max_iter", 1, False)
+        with pytest.raises(DegenerateDataError, match=r"4 of 4 .* failed \(max_iter 4\)"):
             bootstrap_ci(fit, 4, seed=0)
 
     def test_resample_matches_per_pair_draws(self):
@@ -680,7 +680,7 @@ class TestBootstrap:
         monkeypatch.setattr(scaling, "_solve", recorded)
         monkeypatch.setattr(scaling, "_workers", lambda n_boot: 1)  # record in this process
         intervals = bootstrap_ci(fit, 10, seed=1)
-        assert [converged for _, _, _, converged, _ in outcomes] == [True] * 10
+        assert [reason for _, _, _, reason, _ in outcomes] == ["converged"] * 10
         assert intervals.shape == (7, 2) and np.all(np.isfinite(intervals))
 
     def test_unanchored_collection_raises_before_any_solve(self, monkeypatch):
@@ -722,8 +722,10 @@ class TestBootstrap:
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=20, n_datasets=2, seed=5))
         fit = scale(coll, prior_enabled=False, tol=1e-8, max_iter=50)
         assert (fit.problem.prior_enabled, fit.tol, fit.max_iter) == (False, 1e-8, 50)
-        problem_field = {f.name: f for f in dataclasses.fields(fit)}["problem"]
-        assert not problem_field.compare and not problem_field.repr
+        fields = {f.name: f for f in dataclasses.fields(fit)}
+        assert not fields["problem"].compare and not fields["problem"].repr
+        # converged is read off the reason the solve stopped, not stored
+        assert "converged" not in fields and fit.converged == (fit.reason == "converged")
         solves = []
         solve = scaling._solve
         monkeypatch.setattr(scaling, "_workers", lambda n_boot: 1)
