@@ -216,7 +216,7 @@ def _accuracy_curve(mapped: dict[str, float], manifest_path) -> list[list[float]
     for threshold in _ACCURACY_THRESHOLDS:
         try:
             result = pairwise_accuracy(scores, collection.graph, threshold)
-        except (DesignError, IntegrityError):
+        except DesignError:  # no pair clears the threshold
             continue
         curve.append([threshold, result.accuracy])
     return curve

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
@@ -63,7 +63,6 @@ class ConditionId:
     content: str
     distortion: str
     level: int
-    is_reference: bool = field(init=False, default=False)
 
     def __post_init__(self):
         for part in (self.dataset, self.content, self.distortion):
@@ -71,11 +70,10 @@ class ConditionId:
             if not part or any(ch in part for ch in '/,"\r\n'):
                 raise IntegrityError(f"bad condition id component {part!r} (empty, or "
                                      "holding '/', ',', '\"', CR or LF)")
-        object.__setattr__(
-            self,
-            "is_reference",
-            self.distortion == REFERENCE_DISTORTION and self.level == 0,
-        )
+
+    @property
+    def is_reference(self) -> bool:
+        return self.distortion == REFERENCE_DISTORTION and self.level == 0
 
     @property
     def key(self) -> str:
@@ -145,21 +143,20 @@ class ComparisonGraph:
             if bad.any():
                 k = int(np.argmax(bad))
                 raise IntegrityError(f"pair ({winners[k]}, {losers[k]}) {problem}")
-        winners, losers, counts = (col.astype(np.int64) for col in (winners, losers, counts))
+        winners, losers, counts = (c.astype(np.int64, copy=False) for c in (winners, losers, counts))
         stride = max(self.n, 1)
-        lo, hi = np.minimum(winners, losers), np.maximum(winners, losers)
-        keys, slot = np.unique(lo * stride + hi, return_inverse=True)
-        forward = winners < losers
-        c_ij = np.zeros(keys.size, dtype=np.int64)
-        c_ji = np.zeros(keys.size, dtype=np.int64)
-        np.add.at(c_ij, slot[forward], counts[forward])
-        np.add.at(c_ji, slot[~forward], counts[~forward])
-        measured = (c_ij + c_ji) > 0
-        keys = keys[measured]
+        keys = np.where(winners < losers, winners, losers)
+        keys *= stride
+        keys += np.where(winners < losers, losers, winners)
+        keys, slot = np.unique(keys, return_inverse=True)
+        # column 0 sums the rows won by the lower index (c_ij), column 1 the rest
+        totals = np.zeros((keys.size, 2), dtype=np.int64)
+        np.add.at(totals, (slot, (winners > losers).view(np.int8)), counts)
+        measured = totals.any(axis=1)
+        keys, totals = keys[measured], totals[measured]
         self.i = _frozen(keys // stride, np.int64)
         self.j = _frozen(keys % stride, np.int64)
-        self.c_ij = _frozen(c_ij[measured], np.int64)
-        self.c_ji = _frozen(c_ji[measured], np.int64)
+        self.c_ij, self.c_ji = (_frozen(column, np.int64) for column in totals.T)
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The measured pairs as (I, J, C_ij, C_ji)."""

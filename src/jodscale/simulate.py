@@ -61,18 +61,17 @@ class GroundTruth:
                 raise IntegrityError(f"reference {cond.key} must have q_true = 0")
 
 
-def simulate_comparison(truth: GroundTruth, i, j, n_trials: int, stream: int = 0) -> np.ndarray:
+def simulate_comparison(truth: GroundTruth, i, j, n_trials: int) -> np.ndarray:
     """Simulate n_trials forced-choice trials for each pair (i[k], j[k]).
 
     Returns an int64 array of shape (len(i), 2) holding (c_ij, c_ji) per
-    pair. All counts come from one stream keyed by the truth seed and
-    ``stream``, drawn in the order the pairs are given; call again with
-    another ``stream`` to redraw the same pairs independently.
+    pair. All counts come from one stream keyed by the truth seed, drawn in
+    the order the pairs are given, so a repeated call repeats the draws.
     """
     if n_trials < 0:
         raise IntegrityError(f"n_trials must be non-negative, got {n_trials}")
     p = preference_probability(truth.q_true[np.asarray(i)], truth.q_true[np.asarray(j)])
-    c_ij = np.asarray(_rng(truth.seed, _STREAM_COMPARISON, stream).binomial(n_trials, p),
+    c_ij = np.asarray(_rng(truth.seed, _STREAM_COMPARISON, 0).binomial(n_trials, p),
                       dtype=np.int64)
     return np.stack([c_ij, n_trials - c_ij], axis=-1)
 

@@ -533,6 +533,27 @@ class TestValidateAndFitLogistic:
         thresholds = [entry[0] for entry in report["accuracy_curve"]]
         assert 0.75 in thresholds
 
+    def test_accuracy_curve_skips_unlisted_conditions_and_unmet_thresholds(
+            self, tmp_path, monkeypatch):
+        """Eight scored conditions outside the manifest take part in the fit
+        but not in the curve; its one pair, 0.3 JOD apart, clears the 0 and
+        0.25 thresholds only, and the five higher ones are left out."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "datasets": [{"name": "x", "conditions": ["x/ref/reference/0", "x/c0/d/1"]}],
+            "comparisons": "comparisons.csv"}))
+        (tmp_path / "comparisons.csv").write_text(
+            "cond_a,cond_b,count_a_over_b\nx/ref/reference/0,x/c0/d/1,5\n")
+        rows = [("x/ref/reference/0", 0.0), ("x/c0/d/1", -0.3)] + [
+            (f"y/c{k}/d/1", -0.2 * k - 0.1) for k in range(8)]
+        for name, column in (("scores.csv", "score"), ("scale.csv", "jod")):
+            (tmp_path / name).write_text(f"condition,{column}\n" + "".join(
+                f"{key},{value!r}\n" for key, value in rows))
+        assert main([*_VALIDATE, "--manifest", "manifest.json", "--out", "val"]) == 0
+        report = json.loads((tmp_path / "val" / "validation.json").read_text())
+        assert report["n_conditions"] == 10
+        assert report["accuracy_curve"] == [[0.0, 1.0], [0.25, 1.0]]
+
     def test_fit_logistic_outputs(self, tmp_path, monkeypatch):
         _prepare_scale_and_scores(tmp_path, monkeypatch)
         code = main([

@@ -340,16 +340,37 @@ def test_connected_components_match_bfs(case):
 
 
 @st.composite
-def _graphs(draw):
-    """Graphs of up to 9 conditions whose rows repeat, mirror and hold zero counts."""
+def _graph_rows(draw):
+    """Up to 9 conditions and up to 30 (winner, loser, count) rows that
+    repeat, mirror and hold zero counts."""
     n = draw(st.integers(0, 9))
     rows = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3))
         .filter(lambda row: row[0] != row[1]),
         max_size=30,
     )) if n > 1 else []
-    return ComparisonGraph(n, *(list(column) for column in zip(*rows))) \
-        if rows else ComparisonGraph(n)
+    return n, rows
+
+
+def _graphs():
+    return _graph_rows().map(lambda drawn: ComparisonGraph(drawn[0], *zip(*drawn[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_rows())
+@example((3, [(0, 1, 2**62), (1, 0, 2**53 + 1), (0, 1, 1), (1, 0, 2**53 + 1), (2, 1, 0)]))
+def test_graph_columns_are_the_summed_rows(drawn):
+    """The columns equal a dict sum of the rows: sorted unique pairs i < j,
+    exact int64 sums (also past 2**53), and no pair whose sums are both 0."""
+    n, rows = drawn
+    sums = {}
+    for winner, loser, count in rows:
+        sums.setdefault((min(winner, loser), max(winner, loser)), [0, 0])[winner > loser] += count
+    expected = sorted((pair, both) for pair, both in sums.items() if any(both))
+    columns = ComparisonGraph(n, *zip(*rows)).pair_arrays()
+    assert [column.dtype for column in columns] == [np.dtype(np.int64)] * 4
+    i, j, c_ij, c_ji = (column.tolist() for column in columns)
+    assert list(zip(zip(i, j), map(list, zip(c_ij, c_ji)))) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -60,12 +60,6 @@ class TestSimulateComparison:
         assert first.shape == (3, 2) and first.dtype == np.int64
         np.testing.assert_array_equal(first, simulate_comparison(truth, [0, 1, 2], [3, 4, 5], 500))
 
-    def test_stream_index_gives_fresh_draws(self):
-        truth = _truth(seed=9)
-        base = simulate_comparison(truth, [0, 1], [3, 4], 500, stream=0)
-        redraw = simulate_comparison(truth, [0, 1], [3, 4], 500, stream=1)
-        assert not np.array_equal(base, redraw)  # distinct streams almost surely differ
-
     def test_zero_trials(self):
         truth = _truth()
         np.testing.assert_array_equal(simulate_comparison(truth, [0, 2], [1, 3], 0), 0)
