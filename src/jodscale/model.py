@@ -4,9 +4,9 @@ A collection bundles the conditions of every source dataset together with
 the pairwise win counts and per-dataset rating tables, both held as
 columnar numpy arrays, and each dataset's display as the manifest wrote it.
 Dataset names come from the conditions, and a dataset is rated exactly when
-it has ratings. Collections are immutable after construction and safe to
-share read-only across threads. ``load_collection`` reads and
-``save_collection`` writes this layout:
+it has ratings, in a table of at least one row. Collections are immutable
+after construction and safe to share read-only across threads.
+``load_collection`` reads and ``save_collection`` writes this layout:
 
 manifest JSON
     ``{"datasets": [...], "comparisons": "comparisons.csv"}`` where each
@@ -91,8 +91,8 @@ class ConditionId:
         return cls(parts[0], parts[1], parts[2], level)
 
     @classmethod
-    def reference(cls, dataset: str, content: str = "ref") -> "ConditionId":
-        return cls(dataset, content, REFERENCE_DISTORTION, 0)
+    def reference(cls, dataset: str) -> "ConditionId":
+        return cls(dataset, "ref", REFERENCE_DISTORTION, 0)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -246,6 +246,8 @@ class DatasetCollection:
                     f"{what} given for dataset {unknown[0]!r}, which has no condition"
                 )
         for name, table in self.ratings.items():
+            if not len(table):
+                raise IntegrityError(f"ratings given for dataset {name!r} have no rows")
             idx = table.condition_indices
             outside = (idx < 0) | (idx >= self.n)
             if outside.any():

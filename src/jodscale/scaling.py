@@ -261,7 +261,7 @@ def log_posterior(
     for name, table in sorted(collection.ratings.items()):
         if name in links:
             total += rating_log_likelihood(table, q, links[name])
-        elif len(table):
+        else:
             total += _profiled_value(len(table), _rating_fit(table, q)[2])
     if prior_enabled:
         labels = connected_components(collection)
@@ -295,7 +295,7 @@ class PosteriorProblem:
     profiled over its link (see the module docstring). ``value_and_grad``
     is the likelihood kernel: it returns the log-posterior less its binomial
     coefficients, which depend on the counts alone, its analytic gradient
-    and the curvature that ``hess_vec`` and ``hess_diag`` reuse.
+    and the curvature that ``hess_vec`` and the preconditioner reuse.
     A dataset's profiled term is once continuously differentiable: where
     its fitted slope is clipped at 0 the term is flat, and ``Curvature``
     holds its second derivatives on the side where the slope is positive.
@@ -326,8 +326,7 @@ class PosteriorProblem:
                                    shape=(n, n)).tocsr()
         for array in (self._pattern.indptr, self._pattern.indices, self._pattern.data):
             array.flags.writeable = False
-        self.rating_names = sorted(name for name, table in collection.ratings.items()
-                                   if len(table))
+        self.rating_names = sorted(collection.ratings)
         self.tables, self._counts, self._starts = [], [], []
         for name in self.rating_names:
             table = collection.ratings[name]
@@ -446,14 +445,6 @@ class PosteriorProblem:
             out_q -= _center(v_q, self.labels, self.sizes) / SIGMA_JOD**2
         return out_q[self.free_idx]
 
-    def hess_diag(self, curvature: Curvature) -> np.ndarray:
-        """Diagonal of the log-posterior Hessian, for Jacobi preconditioning."""
-        factors = curvature.factors  # each entry summed in the order hess_vec sums it
-        diag_q = curvature.diagonal + np.einsum("km,km->k", factors, factors * curvature.weights)
-        if self.prior_enabled:
-            diag_q = diag_q - (1.0 - 1.0 / self.sizes[self.labels]) / SIGMA_JOD**2
-        return diag_q[self.free_idx]
-
 
 # Armijo sufficient-increase constant and the backtracking limit.
 _ARMIJO = 1e-4
@@ -475,9 +466,11 @@ def _newton_direction(problem: PosteriorProblem, curvature: Curvature, grad: np.
     costs a small fraction of a kernel call, so solving the system closely is
     cheaper than the extra iterations a loose one costs. On negative
     curvature the iterate so far is returned (Steihaug), or the
-    preconditioned gradient on the first iteration.
+    preconditioned gradient on the first iteration. The Jacobi diagonal is
+    the cached ``Curvature.diagonal``, negated, and 1 where that is not
+    positive: it leaves out the rank-3 rating terms and the prior.
     """
-    diag = -problem.hess_diag(curvature)
+    diag = -curvature.diagonal[problem.free_idx]
     precond = np.ones_like(diag)
     np.divide(1.0, diag, out=precond, where=diag > 0)
     stop = _FORCING * float(np.linalg.norm(grad))

@@ -207,6 +207,15 @@ class TestScaleCommand:
         assert main(["scale", "--manifest", "sim/manifest.json", "--out", "out"]) == 2
         assert "no rating spread within any condition" in capsys.readouterr().err
 
+    def test_ratings_file_without_rows_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--out", "sim", "--conditions", "30", "--seed", "3"]) == 0
+        (tmp_path / "sim" / "ratings_ds1.csv").write_text("condition,observer,score\n")
+        capsys.readouterr()
+        assert main(["scale", "--manifest", "sim/manifest.json", "--out", "out",
+                     "--strict"]) == 2
+        assert "ratings given for dataset 'ds1' have no rows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, byte", [
         ("manifest.json", b"\xff"),
         ("conditions_ds0.csv", b"\xff"),

@@ -135,6 +135,8 @@ _TWO = [ConditionId.reference("a"), ConditionId("a", "c0", "d", 1)]
      "graph is sized for 3 conditions, collection has 2"),
     (lambda: DatasetCollection(_TWO, graph_of(2), {"a": ratings_of([(2, "o1", 1.0)])}),
      "rating references condition index 2 out of range"),
+    (lambda: DatasetCollection(_TWO, graph_of(2), {"a": RatingTable()}),
+     "ratings given for dataset 'a' have no rows"),
     (lambda: DatasetCollection([*_TWO, ConditionId.reference("b")], graph_of(3),
                                {"a": ratings_of([(0, "o1", 1.0), (2, "o1", 1.0)])}),
      "rating for dataset 'a' references condition b/ref/reference/0"),

@@ -5,8 +5,8 @@ the row layout of ``comparisons.csv`` must not reach the scale, and the row
 order of the ratings files must reach neither the scale nor its bootstrap
 intervals; the joint-scaling components must match a plain breadth-first
 search; the block-split CSV reader must return what one plain
-``csv.reader`` returns; the likelihood kernel's gradient, cached curvature
-and Jacobi diagonal must match central differences, and its one-
+``csv.reader`` returns; the likelihood kernel's gradient and cached
+curvature must match central differences, and its one-
 ``log_ndtr`` pair of log probabilities must match two ``log_ndtr`` calls; a
 graph's directed rows and its problem's CSR pattern must follow the two-key
 ``lexsort`` order; a bootstrap replicate must keep its collection's pairs,
@@ -424,11 +424,11 @@ def _rated_collection(seed, cross=True):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), prior=st.booleans(), cross=st.booleans())
-@example(seed=23230, prior=False, cross=False)  # an entry of terms +-13,392 that cancel to 0
+@example(seed=23230, prior=False, cross=False)  # a Hessian entry of terms +-13,392 that cancel
 def test_kernel_matches_central_differences(seed, prior, cross):
-    """Without the cross pair the collection may split into components,
-    each with its own prior mean. The Jacobi diagonal sums each entry in
-    the order ``hess_vec`` does, so the two agree where an entry cancels."""
+    """The gradient and the Hessian-vector product of the cached curvature
+    match central differences. Without the cross pair the collection may
+    split into components, each with its own prior mean."""
     collection, rng = _rated_collection(seed, cross)
     problem = PosteriorProblem(collection, prior_enabled=prior)
     x = rng.normal(0.0, 0.7, problem.n_params)
@@ -443,9 +443,6 @@ def test_kernel_matches_central_differences(seed, prior, cross):
     fd_hv = (problem.value_and_grad(x + step * vec)[1]
              - problem.value_and_grad(x - step * vec)[1]) / (2 * step)
     np.testing.assert_allclose(problem.hess_vec(curvature, vec), fd_hv, rtol=1e-6, atol=1e-6)
-
-    columns = [problem.hess_vec(curvature, e) @ e for e in unit]
-    assert problem.hess_diag(curvature) == pytest.approx(columns, rel=1e-12, abs=1e-12)
 
 
 # For fixed scores a rating dataset's term is maximized over its link in
@@ -602,10 +599,13 @@ def _bootstrap_outcome(full, n_boot, seed):
 
 
 # Warm and cold, the replicates end the same way: the same intervals, or
-# the same failures for the same reasons. Not pinned, as both still fail:
+# the same failures for the same reasons. Not pinned, as these still fail:
 # warm replicates that stall on line_search where cold ones end on
-# boundary_link (1856262212, 2398548975, 3983723971, 2608745737), and two
-# local maxima whose intervals lie 0.97 JOD apart (2678168929, 42709).
+# boundary_link (1856262212, 1945909568, 1100784413, 2960398257,
+# 2398548975, 2608745737, 3983723971), and two local maxima that the warm
+# and cold starts split between, with intervals 0.11-2.14 JOD apart
+# (2456306546, 1919410808, 2876299991, 1068290309, 3541089834, 2678168929,
+# 42709, 764960634, 4038267529).
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=4110225764)  # 3 of 4 replicates end on boundary_link, warm and cold

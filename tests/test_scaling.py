@@ -549,6 +549,49 @@ def test_dense_300_condition_study_converges_under_strict(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+def _uneven_degree_collection(seed):
+    """Two rated datasets of 500 conditions on a spanning chain plus about
+    4,000 pairs whose ends are drawn in proportion to Pareto(1.2) weights,
+    so a few conditions are measured against hundreds; 5-60 trials per
+    pair and 3-24 ratings per condition."""
+    rng = np.random.default_rng(seed)
+    n, half = 1000, 500
+    names = np.repeat(["a", "b"], [half, n - half])
+    conditions = [ConditionId.reference(name) if k in (0, half)
+                  else ConditionId(name, f"c{k}", "d", 1) for k, name in enumerate(names)]
+    q = rng.uniform(0.0, 6.0, n)
+    q[[0, half]] = 0.0
+    weight = rng.pareto(1.2, n) + 1.0
+    ends = rng.choice(n, size=(4000, 2), p=weight / weight.sum())
+    pairs = np.concatenate([np.column_stack([np.arange(n - 1), np.arange(1, n)]),
+                            ends[ends[:, 0] != ends[:, 1]]])
+    trials = rng.integers(5, 61, len(pairs))
+    wins = rng.binomial(trials, preference_probability(q[pairs[:, 0]], q[pairs[:, 1]]))
+    graph = ComparisonGraph(n, pairs.T.ravel(), pairs[:, ::-1].T.ravel(),
+                            np.concatenate([wins, trials - wins]))
+    ratings = {}
+    for name, rows in (("a", np.arange(half)), ("b", np.arange(half, n))):
+        idx = np.repeat(rows, rng.integers(3, 25, rows.size))
+        ratings[name] = RatingTable(idx, [f"o{k}" for k in range(idx.size)],
+                                    rng.normal(0.8 * q[idx] + 1.0, 0.7))
+    return DatasetCollection(conditions, graph, ratings)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_jacobi_preconditioner_bounds_hessian_products_on_uneven_degrees(monkeypatch, seed):
+    # measured over seeds 0-19: 76-122 products with the Jacobi diagonal,
+    # 283-433 with the identity preconditioner
+    collection = _uneven_degree_collection(seed)
+    degrees = np.bincount(np.concatenate([collection.graph.i, collection.graph.j]))
+    assert degrees.max() > 200
+    calls = []
+    product = PosteriorProblem.hess_vec
+    monkeypatch.setattr(PosteriorProblem, "hess_vec",
+                        lambda problem, c, v: calls.append(1) or product(problem, c, v))
+    assert scale(collection).converged
+    assert len(calls) <= 150
+
+
 class TestBootstrap:
     def test_single_replicate_degenerate_interval(self, two_condition_collection):
         intervals = bootstrap_ci(scale(two_condition_collection, prior_enabled=False), 1, seed=3)
