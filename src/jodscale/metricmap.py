@@ -84,7 +84,8 @@ def fit_logistic(scores, jod) -> LogisticFit:
     logistic initializations; the best candidate by residual RMSE wins, so
     the fit is never worse than plain linear regression. Non-convergence of
     the nonlinear solver is reported via the flag with best-effort
-    parameters returned.
+    parameters returned. A start that ``least_squares`` rejects with a
+    ``ValueError`` is skipped; any other exception propagates.
     """
     from scipy import optimize
 
@@ -123,7 +124,7 @@ def fit_logistic(scores, jod) -> LogisticFit:
     for start in starts:
         try:
             result = optimize.least_squares(residuals, start, method="lm", max_nfev=20000)
-        except Exception:
+        except ValueError:
             continue
         candidate = LogisticParams(*result.x)
         mapped = eval_logistic(candidate, scores)

@@ -209,7 +209,7 @@ class DatasetCollection:
     display is a read-only view of a copy of the JSON object given for it.
 
     The collection keeps its conditions and rating rows in file order. The
-    solver's layouts (the pair adjacency, the components and each table's
+    solver's layouts (the pair layout, the components and each table's
     rows grouped by condition) belong to ``scaling.PosteriorProblem``.
     """
 

@@ -34,7 +34,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.special import gammaln, log_ndtr, ndtr
 
 from .errors import DegenerateDataError, DisconnectedGraphError, IntegrityError
@@ -273,15 +273,16 @@ def log_posterior(
 class Curvature:
     """Second derivatives of the log-posterior in q at one point.
 
-    ``adjacency`` is the n x n matrix of the per-pair curvature weights of
-    the comparison terms, on the problem's CSR pattern, and ``diagonal`` holds
-    the diagonal part of d^2/dq_i^2: minus the weighted degree, plus each
-    rating dataset's diagonal. Each rating dataset adds a term of rank
-    three on top, ``weights[k] * outer(factors[:, k], factors[:, k])`` for
-    its three columns k of ``factors``. The prior's part is left out.
+    ``upper`` holds the comparison terms' per-pair curvature weights as the
+    upper triangle of an n x n CSR matrix, and ``lower``, its CSC transpose,
+    views the same arrays; ``diagonal`` is the diagonal part of d^2/dq_i^2:
+    minus the weighted degree, plus each rating dataset's diagonal. Each
+    rating dataset adds ``weights[k] * outer(factors[:, k], factors[:, k])``
+    for its three columns k of ``factors``. The prior's part is left out.
     """
 
-    adjacency: csr_matrix
+    upper: csr_matrix
+    lower: csc_matrix
     diagonal: np.ndarray
     factors: np.ndarray
     weights: np.ndarray
@@ -301,13 +302,13 @@ class PosteriorProblem:
     holds its second derivatives on the side where the slope is positive.
 
     The constructor builds, once, every layout the solve and the bootstrap
-    reuse: the pair arrays and their read-only int32 CSR pattern (row a
-    lists the conditions measured against a in increasing order, and
-    ``data`` holds each slot's pair index), the components, and each rated
-    table with its rows sorted by (condition, observer, score) and its
-    per-condition row counts and start offsets. The scale therefore does
-    not depend on the row order of the rating files.
-    Replicates share all of these layouts.
+    reuse: the pair arrays, sorted by (i, j) with i < j, and as read-only
+    int32 their j and the row pointers that make per-pair values, in pair
+    order, the upper triangle of an n x n CSR matrix; the components; and
+    each rated table with its rows sorted by (condition, observer, score)
+    and its per-condition row counts and start offsets. The scale therefore
+    does not depend on the row order of the rating files. Replicates share
+    all of these layouts.
     """
 
     def __init__(self, collection: DatasetCollection, prior_enabled: bool = True):
@@ -318,14 +319,9 @@ class PosteriorProblem:
         self.labels = connected_components(collection)
         self.sizes = np.bincount(self.labels)
         self._pairs = collection.graph.pair_arrays()
-        # rows (j, i) then (i, j): the CSR conversion keeps each row's entries
-        # in input order, which already increases by column
-        i, j = (col.astype(np.int32) for col in self._pairs[:2])
-        self._pattern = coo_matrix((np.tile(np.arange(i.size, dtype=np.int32), 2),
-                                    (np.concatenate([j, i]), np.concatenate([i, j]))),
-                                   shape=(n, n)).tocsr()
-        for array in (self._pattern.indptr, self._pattern.indices, self._pattern.data):
-            array.flags.writeable = False
+        self._columns = self._pairs[1].astype(np.int32)
+        self._indptr = np.searchsorted(self._pairs[0], np.arange(n + 1)).astype(np.int32)
+        self._columns.flags.writeable = self._indptr.flags.writeable = False
         self.rating_names = sorted(collection.ratings)
         self.tables, self._counts, self._starts = [], [], []
         for name in self.rating_names:
@@ -344,7 +340,7 @@ class PosteriorProblem:
         the other in ``rating_names`` order and one draw per row in table
         order. The picks are sorted, so each replicate table stays sorted as
         its source. The replicate shares everything else, so it keeps this
-        problem's pairs, pattern, components, anchors and row groups."""
+        problem's pairs, pair layout, components, anchors and row groups."""
         i, j, c_ij, c_ji = self._pairs
         total = c_ij + c_ji
         new_c_ij = rng.binomial(total, c_ij / total)
@@ -398,8 +394,7 @@ class PosteriorProblem:
         value, slope, weights = _pair_term(self._pairs, q)
         grad_q = self._net(slope)
         i_arr, j_arr = self._pairs[:2]
-        pattern = self._pattern
-        adjacency = csr_matrix((weights[pattern.data], pattern.indices, pattern.indptr), (n, n))
+        upper = csr_matrix((weights, self._columns, self._indptr), (n, n))
         diagonal = -np.add(np.bincount(i_arr, weights, n), np.bincount(j_arr, weights, n),
                            dtype=float)
 
@@ -428,17 +423,18 @@ class PosteriorProblem:
             value += prior_value
             grad_q += prior_grad
 
-        return value, grad_q[self.free_idx], Curvature(adjacency, diagonal, factors, coefs)
+        return value, grad_q[self.free_idx], Curvature(upper, upper.T, diagonal, factors, coefs)
 
     def hess_vec(self, curvature: Curvature, vec: np.ndarray) -> np.ndarray:
         """Product of the log-posterior Hessian with a vector.
 
         Uses the curvature cached by ``value_and_grad``: one sparse product
-        with the weighted adjacency and three dot products per rating
-        dataset, no special functions.
+        with each triangle of the pairs' weights, a diagonal and three dot
+        products per rating dataset, no special functions.
         """
         v_q = self._full_q(vec)
-        out_q = curvature.adjacency @ v_q
+        out_q = curvature.upper @ v_q
+        out_q += curvature.lower @ v_q
         out_q += curvature.diagonal * v_q
         out_q += curvature.factors @ (curvature.weights * (v_q @ curvature.factors))
         if self.prior_enabled:

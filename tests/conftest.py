@@ -28,11 +28,11 @@ def ratings_of(rows):
     return RatingTable([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
 
 
-def pattern_of(graph):
-    """The pair pattern of the posterior problem over ``graph``: its
-    conditions, all unrated, make up one dataset."""
+def problem_of(graph):
+    """The posterior problem over ``graph``: its conditions, all unrated and
+    none a reference, make up one dataset."""
     conditions = [ConditionId("d", f"c{k}", "d", 1) for k in range(graph.n)]
-    return PosteriorProblem(DatasetCollection(conditions, graph))._pattern
+    return PosteriorProblem(DatasetCollection(conditions, graph))
 
 
 def cold_replicates():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 from jodscale.errors import (
     DegenerateDataError,
@@ -84,6 +85,29 @@ class TestFitLogistic:
     def test_too_few_points_rejected(self):
         with pytest.raises(IntegrityError):
             fit_logistic(np.arange(5.0), np.arange(5.0))
+
+    def test_a_fault_in_the_solver_propagates(self, monkeypatch):
+        def fault(*args, **kwargs):
+            raise RuntimeError("fault in the solver")
+
+        monkeypatch.setattr(optimize, "least_squares", fault)
+        with pytest.raises(RuntimeError, match="fault in the solver"):
+            fit_logistic(np.arange(10.0), np.arange(10.0) ** 2)
+
+    def test_rejected_starts_fall_back_to_the_linear_baseline(self, monkeypatch):
+        starts = []
+
+        def reject(residuals, start, **kwargs):
+            starts.append(start)
+            raise ValueError("`x0` is infeasible")
+
+        monkeypatch.setattr(optimize, "least_squares", reject)
+        scores = np.arange(10.0)
+        fit = fit_logistic(scores, scores**2)
+        slope, intercept = np.polyfit(scores, scores**2, 1)
+        assert len(starts) == 3 and fit.converged
+        assert (fit.params.a1, fit.params.a2) == (0.0, 0.0)
+        assert (fit.params.a4, fit.params.a5) == pytest.approx((slope, intercept), rel=1e-12)
 
 
 @pytest.mark.parametrize("function", [fit_logistic, correlation_metrics])

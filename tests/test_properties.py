@@ -8,15 +8,16 @@ search; the block-split CSV reader must return what one plain
 ``csv.reader`` returns; the likelihood kernel's gradient and cached
 curvature must match central differences, and its one-
 ``log_ndtr`` pair of log probabilities must match two ``log_ndtr`` calls; a
-graph's directed rows and its problem's CSR pattern must follow the two-key
-``lexsort`` order; a bootstrap replicate must keep its collection's pairs,
-components and per-condition rating counts, and solve exactly as the
-collection rebuilt from its rows; a solve started anywhere near the maximum
-(or at it) must reach the maximum a cold solve reaches; a disconnected
-collection scaled per component must be its components scaled alone; both
-pair selectors must return exactly what a double loop over all pairs
-returns; and a saved collection must load back as itself, up to the order
-of its conditions.
+graph's directed rows must follow the two-key ``lexsort`` order, and the
+kernel's curvature must hold the pair weights as the two triangles of the
+dense symmetric weight matrix; a bootstrap replicate must keep its
+collection's pairs, components and per-condition rating counts, and solve
+exactly as the collection rebuilt from its rows; a solve started anywhere
+near the maximum (or at it) must reach the maximum a cold solve reaches; a
+disconnected collection scaled per component must be its components scaled
+alone; both pair selectors must return exactly what a double loop over all
+pairs returns; and a saved collection must load back as itself, up to the
+order of its conditions.
 """
 
 import csv
@@ -33,7 +34,6 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import pytest
-from scipy.sparse import csr_matrix
 from scipy.special import log_ndtr, ndtr
 
 from jodscale import connected_components, csvio, model, scaling
@@ -56,7 +56,7 @@ from jodscale.scaling import (
 )
 from jodscale.simulate import RecoveryConfig, synthesize_collection
 
-from conftest import cold_replicates, pattern_of
+from conftest import cold_replicates, problem_of
 
 _HEADER = "cond_a,cond_b,count_a_over_b"
 
@@ -388,14 +388,26 @@ def test_directed_rows_follow_the_lexsort_order(graph):
                              (winners[nonzero], losers[nonzero], counts[nonzero])):
         np.testing.assert_array_equal(got, expected)
 
-    pattern = pattern_of(graph)
-    np.testing.assert_array_equal(pattern.indices, losers[order])
-    weights = np.arange(1.0, i.size + 1)
-    adjacency = csr_matrix((weights[pattern.data], pattern.indices, pattern.indptr),
-                           shape=(graph.n, graph.n))
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+@example(ComparisonGraph(0))
+@example(ComparisonGraph(6, [4, 0, 4], [0, 2, 2], [3, 1, 2]))  # 1, 3 and 5 isolated
+def test_curvature_is_the_dense_weight_matrix_on_the_pair_layout(graph):
+    """The problem's layout arrays are read-only int32, and the kernel's
+    ``upper`` plus ``lower`` is the dense symmetric matrix of its per-pair
+    weights."""
+    problem = problem_of(graph)
+    for array in (problem._columns, problem._indptr):
+        assert array.dtype == np.int32 and not array.flags.writeable
+    q = np.linspace(-1.5, 1.0, graph.n)
+    curvature = problem.value_and_grad(q)[2]
+    pairs = graph.pair_arrays()
+    i, j = pairs[:2]
+    weights = scaling._pair_term(pairs, q)[2]
     dense = np.zeros((graph.n, graph.n))
     dense[i, j] = dense[j, i] = weights
-    np.testing.assert_array_equal(adjacency.toarray(), dense)
+    np.testing.assert_array_equal((curvature.upper + curvature.lower).toarray(), dense)
 
 
 def _rated_collection(seed, cross=True):
