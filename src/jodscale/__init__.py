@@ -34,10 +34,7 @@ from .scaling import (
     UnifiedScale,
     bootstrap_ci,
     connected_components,
-    log_posterior,
     preference_probability,
-    pwc_log_likelihood,
-    rating_log_likelihood,
     scale,
 )
 
@@ -62,10 +59,7 @@ __all__ = [
     "bootstrap_ci",
     "connected_components",
     "load_collection",
-    "log_posterior",
     "preference_probability",
-    "pwc_log_likelihood",
-    "rating_log_likelihood",
     "save_collection",
     "scale",
 ]

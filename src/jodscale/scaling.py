@@ -38,7 +38,7 @@ from scipy.sparse import csc_matrix, csr_matrix
 from scipy.special import gammaln, log_ndtr, ndtr
 
 from .errors import DegenerateDataError, DisconnectedGraphError, IntegrityError
-from .model import ComparisonGraph, ConditionId, DatasetCollection, RatingTable
+from .model import ConditionId, DatasetCollection, RatingTable
 
 # Score distance of 1 maps to a 75% preference rate with this sigma.
 SIGMA_JOD = 1.048
@@ -175,13 +175,6 @@ def _prior_term(q: np.ndarray, labels: np.ndarray, sizes: np.ndarray):
     return value, -centered / SIGMA_JOD**2
 
 
-def _finite_q(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise IntegrityError("q contains non-finite values")
-    return q
-
-
 def connected_components(collection: DatasetCollection) -> np.ndarray:
     """Each condition's joint-scaling component label.
 
@@ -208,65 +201,6 @@ def connected_components(collection: DatasetCollection) -> np.ndarray:
         while not np.array_equal(parents := roots[roots], roots):
             roots = parents
     return np.unique(roots, return_inverse=True)[1]
-
-
-def pwc_log_likelihood(graph: ComparisonGraph, q) -> float:
-    """Binomial log-likelihood of the observed win counts given scores q.
-
-    The binomial coefficient is included; it is constant in q, so reported
-    values are comparable across parameter settings.
-    """
-    q = _finite_q(q)
-    if q.shape != (graph.n,):
-        raise IntegrityError(f"q must have one entry per condition ({graph.n})")
-    pairs = graph.pair_arrays()
-    return _log_binomial(pairs) + _pair_term(pairs, q)[0]
-
-
-def rating_log_likelihood(ratings: RatingTable, q, link: LinkParams) -> float:
-    """Gaussian log-likelihood of rating measurements under the affine link.
-
-    Each record contributes log N(m; (q_i - b)/a, c*sigma), written in the
-    quality domain as -log(c sigma sqrt(2 pi)) - ((a m + b) - q_i)^2 /
-    (2 a^2 c^2 sigma^2).
-    """
-    q = _finite_q(q)
-    if not np.all(np.isfinite(ratings.scores)):
-        raise IntegrityError("ratings contain non-finite scores")
-    r = link.a * ratings.scores + link.b - q[ratings.condition_indices]
-    var = (link.a * link.c * SIGMA_JOD) ** 2
-    return float(
-        -ratings.scores.size * math.log(link.c * SIGMA_JOD * _SQRT_2PI) - 0.5 * np.sum(r * r) / var
-    )
-
-
-def log_posterior(
-    collection: DatasetCollection,
-    q,
-    links: dict[str, LinkParams] | None = None,
-    prior_enabled: bool = True,
-) -> float:
-    """Joint log-posterior: comparisons + ratings + optional score prior.
-
-    The prior treats each q_i as Gaussian around the mean score of its
-    joint-scaling component with standard deviation sigma; it bounds score
-    differences when answers are unanimous. A rated dataset without an
-    entry in ``links`` is evaluated at its best link for q. This is the
-    function ``scale`` maximizes, so at a scale's q and links it equals its
-    ``log_posterior``.
-    """
-    q = np.asarray(q, dtype=float)
-    total = pwc_log_likelihood(collection.graph, q)
-    links = links or {}
-    for name, table in sorted(collection.ratings.items()):
-        if name in links:
-            total += rating_log_likelihood(table, q, links[name])
-        else:
-            total += _profiled_value(len(table), _rating_fit(table, q)[2])
-    if prior_enabled:
-        labels = connected_components(collection)
-        total += _prior_term(q, labels, np.bincount(labels))[0]
-    return total
 
 
 @dataclass(frozen=True)

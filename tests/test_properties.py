@@ -15,7 +15,8 @@ collection's pairs, components and per-condition rating counts, and solve
 exactly as the collection rebuilt from its rows; a solve started anywhere
 near the maximum (or at it) must reach the maximum a cold solve reaches; a
 disconnected collection scaled per component must be its components scaled
-alone; both pair selectors must return exactly what a double loop over all
+alone; swapping every win count of an unrated collection must negate its
+scale; both pair selectors must return exactly what a double loop over all
 pairs returns; and a saved collection must load back as itself, up to the
 order of its conditions.
 """
@@ -51,12 +52,11 @@ from jodscale.model import (
     save_collection,
 )
 from jodscale.scaling import (
-    SIGMA_JOD, LinkParams, PosteriorProblem, UnifiedScale, _log_ndtr_pair, bootstrap_ci,
-    log_posterior, scale,
+    SIGMA_JOD, LinkParams, PosteriorProblem, UnifiedScale, _log_ndtr_pair, bootstrap_ci, scale,
 )
 from jodscale.simulate import RecoveryConfig, synthesize_collection
 
-from conftest import cold_replicates, problem_of
+from conftest import cold_replicates, oracle_log_posterior, problem_of
 
 _HEADER = "cond_a,cond_b,count_a_over_b"
 
@@ -468,19 +468,19 @@ def test_profiled_rating_term_is_the_best_link(seed, cross):
     problem = PosteriorProblem(collection, prior_enabled=False)
     x = rng.normal(0.0, 0.7, problem.n_params)
     q, links = problem.unpack(x)
-    best = log_posterior(collection, q, {}, prior_enabled=False)
+    best = oracle_log_posterior(collection, q, prior=False)
     value = problem.value_and_grad(x)[0] + scaling._log_binomial(problem._pairs)
     assert value == pytest.approx(best, rel=1e-12)
     others = [LinkParams(math.exp(rng.normal(0.0, 1.0)), rng.normal(0.0, 2.0),
                          math.exp(rng.normal(0.0, 1.0))) for _ in range(10)]
     if links:
-        assert log_posterior(collection, q, links, False) == pytest.approx(best, rel=1e-12)
+        assert oracle_log_posterior(collection, q, links, False) == pytest.approx(best, rel=1e-12)
         link = links["r"]
         others += [LinkParams(link.a * math.exp(rng.normal(0.0, 0.01)),
                               link.b + rng.normal(0.0, 0.01),
                               link.c * math.exp(rng.normal(0.0, 0.01))) for _ in range(10)]
     for other in others:
-        assert log_posterior(collection, q, {"r": other}, False) <= best + 1e-9 * abs(best)
+        assert oracle_log_posterior(collection, q, {"r": other}, False) <= best + 1e-9 * abs(best)
 
 
 @settings(max_examples=100, deadline=None)
@@ -579,7 +579,7 @@ def test_contradicting_ratings_end_on_the_boundary(tmp_path, capsys, seed, cross
     assert "r" not in result.links
     table = collection.ratings["r"]
     assert np.polyfit(result.q[table.condition_indices], table.scores, 1)[0] <= 0.0
-    assert log_posterior(collection, result.q, result.links) == pytest.approx(
+    assert oracle_log_posterior(collection, result.q, result.links) == pytest.approx(
         result.log_posterior, rel=1e-12)
     assert json.loads((tmp_path / "out" / "links.json").read_text()) == {}
     assert json.loads((tmp_path / "out" / "report.json").read_text())["converged"] is False
@@ -779,9 +779,12 @@ def _subcollection(collection, members):
 # maximum-likelihood estimate: the solves then stop at different points of a
 # ridge that still rises (seed 81709: q near -4.6e4, log-posteriors 2e-8
 # apart), so q, links and log-posteriors are compared with the prior on only.
-# An unconverged solve has no maximum to compare with.
+# An unconverged solve has no maximum to compare with. Seed 23002363
+# without the prior diverges to q near -6e9, where the kernel's pair slopes
+# overflow; the value alone stays finite and warns of nothing.
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), prior=st.booleans())
+@example(seed=23002363, prior=False)
 def test_per_component_scale_is_the_components_scaled_alone(seed, prior):
     collection, _ = _observer_collection(seed, cross=False)
     with warnings.catch_warnings():
@@ -794,8 +797,10 @@ def test_per_component_scale_is_the_components_scaled_alone(seed, prior):
     ]
     assert len(parts) == 2
     assert whole.converged == all(part.converged for _, part in parts)
-    assert log_posterior(collection, whole.q, whole.links, prior) == pytest.approx(
-        whole.log_posterior, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = oracle_log_posterior(collection, whole.q, whole.links, prior)
+    assert value == pytest.approx(whole.log_posterior, rel=1e-12)
     if prior and whole.converged:
         total = sum(part.log_posterior for _, part in parts)
         assert whole.log_posterior == pytest.approx(total, rel=1e-9)
@@ -803,6 +808,24 @@ def test_per_component_scale_is_the_components_scaled_alone(seed, prior):
             alone = replace(whole, q=whole.q[members],
                             links={name: whole.links[name] for name in part.links})
             _assert_same_scale(alone, part, atol=1e-6)
+
+
+# With no ratings, the log-posterior of the swapped win counts at -q is the
+# original one at q: the pair terms mirror, the prior is centred on the one
+# component's mean and the references stay at 0. So the swapped scale is
+# the negated scale.
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_swapped_win_counts_negate_the_scale(seed):
+    rated, _ = _observer_collection(seed)
+    winners, losers, counts = rated.graph.observations()
+    result, swapped = (
+        scale(DatasetCollection(rated.conditions, ComparisonGraph(rated.n, *ends, counts)),
+              tol=1e-10)
+        for ends in ((winners, losers), (losers, winners))
+    )
+    assert result.converged and swapped.converged
+    np.testing.assert_allclose(swapped.q, -result.q, rtol=0, atol=1e-6)
 
 
 def _cross_dataset_loop(q, conditions, k, window, bins):

@@ -34,17 +34,31 @@ from jodscale.scaling import (
     LinkParams,
     PosteriorProblem,
     bootstrap_ci,
-    log_posterior,
     preference_probability,
-    pwc_log_likelihood,
-    rating_log_likelihood,
     scale,
 )
 from jodscale.simulate import RecoveryConfig, synthesize_collection
 
-from conftest import cold_replicates, graph_of, problem_of, ratings_of
+from conftest import cold_replicates, graph_of, oracle_log_posterior, problem_of, ratings_of
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _kernel_value(problem, q):
+    """The likelihood kernel's value at the scores ``q`` (0 at every
+    reference) plus the binomial constant: the log-posterior."""
+    x = np.asarray(q, dtype=float)[problem.free_idx]
+    return problem.value_and_grad(x)[0] + scaling._log_binomial(problem._pairs)
+
+
+def test_every_export_resolves_and_every_public_name_is_exported():
+    import jodscale
+
+    public = {name for name, value in vars(jodscale).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert all(hasattr(jodscale, name) for name in jodscale.__all__)
+    assert len(set(jodscale.__all__)) == len(jodscale.__all__)
+    assert set(jodscale.__all__) == public | {"__version__"}
 
 
 class TestPreferenceProbability:
@@ -69,32 +83,36 @@ class TestPreferenceProbability:
         assert np.all(np.diff(probs) > 0)
 
 
+def _pwc_value(graph, q):
+    """The comparisons' log-likelihood at q: the kernel without the prior."""
+    return _kernel_value(problem_of(graph, prior_enabled=False), q)
+
+
 class TestPwcLogLikelihood:
     def test_single_tied_pair(self):
         graph = graph_of(2, {(0, 1): 1, (1, 0): 1})
-        value = pwc_log_likelihood(graph, [0.0, 0.0])
+        value = _pwc_value(graph, [0.0, 0.0])
         assert value == pytest.approx(math.log(0.5))
 
     def test_unanimous_limit(self):
         graph = graph_of(2, {(0, 1): 1})
-        value = pwc_log_likelihood(graph, [50.0, 0.0])
+        value = _pwc_value(graph, [50.0, 0.0])
         assert value == pytest.approx(0.0, abs=1e-10)
 
     def test_binomial_pmf_oracle(self):
         # gap chosen so the model probability is exactly 0.75
         gap = SQRT2 * SIGMA_JOD * norm.ppf(0.75)
         graph = graph_of(2, {(0, 1): 3, (1, 0): 1})
-        value = pwc_log_likelihood(graph, [gap, 0.0])
+        value = _pwc_value(graph, [gap, 0.0])
         assert value == pytest.approx(float(binom.logpmf(3, 4, 0.75)), abs=1e-9)
 
     def test_rejects_non_finite(self):
-        graph = graph_of(2, {(0, 1): 1})
-        with pytest.raises(IntegrityError):
-            pwc_log_likelihood(graph, [np.nan, 0.0])
+        with pytest.raises(IntegrityError, match="needs a non-negative integer count"):
+            graph_of(2, {(0, 1): np.nan})
 
     def test_binomial_pmf_oracle_at_a_large_total(self):
         graph = graph_of(2, {(0, 1): 2**21, (1, 0): 1})
-        assert pwc_log_likelihood(graph, [0.0, 0.0]) == pytest.approx(
+        assert _pwc_value(graph, [0.0, 0.0]) == pytest.approx(
             float(binom.logpmf(1, 2**21 + 1, 0.5)), rel=1e-12)
 
 
@@ -102,7 +120,8 @@ class TestRatingLogLikelihood:
     def test_peak_density(self):
         table = ratings_of(((0, "o1", 1.7),))
         link = LinkParams(a=1.0, b=0.0, c=1.0)
-        value = rating_log_likelihood(table, [1.7], link)
+        coll = _demo_collection({}, ratings={"demo": table}, n=1)
+        value = oracle_log_posterior(coll, [1.7], {"demo": link}, prior=False)
         assert value == pytest.approx(-math.log(SIGMA_JOD * math.sqrt(2 * math.pi)))
         assert value == pytest.approx(-0.9658, abs=1e-3)
 
@@ -125,30 +144,37 @@ class TestRatingLogLikelihood:
             )
             for condition, _, score in records
         )
-        value = rating_log_likelihood(table, q, link)
+        coll = _demo_collection({}, ratings={"demo": table}, n=3)
+        value = oracle_log_posterior(coll, q, {"demo": link}, prior=False)
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_non_finite(self):
         table = ratings_of(((0, "o1", float("inf")),))
-        with pytest.raises(IntegrityError):
-            rating_log_likelihood(table, [0.0], LinkParams(1.0, 0.0, 1.0))
+        with pytest.raises(IntegrityError, match="non-finite rating score"):
+            _demo_collection({}, ratings={"demo": table}, n=1)
 
     def test_rating_unit_change_leaves_density_invariant(self):
-        # the density is over the measurement, so expressing the same
-        # measurement in rescaled rating units (m -> k m, a -> a / k,
-        # b unchanged, noise multiplier c -> k c) must not change it
-        q = np.array([-1.3])
-        kappa = 2.5
-        link = LinkParams(a=1.2, b=0.4, c=0.9)
-        rescaled = LinkParams(a=link.a / kappa, b=link.b, c=link.c * kappa)
-        for m in (0.7, -2.0, 1.9):
-            base = rating_log_likelihood(
-                ratings_of(((0, "o1", m),)), q, link
-            )
-            moved = rating_log_likelihood(
-                ratings_of(((0, "o1", m * kappa),)), q, rescaled
-            ) + math.log(kappa)  # Jacobian of the unit change
-            assert moved == pytest.approx(base, rel=1e-12)
+        # a change of one dataset's rating units, m -> k m or m -> m + d,
+        # moves only that dataset's link (a -> a / k, c -> k c; b -> b - a d)
+        # and leaves every score where it was
+        _, coll = synthesize_collection(RecoveryConfig(n_conditions=60, seed=3))
+        base = scale(coll)
+        assert base.converged and "ds1" in base.links
+        a, b, c = dataclasses.astuple(base.links["ds1"])
+        kappa, delta = 2.5, -1.7
+        table = coll.ratings["ds1"]
+        for scores, link in ((kappa * table.scores, LinkParams(a / kappa, b, kappa * c)),
+                             (table.scores + delta, LinkParams(a, b - a * delta, c))):
+            moved = RatingTable(table.condition_indices, table.observers, scores)
+            result = scale(DatasetCollection(coll.conditions, coll.graph,
+                                             {**coll.ratings, "ds1": moved}, coll.displays))
+            assert result.converged
+            np.testing.assert_allclose(result.q, base.q, rtol=0, atol=1e-9)
+            expected = {**base.links, "ds1": link}
+            assert result.links.keys() == expected.keys()
+            for name, want in expected.items():
+                np.testing.assert_allclose(dataclasses.astuple(result.links[name]),
+                                           dataclasses.astuple(want), rtol=1e-9, atol=1e-9)
 
 
 def _demo_collection(entries, ratings=None, n=2):
@@ -169,27 +195,24 @@ def _within_datasets(coll):
 class TestLogPosterior:
     def test_empty_data_prior_disabled(self):
         coll = _demo_collection({})
-        assert log_posterior(coll, [0.0, 0.0], prior_enabled=False) == 0.0
+        assert _kernel_value(PosteriorProblem(coll, prior_enabled=False), [0.0, 0.0]) == 0.0
 
     def test_prior_with_equal_scores(self):
+        # without pairs each condition is a component of its own, at its mean
         coll = _demo_collection({})
-        value = log_posterior(coll, [0.4, 0.4], prior_enabled=True)
         expected = 2 * math.log(1.0 / (SIGMA_JOD * math.sqrt(2 * math.pi)))
-        assert value == pytest.approx(expected)
+        assert oracle_log_posterior(coll, [0.4, 0.4]) == pytest.approx(expected)
+        assert _kernel_value(PosteriorProblem(coll), [0.0, 0.4]) == pytest.approx(expected)
 
     def test_additivity(self):
-        table = ratings_of(((1, "o1", -0.8),))
-        coll = _demo_collection(
-            {(0, 1): 2, (1, 0): 1},
-            ratings={"demo": table},
-        )
+        entries = {(0, 1): 2, (1, 0): 1}
+        ratings = {"demo": ratings_of(((0, "o1", 0.3), (1, "o1", -0.8), (1, "o2", -0.4)))}
         q = np.array([0.0, -0.9])
-        link = LinkParams(a=1.2, b=0.1, c=0.9)
-        total = log_posterior(coll, q, {"demo": link}, prior_enabled=False)
-        parts = pwc_log_likelihood(coll.graph, q) + rating_log_likelihood(
-            coll.ratings["demo"], q, link
+        total, pairs, rated = (
+            _kernel_value(PosteriorProblem(_demo_collection(*parts), prior_enabled=False), q)
+            for parts in ((entries, ratings), (entries,), ({}, ratings))
         )
-        assert total == pytest.approx(parts, rel=1e-12)
+        assert total == pytest.approx(pairs + rated, rel=1e-12)
 
 
 def _rated_demo(scores_by_condition, entries=None):
@@ -257,7 +280,7 @@ class TestProfiledLinks:
                                    [1.0 / s, -t / s, rms / SIGMA_JOD], rtol=1e-12)
         value = problem.value_and_grad(q_true[1:])[0]
         assert value == pytest.approx(
-            rating_log_likelihood(table, q, link), rel=1e-12)
+            oracle_log_posterior(coll, q, {"demo": link}, prior=False), rel=1e-12)
 
     def test_ratings_against_the_scores_have_no_link(self):
         # ratings fall as q rises: the best slope is 0, each rating is then
@@ -271,7 +294,7 @@ class TestProfiledLinks:
         scores = coll.ratings["demo"].scores
         expected = float(np.sum(norm.logpdf(scores, scores.mean(), scores.std())))
         assert value == pytest.approx(expected, rel=1e-12)
-        assert log_posterior(coll, q, links, prior_enabled=False) == pytest.approx(
+        assert oracle_log_posterior(coll, q, links, prior=False) == pytest.approx(
             expected, rel=1e-12)
         np.testing.assert_array_equal(grad, 0.0)
         np.testing.assert_array_equal(problem.hess_vec(curvature, np.ones(2)), 0.0)
@@ -486,12 +509,12 @@ class TestScale:
     def test_per_component_log_posterior_is_the_maximized_function(self, prior):
         """The one solve over all components maximizes the log-posterior
         with the score prior centred on each component's mean, the function
-        ``log_posterior`` computes."""
+        ``oracle_log_posterior`` computes."""
         _, coll = synthesize_collection(RecoveryConfig(n_conditions=60, seed=3))
         coll = _within_datasets(coll)
         with pytest.warns(UserWarning, match="NOT comparable"):
             result = scale(coll, per_component=True, prior_enabled=prior)
-        value = log_posterior(coll, result.q, result.links, prior_enabled=prior)
+        value = oracle_log_posterior(coll, result.q, result.links, prior=prior)
         assert value == pytest.approx(result.log_posterior, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
