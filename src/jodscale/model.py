@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -49,6 +50,8 @@ REFERENCE_DISTORTION = "reference"
 
 _KNOWN_MANIFEST_KEYS = {"datasets", "comparisons"}
 _KNOWN_DATASET_KEYS = {"name", "experiment", "display", "conditions", "ratings"}
+# "/" separates a condition id's parts; the others would break the CSV row
+_FORBIDDEN_IN_ID = re.compile('[/,"\r\n]')
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +69,7 @@ class ConditionId:
 
     def __post_init__(self):
         for part in (self.dataset, self.content, self.distortion):
-            # "/" separates the parts; the others would break the CSV row
-            if not part or any(ch in part for ch in '/,"\r\n'):
+            if not part or _FORBIDDEN_IN_ID.search(part):
                 raise IntegrityError(f"bad condition id component {part!r} (empty, or "
                                      "holding '/', ',', '\"', CR or LF)")
 
@@ -119,7 +121,11 @@ class ComparisonGraph:
     The constructor takes ordered observations: condition ``winners[k]`` was
     chosen over ``losers[k]`` ``counts[k]`` times. Repeated and mirrored
     rows are summed. Self comparisons are forbidden and counts must be
-    non-negative integers.
+    non-negative integers. The build sorts the rows once by pair key
+    ``min * n + max``, a sort that rows already in key order skip (as each
+    pair's two directed rows side by side, in pair order), and then sums
+    each direction over the runs of equal keys; the caller's arrays are
+    never written.
     """
 
     __slots__ = ("n", "i", "j", "c_ij", "c_ji")
@@ -137,7 +143,8 @@ class ComparisonGraph:
             ((winners < 0) | (winners >= n) | (losers < 0) | (losers >= n),
              "has a condition index out of range"),
             (winners == losers, "is a self-comparison, which is forbidden"),
-            (~np.isfinite(counts) | (counts < 0) | (counts != np.floor(counts)),
+            (counts < 0 if np.issubdtype(counts.dtype, np.integer) else
+             ~np.isfinite(counts) | (counts < 0) | (counts != np.floor(counts)),
              "needs a non-negative integer count"),
         ):
             if bad.any():
@@ -145,18 +152,30 @@ class ComparisonGraph:
                 raise IntegrityError(f"pair ({winners[k]}, {losers[k]}) {problem}")
         winners, losers, counts = (c.astype(np.int64, copy=False) for c in (winners, losers, counts))
         stride = max(self.n, 1)
-        keys = np.where(winners < losers, winners, losers)
+        keys = np.minimum(winners, losers)
         keys *= stride
-        keys += np.where(winners < losers, losers, winners)
-        keys, slot = np.unique(keys, return_inverse=True)
-        # column 0 sums the rows won by the lower index (c_ij), column 1 the rest
-        totals = np.zeros((keys.size, 2), dtype=np.int64)
-        np.add.at(totals, (slot, (winners > losers).view(np.int8)), counts)
-        measured = totals.any(axis=1)
-        keys, totals = keys[measured], totals[measured]
-        self.i = _frozen(keys // stride, np.int64)
-        self.j = _frozen(keys % stride, np.int64)
-        self.c_ij, self.c_ji = (_frozen(column, np.int64) for column in totals.T)
+        keys += np.maximum(winners, losers)
+        # a row won by the higher index counts toward c_ji
+        reverse = winners > losers
+        if not (keys[:-1] <= keys[1:]).all():
+            # integer sums do not depend on the order within a run: no stable sort needed
+            order = np.argsort(keys)
+            keys = keys[order]
+            reverse = reverse[order]
+            counts = counts[order]
+            del order
+        # the first row of each run of equal keys
+        starts = np.flatnonzero(np.concatenate(([keys.size > 0], keys[1:] != keys[:-1])))
+        keys = keys[starts]
+        # each direction is summed on its own, so each keeps the full int64 range
+        c_ij = np.add.reduceat(counts * ~reverse, starts)
+        c_ji = np.add.reduceat(counts * reverse, starts)
+        del reverse, counts, starts  # freed before the pair columns are made
+        measured = (c_ij != 0) | (c_ji != 0)
+        keys, c_ij, c_ji = keys[measured], c_ij[measured], c_ji[measured]
+        self.i, self.j, self.c_ij, self.c_ji = keys // stride, keys % stride, c_ij, c_ji
+        for column in self.pair_arrays():
+            column.flags.writeable = False
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The measured pairs as (I, J, C_ij, C_ji)."""

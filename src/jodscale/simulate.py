@@ -169,8 +169,6 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
 
     truth = GroundTruth(tuple(conditions), q_true, links_true, seed=config.seed)
 
-    within = [np.stack(np.triu_indices(size, 1), axis=1) + start
-              for start, size in zip(starts[:-1].tolist(), sizes)]
     # only cross-dataset pairs can be drawn twice: the chain, then random extras
     cross: set[tuple[int, int]] = set()
     rng_design = _rng(config.seed, _STREAM_DESIGN)
@@ -191,7 +189,10 @@ def synthesize_collection(config: RecoveryConfig) -> tuple[GroundTruth, DatasetC
         cross.add(key)
         added += 1
 
-    pairs = np.concatenate(within + [np.array(list(cross), dtype=np.int64).reshape(-1, 2)])
+    # a generator: the within-dataset blocks live only until they are joined
+    within = (np.stack(np.triu_indices(size, 1), axis=1) + start
+              for start, size in zip(starts[:-1].tolist(), sizes))
+    pairs = np.concatenate([*within, np.array(list(cross), dtype=np.int64).reshape(-1, 2)])
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     counts = simulate_comparison(truth, pairs[:, 0], pairs[:, 1], config.trials_per_pair)
 

@@ -1050,6 +1050,24 @@ class TestPinnedOutputs:
         assert written == expected
 
 
+# sha256 of scale.csv for `simulate --conditions 300 --seed 7` -> `scale --strict` + extra argv
+_PINNED_SIMULATED_SCALE = {
+    "plain": ([], "1da3b0d36e350ac2236dea7c4d24dca119cd4b165484e305d10296a62b68742a"),
+    "bootstrap": (["--bootstrap", "20", "--seed", "3"],
+                  "38bf70d34e29a7d4e7684939ac56c33340125ceace89760f23e8f87b466f5013"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SIMULATED_SCALE))
+def test_scale_of_a_mid_size_simulated_study_is_pinned(tmp_path, monkeypatch, name):
+    extra, digest = _PINNED_SIMULATED_SCALE[name]
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--conditions", "300", "--seed", "7", "--out", "sim"]) == 0
+    assert main(["scale", "--manifest", "sim/manifest.json", "--strict", *extra,
+                 "--out", "out"]) == 0
+    assert hashlib.sha256((tmp_path / "out" / "scale.csv").read_bytes()).hexdigest() == digest
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
     def test_matches_one_format_per_row(self, tmp_path, rows):

@@ -16,6 +16,7 @@ from jodscale.model import (
     load_collection,
     save_collection,
 )
+from jodscale.simulate import RecoveryConfig, synthesize_collection
 
 from conftest import graph_of, ratings_of, write_two_condition_fixture
 
@@ -45,6 +46,8 @@ class TestConditionId:
             ConditionId.parse("live/img03/jpeg/notanint")
         with pytest.raises(IntegrityError):
             ConditionId("", "c", "d", 1)
+        with pytest.raises(IntegrityError, match="bad condition id component 'd/s'"):
+            ConditionId("d/s", "c", "d", 1)
         # characters that would break the CSV row the id is written to
         for text in ("ds/a,b/dist/1", 'ds/a"b/dist/1', "ds/a/di\rst/1", "ds/a/di\nst/1",
                      "d,s/a/dist/1"):
@@ -97,23 +100,43 @@ class TestComparisonGraph:
         ]
         assert ComparisonGraph(4, winners, losers, counts) == graph
 
+    @staticmethod
+    def _traced_build(n, winners, losers, counts):
+        """The graph and its build's traced peak as a multiple of the rows' bytes."""
+        tracemalloc.start()
+        try:
+            graph = ComparisonGraph(n, winners, losers, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return graph, peak / (winners.nbytes + losers.nbytes + counts.nbytes)
+
     def test_building_holds_little_beside_the_rows(self):
-        """Building from 332,564 random rows (7.6 MB) over 1,000 conditions
-        holds the key, its sort and inverse, then the (pairs, 2) table: the
-        peak is 2.3x the rows' bytes (17.7 MB). Gathering each direction
-        through masks into two count arrays peaked at 4.0x (30.8 MB)."""
+        """332,564 random rows (8.0 MB) over 1,000 conditions: sorting by
+        pair key and permuting the key, direction and counts peaks at 1.73x
+        the rows' bytes. A ``np.unique`` inverse scattered with ``np.add.at``
+        into a (pairs, 2) table peaked at 2.33x, and gathering each direction
+        through masks into two count arrays at 4.0x."""
         rng = np.random.default_rng(5)
         winners = rng.integers(0, 1000, 332_564)
         losers = (winners + rng.integers(1, 1000, winners.size)) % 1000
         counts = rng.integers(0, 50, winners.size)
-        tracemalloc.start()
-        try:
-            graph = ComparisonGraph(1000, winners, losers, counts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        graph, ratio = self._traced_build(1000, winners, losers, counts)
         assert graph.i.size == 239_802
-        assert peak <= 3 * (winners.nbytes + losers.nbytes + counts.nbytes)
+        assert ratio <= 2.0
+
+    def test_building_from_rows_in_key_order_skips_the_sort(self):
+        """``synthesize_collection``'s layout at 1,000 conditions (333,338
+        rows, each pair's two directed rows side by side in pair order)
+        needs no sort: the peak is 1.08x the rows' bytes, against 2.25x for
+        the ``np.unique`` build."""
+        graph = synthesize_collection(RecoveryConfig(n_conditions=1000, seed=7))[1].graph
+        i, j, c_ij, c_ji = graph.pair_arrays()
+        rows = (np.stack([i, j], axis=1).ravel(), np.stack([j, i], axis=1).ravel(),
+                np.stack([c_ij, c_ji], axis=1).ravel())
+        rebuilt, ratio = self._traced_build(graph.n, *rows)
+        assert rows[0].size == 333_338 and rebuilt == graph
+        assert ratio <= 1.25
 
 
 @pytest.mark.parametrize("build, message", [

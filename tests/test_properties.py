@@ -8,7 +8,8 @@ search; the block-split CSV reader must return what one plain
 ``csv.reader`` returns; the likelihood kernel's gradient and cached
 curvature must match central differences, and its one-
 ``log_ndtr`` pair of log probabilities must match two ``log_ndtr`` calls; a
-graph's directed rows must follow the two-key ``lexsort`` order, and the
+graph must not depend on its row order, its directed rows must follow the
+two-key ``lexsort`` order, and the
 kernel's curvature must hold the pair weights as the two triangles of the
 dense symmetric weight matrix; a bootstrap replicate must keep its
 collection's pairs, components and per-condition rating counts, and solve
@@ -371,6 +372,26 @@ def test_graph_columns_are_the_summed_rows(drawn):
     assert [column.dtype for column in columns] == [np.dtype(np.int64)] * 4
     i, j, c_ij, c_ji = (column.tolist() for column in columns)
     assert list(zip(zip(i, j), map(list, zip(c_ij, c_ji)))) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_rows())
+@example((3, []))
+@example((4, [(0, 1, 0), (3, 2, 0), (1, 0, 0)]))
+@example((3, [(0, 1, 2.0), (2, 1, 0.0), (1, 0, 3.0), (0, 1, 1.0)]))
+def test_graph_does_not_depend_on_the_row_order(drawn):
+    """Rows sorted by pair key skip the build's sort; where two keys differ,
+    the drawn rows or their reverse take it, so every such draw compares
+    both branches. The build leaves the caller's arrays as they were."""
+    n, rows = drawn
+    by_key = sorted(rows, key=lambda row: (min(row[:2]), max(row[:2])))
+    reversed_columns = [np.array(column) for column in zip(*rows[::-1])]
+    kept = [column.copy() for column in reversed_columns]
+    graph = ComparisonGraph(n, *zip(*rows))
+    assert ComparisonGraph(n, *zip(*by_key)) == graph
+    assert ComparisonGraph(n, *reversed_columns) == graph
+    for column, copy in zip(reversed_columns, kept):
+        np.testing.assert_array_equal(column, copy)
 
 
 @settings(max_examples=200, deadline=None)
